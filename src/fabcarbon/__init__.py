@@ -10,21 +10,17 @@ from .engine import (
     CdcQuery,
     SweepResult,
     cdc,
-    cdc_limit_embodied,
+    cdc_curve,
     fit_aggregates,
     fit_scale,
     is_fabric_greener,
     min_dsas_to_replace,
-    sweep_alpha,
     sweep_grid,
 )
 from .concurrency import (
-    GridSpec,
-    PackingResult,
     ScaleKind,
     ScaleMode,
     average_utilization,
-    packing_feasible,
     scale_factor,
 )
 from .core import (
@@ -35,23 +31,20 @@ from .core import (
     FootprintWeights,
     KernelProfile,
     MeanKind,
-    TechNodeRecord,
     aggregate,
     alpha_from_breakdown,
     device_preset,
     dsa_footprint,
-    embodied_intensity,
     fabric_footprint,
     weights_for_device,
 )
 from .dataset import (
     FabricSpec,
+    GridSpec,
     KernelDataset,
     builtin_dataset,
     dump_dataset,
-    load_breakdowns,
     load_dataset,
-    load_tech_nodes,
     validate_dataset,
 )
 from .scenarios import (
@@ -78,13 +71,11 @@ __all__ = [
     "KernelDataset",
     "KernelProfile",
     "MeanKind",
-    "PackingResult",
     "SavingsResult",
     "ScaleKind",
     "ScaleMode",
     "ScenarioSpec",
     "SweepResult",
-    "TechNodeRecord",
     "aggregate",
     "alpha_from_breakdown",
     "average_utilization",
@@ -92,25 +83,20 @@ __all__ = [
     "builtin_dataset",
     "calibrated_aggregates",
     "cdc",
-    "cdc_limit_embodied",
+    "cdc_curve",
     "device_preset",
     "dsa_footprint",
     "dump_dataset",
-    "embodied_intensity",
     "evaluate_cdc_table",
     "fabric_footprint",
     "fit_aggregates",
     "fit_scale",
     "hybrid_retained_savings",
     "is_fabric_greener",
-    "load_breakdowns",
     "load_dataset",
-    "load_tech_nodes",
     "min_dsas_to_replace",
-    "packing_feasible",
     "savings_factor",
     "scale_factor",
-    "sweep_alpha",
     "sweep_grid",
     "validate_dataset",
     "weights_for_device",

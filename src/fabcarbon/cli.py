@@ -1,8 +1,9 @@
 """Command-line front end.
 
 Exit codes: 0 on success, 1 on data or validation errors, 2 on usage
-errors. Flags are validated before any computation; diagnostics go to the
-error stream, data to stdout or the --out path.
+errors: a malformed flag, or one value outside its domain as the model's
+types report it. Diagnostics go to the error stream, data to stdout or the
+--out path.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from pathlib import Path
 from typing import IO, Sequence
 
 from . import scenarios as scen_mod
-from .concurrency import ScaleMode, average_utilization
+from .concurrency import ScaleMode, scale_factor
 from .core import (
     AggregateRatios,
     DeviceBreakdown,
@@ -34,7 +35,7 @@ from .engine import (
     min_dsas_to_replace,
     sweep_grid,
 )
-from .errors import DatasetError, ModelError
+from .errors import DatasetError, InvalidValue, ModelError
 from .report import (
     Column,
     RenderedReport,
@@ -166,8 +167,8 @@ def _parse_int_span(raw: str, flag: str) -> tuple[int, int]:
         lo, hi = int(parts[0]), int(parts[1])
     except ValueError:
         raise UsageError(f"{flag}: expected integers in LO:HI, got {raw!r}") from None
-    if lo < 1 or hi < lo:
-        raise UsageError(f"{flag}: need 1 <= LO <= HI, got {raw!r}")
+    if hi < lo:
+        raise UsageError(f"{flag}: need LO <= HI, got {raw!r}")
     return lo, hi
 
 
@@ -209,13 +210,6 @@ def _parse_breakdown(raw: str) -> DeviceBreakdown:
     )
 
 
-def _check_alpha(alpha: float) -> None:
-    if alpha == 0:
-        raise UsageError("alpha=0 is a pole of the model; the critical DSA count is undefined")
-    if not 0 < alpha <= 1:
-        raise UsageError(f"alpha must lie in (0, 1]: {alpha!r}")
-
-
 def _dataset_format(path: str) -> str:
     suffix = Path(path).suffix.lower()
     if suffix == ".csv":
@@ -242,27 +236,20 @@ def _scale_mode(util_mode: str) -> ScaleMode:
 
 
 def _cmd_cdc(args: argparse.Namespace) -> tuple[RenderedReport, list[SweepResult]]:
-    _check_alpha(args.alpha)
-    if args.area <= 0 or args.energy <= 0:
-        raise UsageError("--area and --energy must be > 0")
-    if args.n < 1:
-        raise UsageError(f"--n must be >= 1: {args.n!r}")
     footnotes: tuple[str, ...] = ()
+    kernels = None
     if args.scale is not None:
-        if args.scale < 1:
-            raise UsageError(f"--scale must be >= 1: {args.scale!r}")
-        scale = float(args.scale)
-        utilization = 1.0
+        mode = ScaleMode.explicit(args.scale)
     elif args.util_mode == "avg":
         ds = _resolve_dataset(args.dataset)
-        utilization = average_utilization(list(ds.kernels))
-        scale = max(1.0, args.n * utilization)
+        kernels = list(ds.kernels)
+        mode = ScaleMode.average_utilization()
         note = estimated_inputs_footnote(sorted(k.name for k in ds.kernels if k.estimated))
         footnotes = (note,) if note else ()
     else:
-        scale = float(args.n)
-        utilization = 1.0
-    agg = AggregateRatios(area=args.area, energy=args.energy, utilization=utilization, kernel_count=1)
+        mode = ScaleMode.conservative()
+    scale = scale_factor(args.n, mode, kernels=kernels)
+    agg = AggregateRatios(area=args.area, energy=args.energy, utilization=1.0, kernel_count=1)
     query = CdcQuery(FootprintWeights(args.alpha), agg, n=args.n, scale=scale)
     value = compute_cdc(query)
     record = {
@@ -293,14 +280,8 @@ def _cmd_cdc(args: argparse.Namespace) -> tuple[RenderedReport, list[SweepResult
 
 def _cmd_sweep(args: argparse.Namespace) -> tuple[RenderedReport, list[SweepResult]]:
     lo, hi, step = _parse_span(args.alpha, "--alpha")
-    if not 0 < lo <= hi <= 1 or step <= 0:
-        raise UsageError(f"--alpha: need 0 < LO <= HI <= 1 and STEP > 0, got {args.alpha!r}")
     areas = _parse_float_list(args.areas, "--areas")
     energies = _parse_float_list(args.energies, "--energies")
-    if any(v <= 0 for v in areas + energies):
-        raise UsageError("--areas and --energies must be > 0")
-    if args.n < 1:
-        raise UsageError(f"--n must be >= 1: {args.n!r}")
     alphas = float_steps(lo, hi, step)
     sweeps = sweep_grid(alphas, areas, energies, n=args.n)
     return sweep_report(sweeps), sweeps
@@ -308,10 +289,6 @@ def _cmd_sweep(args: argparse.Namespace) -> tuple[RenderedReport, list[SweepResu
 
 def _cmd_scenario(args: argparse.Namespace) -> tuple[RenderedReport, list[SweepResult]]:
     alphas = _parse_float_list(args.alphas, "--alphas")
-    for alpha in alphas:
-        _check_alpha(alpha)
-    if args.n < 1:
-        raise UsageError(f"--n must be >= 1: {args.n!r}")
     cases = [c.strip() for c in args.case.split(",") if c.strip()]
     if not cases:
         raise UsageError("--case: empty case list")
@@ -326,10 +303,7 @@ def _cmd_scenario(args: argparse.Namespace) -> tuple[RenderedReport, list[SweepR
 
 
 def _cmd_savings(args: argparse.Namespace) -> tuple[RenderedReport, list[SweepResult]]:
-    _check_alpha(args.alpha)
     n_lo, n_hi = _parse_int_span(args.n, "--n")
-    if args.dsas < n_hi:
-        raise UsageError(f"--dsas {args.dsas} is below the highest concurrency {n_hi}")
     ds = _resolve_dataset(args.dataset)
     records = []
     estimated: tuple[str, ...] = ()
@@ -362,9 +336,6 @@ def _cmd_savings(args: argparse.Namespace) -> tuple[RenderedReport, list[SweepRe
 
 
 def _cmd_hybrid(args: argparse.Namespace) -> tuple[RenderedReport, list[SweepResult]]:
-    _check_alpha(args.alpha)
-    if args.n < 1:
-        raise UsageError(f"--n must be >= 1: {args.n!r}")
     retained = [name.strip() for name in args.retain.split(",") if name.strip()]
     ds = _resolve_dataset(args.dataset)
     spec = scen_mod.builtin_case(
@@ -413,10 +384,7 @@ def _cmd_alpha(args: argparse.Namespace) -> tuple[RenderedReport, list[SweepResu
             "alpha_high": None,
         }
     else:
-        try:
-            low, high = device_preset(args.device)
-        except ModelError:
-            raise UsageError(f"unknown device class: {args.device!r}") from None
+        low, high = device_preset(args.device)
         record = {
             "source": args.device,
             "alpha_e2o": (low + high) / 2.0,
@@ -438,8 +406,6 @@ def _cmd_alpha(args: argparse.Namespace) -> tuple[RenderedReport, list[SweepResu
 
 def _cmd_calibrate(args: argparse.Namespace) -> tuple[RenderedReport, list[SweepResult]]:
     points = _parse_points(args.points)
-    if args.n < 1:
-        raise UsageError(f"--n must be >= 1: {args.n!r}")
     agg = fit_aggregates(points, n=args.n)
     record = {
         "area": agg.area,
@@ -570,7 +536,7 @@ def run(argv: Sequence[str], stdout: IO[str] | None = None, stderr: IO[str] | No
         else:
             out.write(payload)
         return EXIT_OK
-    except UsageError as exc:
+    except (UsageError, InvalidValue) as exc:
         print(f"usage error: {exc}", file=err)
         return EXIT_USAGE
     except (ModelError, DatasetError, KeyError, ValueError, OSError) as exc:
@@ -581,3 +547,7 @@ def run(argv: Sequence[str], stdout: IO[str] | None = None, stderr: IO[str] | No
 
 def main() -> None:
     sys.exit(run(sys.argv[1:]))
+
+
+if __name__ == "__main__":
+    main()

@@ -1,4 +1,4 @@
-"""Fabric scaling for concurrent kernels and discrete PE packing checks.
+"""Fabric scaling for concurrent kernels.
 
 Running n kernels at once needs a bigger fabric. The conservative rule
 charges a full fabric per kernel (n' = n); the average-utilization rule
@@ -8,17 +8,12 @@ occupy (n' = n * mean utilization, never below one full fabric).
 
 from __future__ import annotations
 
-import math
 import statistics
 from dataclasses import dataclass
 from enum import Enum
 
-from .core import KernelProfile
-from .errors import EmptyKernelSet, InvalidScale
-
-# Counteract binary float noise only (e.g. 0.45 * 100 = 45.000000000000007);
-# demands stay ceiled and the budget floored, so the check never overpromises.
-_GRID_EPS = 1e-9
+from .core import KernelProfile, require_concurrency, require_scale
+from .errors import EmptyKernelSet
 
 
 class ScaleKind(str, Enum):
@@ -37,8 +32,8 @@ class ScaleMode:
     explicit_scale: float | None = None
 
     def __post_init__(self) -> None:
-        if self.explicit_scale is not None and self.explicit_scale < 1:
-            raise InvalidScale(f"explicit scale must be >= 1: {self.explicit_scale!r}")
+        if self.explicit_scale is not None:
+            require_scale(self.explicit_scale)
 
     @classmethod
     def conservative(cls) -> ScaleMode:
@@ -51,35 +46,6 @@ class ScaleMode:
     @classmethod
     def explicit(cls, scale: float) -> ScaleMode:
         return cls(explicit_scale=float(scale))
-
-
-@dataclass(frozen=True)
-class GridSpec:
-    """Processing-element grid of the fabric."""
-
-    rows: int
-    cols: int
-
-    def __post_init__(self) -> None:
-        if self.rows < 1 or self.cols < 1:
-            raise ValueError(f"grid dimensions must be >= 1: {self.rows}x{self.cols}")
-
-    @property
-    def pe_count(self) -> int:
-        return self.rows * self.cols
-
-
-@dataclass(frozen=True)
-class PackingResult:
-    """Outcome of a first-fit PE allocation against a scaled grid."""
-
-    feasible: bool
-    budget_pes: int
-    allocations: tuple[tuple[str, int], ...]
-
-    @property
-    def allocated_pes(self) -> int:
-        return sum(pes for _, pes in self.allocations)
 
 
 def average_utilization(kernels: list[KernelProfile]) -> float:
@@ -103,8 +69,7 @@ def scale_factor(
     ``mean_utilization`` short-circuits the kernel average when the caller
     already aggregated it.
     """
-    if n < 1:
-        raise ValueError(f"concurrency must be >= 1: {n!r}")
+    require_concurrency(n)
     mode = mode or ScaleMode.conservative()
     if mode.explicit_scale is not None:
         return mode.explicit_scale
@@ -115,35 +80,3 @@ def scale_factor(
             raise EmptyKernelSet("average-utilization scaling needs kernels or a mean utilization")
         mean_utilization = average_utilization(kernels)
     return max(1.0, n * mean_utilization)
-
-
-def pe_demand(kernel: KernelProfile, grid: GridSpec) -> int:
-    """PEs a kernel occupies on the grid, rounded up."""
-    return math.ceil(kernel.utilization * grid.pe_count - _GRID_EPS)
-
-
-def packing_feasible(
-    selected: list[KernelProfile],
-    grid: GridSpec,
-    scale: float,
-) -> PackingResult:
-    """First-fit PE allocation of the selected kernels on a scaled grid.
-
-    Demands are rounded up and the budget rounded down, so a feasible
-    verdict is a safe one. Infeasibility is a valid result, not an error.
-    """
-    if not selected:
-        raise EmptyKernelSet("cannot pack an empty kernel selection")
-    if scale < 1:
-        raise InvalidScale(f"fabric scale must be >= 1: {scale!r}")
-    budget = math.floor(scale * grid.pe_count + _GRID_EPS)
-    allocations: list[tuple[str, int]] = []
-    used = 0
-    feasible = True
-    for kernel in selected:
-        demand = pe_demand(kernel, grid)
-        if used + demand > budget:
-            feasible = False
-        allocations.append((kernel.name, demand))
-        used += demand
-    return PackingResult(feasible=feasible, budget_pes=budget, allocations=tuple(allocations))

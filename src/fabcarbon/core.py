@@ -10,15 +10,19 @@ the operational share (energy proxy) with ``alpha_e2o`` in [0, 1].
 from __future__ import annotations
 
 import statistics
+import sys
 from dataclasses import dataclass
 from enum import Enum
 
 from .errors import (
     ConcurrencyExceedsPopulation,
     EmptyKernelSet,
+    InvalidAggregates,
+    InvalidAlpha,
     InvalidBreakdown,
+    InvalidConcurrency,
+    InvalidKernel,
     InvalidScale,
-    InvalidTechNode,
     UnknownDeviceClass,
 )
 
@@ -59,6 +63,25 @@ DEVICE_ALPHA_BANDS: dict[DeviceClass, tuple[float, float]] = {
 BREAKDOWN_SUM_TOLERANCE = 0.5
 
 
+def is_real(value: object) -> bool:
+    """True for a finite int or float; NaN, infinities, bools and other types are not."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    return -sys.float_info.max <= value <= sys.float_info.max
+
+
+def require_concurrency(n: int) -> None:
+    """Reject a concurrency level below 1 or not finite."""
+    if not (is_real(n) and n >= 1):
+        raise InvalidConcurrency(f"concurrency must be >= 1: {n!r}")
+
+
+def require_scale(scale: float) -> None:
+    """Reject a fabric scaling factor below 1 or not finite."""
+    if not (is_real(scale) and scale >= 1):
+        raise InvalidScale(f"fabric scale must be finite and >= 1: {scale!r}")
+
+
 @dataclass(frozen=True)
 class KernelProfile:
     """One accelerated kernel, normalized against the fabric.
@@ -78,21 +101,21 @@ class KernelProfile:
 
     def __post_init__(self) -> None:
         if not self.name:
-            raise ValueError("kernel name must be non-empty")
-        if not self.area_norm > 0:
-            raise ValueError(f"kernel {self.name!r}: area_norm out of (0, inf): {self.area_norm!r}")
-        if not self.energy_norm > 0:
-            raise ValueError(
+            raise InvalidKernel("kernel name must be non-empty")
+        if not (is_real(self.area_norm) and self.area_norm > 0):
+            raise InvalidKernel(f"kernel {self.name!r}: area_norm out of (0, inf): {self.area_norm!r}")
+        if not (is_real(self.energy_norm) and self.energy_norm > 0):
+            raise InvalidKernel(
                 f"kernel {self.name!r}: energy_norm out of (0, inf): {self.energy_norm!r}"
             )
-        if not 0 < self.utilization <= 1:
-            raise ValueError(
+        if not (is_real(self.utilization) and 0 < self.utilization <= 1):
+            raise InvalidKernel(
                 f"kernel {self.name!r}: utilization out of (0, 1]: {self.utilization!r}"
             )
-        if self.memory_kb < 0:
-            raise ValueError(f"kernel {self.name!r}: memory_kb must be >= 0: {self.memory_kb!r}")
+        if not (is_real(self.memory_kb) and self.memory_kb >= 0):
+            raise InvalidKernel(f"kernel {self.name!r}: memory_kb out of [0, inf): {self.memory_kb!r}")
         if not isinstance(self.estimated, bool):
-            raise ValueError(f"kernel {self.name!r}: estimated must be boolean: {self.estimated!r}")
+            raise InvalidKernel(f"kernel {self.name!r}: estimated must be boolean: {self.estimated!r}")
 
 
 @dataclass(frozen=True)
@@ -106,12 +129,14 @@ class AggregateRatios:
     mean_kind: MeanKind = MeanKind.ARITHMETIC
 
     def __post_init__(self) -> None:
-        if self.kernel_count < 1:
-            raise ValueError(f"kernel_count must be >= 1: {self.kernel_count!r}")
-        if not self.area > 0 or not self.energy > 0:
-            raise ValueError("aggregate area and energy must be > 0")
-        if not 0 < self.utilization <= 1:
-            raise ValueError(f"aggregate utilization out of (0, 1]: {self.utilization!r}")
+        if not (is_real(self.kernel_count) and self.kernel_count >= 1):
+            raise InvalidAggregates(f"kernel_count must be >= 1: {self.kernel_count!r}")
+        if not (is_real(self.area) and self.area > 0):
+            raise InvalidAggregates(f"aggregate area out of (0, inf): {self.area!r}")
+        if not (is_real(self.energy) and self.energy > 0):
+            raise InvalidAggregates(f"aggregate energy out of (0, inf): {self.energy!r}")
+        if not (is_real(self.utilization) and 0 < self.utilization <= 1):
+            raise InvalidAggregates(f"aggregate utilization out of (0, 1]: {self.utilization!r}")
 
 
 @dataclass(frozen=True)
@@ -122,8 +147,8 @@ class FootprintWeights:
     source: AlphaSource = AlphaSource.EXPLICIT
 
     def __post_init__(self) -> None:
-        if not 0 <= self.alpha_e2o <= 1:
-            raise ValueError(f"alpha_e2o out of [0, 1]: {self.alpha_e2o!r}")
+        if not (is_real(self.alpha_e2o) and 0 <= self.alpha_e2o <= 1):
+            raise InvalidAlpha(f"alpha_e2o out of [0, 1]: {self.alpha_e2o!r}")
 
 
 @dataclass(frozen=True)
@@ -138,29 +163,15 @@ class DeviceBreakdown:
 
     def __post_init__(self) -> None:
         parts = (self.production_pct, self.transport_pct, self.use_pct, self.eol_pct)
-        if any(p < 0 for p in parts):
-            raise InvalidBreakdown(f"breakdown {self.device!r}: negative percentage in {parts}")
+        if not all(is_real(p) and p >= 0 for p in parts):
+            raise InvalidBreakdown(
+                f"breakdown {self.device!r}: percentages must be finite and >= 0: {parts}"
+            )
         total = sum(parts)
         if abs(total - 100.0) > BREAKDOWN_SUM_TOLERANCE:
             raise InvalidBreakdown(
                 f"breakdown {self.device!r}: percentages sum to {total}, expected 100"
                 f" +/- {BREAKDOWN_SUM_TOLERANCE}"
-            )
-
-
-@dataclass(frozen=True)
-class TechNodeRecord:
-    """Per-standard-cell area and embodied-footprint ratios, anchor node = 1."""
-
-    node_name: str
-    rel_area_per_cell: float
-    rel_embodied_per_cell: float
-
-    def __post_init__(self) -> None:
-        if not self.rel_area_per_cell > 0 or not self.rel_embodied_per_cell > 0:
-            raise InvalidTechNode(
-                f"tech node {self.node_name!r}: ratios must be > 0, got "
-                f"({self.rel_area_per_cell!r}, {self.rel_embodied_per_cell!r})"
             )
 
 
@@ -195,11 +206,8 @@ def dsa_footprint(
     ``dsa_count`` is an integer in practice, but real values are admitted so
     threshold analyses can evaluate the footprint at the break-even point.
     """
-    if dsa_count <= 0:
-        raise ValueError(f"dsa_count must be positive: {dsa_count!r}")
-    if concurrency < 1:
-        raise ValueError(f"concurrency must be >= 1: {concurrency!r}")
-    if concurrency > dsa_count:
+    require_concurrency(concurrency)
+    if not dsa_count >= concurrency:
         raise ConcurrencyExceedsPopulation(
             f"concurrency {concurrency} exceeds DSA population {dsa_count}"
         )
@@ -209,8 +217,7 @@ def dsa_footprint(
 
 def fabric_footprint(scale: float) -> float:
     """Footprint of the fabric scaled by n' (area and energy scale together)."""
-    if scale < 1:
-        raise InvalidScale(f"fabric scale must be >= 1: {scale!r}")
+    require_scale(scale)
     return float(scale)
 
 
@@ -238,8 +245,3 @@ def weights_for_device(device: DeviceClass | str) -> FootprintWeights:
     """Band midpoint as ready-to-use weights."""
     low, high = device_preset(device)
     return FootprintWeights(alpha_e2o=(low + high) / 2.0, source=AlphaSource.DEVICE_PRESET)
-
-
-def embodied_intensity(record: TechNodeRecord) -> float:
-    """Embodied footprint per unit chip area, relative to the anchor node."""
-    return record.rel_embodied_per_cell / record.rel_area_per_cell

@@ -14,17 +14,24 @@ import io
 import json
 import os
 from dataclasses import dataclass
-from typing import IO, Iterable, Mapping
+from typing import IO, Iterable, Iterator, Mapping
 
-from .concurrency import GridSpec
-from .core import DeviceBreakdown, KernelProfile, TechNodeRecord
-from .errors import DatasetValidationError, EmptyInput, ParseError
+from .core import KernelProfile
+from .errors import DatasetValidationError, EmptyInput, InvalidKernel, ParseError
 
 DATASET_VERSION = 1
 
-CSV_COLUMNS = ("name", "domain", "area_norm", "energy_norm", "utilization", "memory_kb", "estimated")
-BREAKDOWN_COLUMNS = ("device", "production_pct", "transport_pct", "use_pct", "eol_pct")
-TECH_NODE_COLUMNS = ("node", "rel_area_per_cell", "rel_embodied_per_cell")
+
+@dataclass(frozen=True)
+class GridSpec:
+    """Processing-element grid of the fabric."""
+
+    rows: int
+    cols: int
+
+    def __post_init__(self) -> None:
+        if self.rows < 1 or self.cols < 1:
+            raise ValueError(f"grid dimensions must be >= 1: {self.rows}x{self.cols}")
 
 
 @dataclass(frozen=True)
@@ -139,43 +146,59 @@ def _read_text(source: str | os.PathLike | IO) -> str:
     return data
 
 
-def _parse_float(raw: str, line: int, column: str) -> float:
+def _number(raw: str) -> float:
     try:
         return float(raw)
     except ValueError:
-        raise ParseError(f"not a number: {raw!r}", line=line, column=column) from None
+        raise ValueError(f"not a number: {raw!r}") from None
 
 
-def _parse_flag(raw: str, line: int, column: str) -> bool:
+def _flag(raw: str) -> bool:
     if raw not in ("0", "1"):
-        raise ParseError(f"flag must be 0 or 1: {raw!r}", line=line, column=column)
+        raise ValueError(f"flag must be 0 or 1: {raw!r}")
     return raw == "1"
 
 
-def _csv_rows(text: str, columns: tuple[str, ...]) -> list[tuple[int, dict[str, str]]]:
+# The kernel record schema, one row per KernelProfile field: the field's
+# column (CSV) or key (JSON), its CSV cell parser and its CSV cell formatter.
+# JSON carries typed values, which KernelProfile checks itself.
+_SCHEMA = (
+    ("name", str, str),
+    ("domain", str, str),
+    ("area_norm", _number, repr),
+    ("energy_norm", _number, repr),
+    ("utilization", _number, repr),
+    ("memory_kb", _number, repr),
+    ("estimated", _flag, lambda flag: "1" if flag else "0"),
+)
+KERNEL_COLUMNS = tuple(column for column, _, _ in _SCHEMA)
+
+
+def _csv_records(text: str) -> Iterator[dict[str, object]]:
     reader = csv.reader(io.StringIO(text))
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise EmptyInput("input document is empty") from None
+    header = next(reader, None)
+    if header is None:
+        raise EmptyInput("input document is empty")
     header = [h.strip() for h in header]
-    if header != list(columns):
-        raise ParseError(f"expected header {','.join(columns)!r}, got {','.join(header)!r}", line=1)
-    rows = []
+    if header != list(KERNEL_COLUMNS):
+        raise ParseError(
+            f"expected header {','.join(KERNEL_COLUMNS)!r}, got {','.join(header)!r}", line=1
+        )
     for row in reader:
         if not row or all(not cell.strip() for cell in row):
             continue
-        if len(row) != len(columns):
-            raise ParseError(
-                f"expected {len(columns)} fields, got {len(row)}", line=reader.line_num
-            )
-        rows.append((reader.line_num, dict(zip(columns, (cell.strip() for cell in row)))))
-    if not rows:
-        raise EmptyInput("input document contains no records")
-    return rows
+        if len(row) != len(_SCHEMA):
+            raise ParseError(f"expected {len(_SCHEMA)} fields, got {len(row)}", line=reader.line_num)
+        record = {}
+        for (column, parse, _), cell in zip(_SCHEMA, row):
+            try:
+                record[column] = parse(cell.strip())
+            except ValueError as exc:
+                raise ParseError(str(exc), line=reader.line_num, column=column) from None
+        yield record
 
 
-def _json_records(text: str, key: str) -> tuple[Mapping, list[Mapping]]:
+def _json_document(text: str) -> Mapping:
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -187,33 +210,25 @@ def _json_records(text: str, key: str) -> tuple[Mapping, list[Mapping]]:
         raise ParseError("version must be an integer", column="version")
     if version > DATASET_VERSION:
         raise DatasetValidationError([f"unsupported dataset version: {version}"])
-    records = doc.get(key)
-    if records is None:
-        raise ParseError(f"missing {key!r} array", column=key)
-    if not isinstance(records, list):
-        raise ParseError(f"{key!r} must be an array", column=key)
-    if not records:
-        raise EmptyInput("input document contains no records")
-    return doc, records
+    if "kernels" not in doc:
+        raise ParseError("missing 'kernels' array", column="kernels")
+    if not isinstance(doc["kernels"], list):
+        raise ParseError("'kernels' must be an array", column="kernels")
+    return doc
 
 
-def _build_kernels(raw_records: list[dict]) -> list[KernelProfile]:
-    kernels: list[KernelProfile] = []
-    violations: list[str] = []
-    seen: set[str] = set()
-    for rec in raw_records:
-        try:
-            kernel = KernelProfile(**rec)
-        except (TypeError, ValueError) as exc:
-            violations.append(str(exc))
-            continue
-        if kernel.name in seen:
-            violations.append(f"duplicate kernel name: {kernel.name!r}")
-        seen.add(kernel.name)
-        kernels.append(kernel)
-    if violations:
-        raise DatasetValidationError(violations)
-    return kernels
+def _json_fabric(block: object) -> FabricSpec | None:
+    if block is None:
+        return None
+    try:
+        return FabricSpec(
+            grid=GridSpec(rows=int(block["rows"]), cols=int(block["cols"])),
+            memory_banks=int(block["memory_banks"]),
+            memory_kb=float(block["memory_kb"]),
+            clock_mhz=float(block["clock_mhz"]),
+        )
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ParseError(f"malformed fabric block: {exc}", column="fabric") from None
 
 
 def load_dataset(
@@ -230,133 +245,35 @@ def load_dataset(
     everything, and the keyword arguments override.
     """
     text = _read_text(source)
-    version = DATASET_VERSION
     if format == "csv":
-        raw = []
-        for line, rec in _csv_rows(text, CSV_COLUMNS):
-            raw.append(
-                {
-                    "name": rec["name"],
-                    "domain": rec["domain"],
-                    "area_norm": _parse_float(rec["area_norm"], line, "area_norm"),
-                    "energy_norm": _parse_float(rec["energy_norm"], line, "energy_norm"),
-                    "utilization": _parse_float(rec["utilization"], line, "utilization"),
-                    "memory_kb": _parse_float(rec["memory_kb"], line, "memory_kb"),
-                    "estimated": _parse_flag(rec["estimated"], line, "estimated"),
-                }
-            )
-        loaded_fabric = None
-        loaded_provenance = None
+        doc: Mapping = {}
+        records: Iterable = _csv_records(text)
     elif format == "json":
-        doc, records = _json_records(text, "kernels")
-        version = doc.get("version", DATASET_VERSION)
-        raw = [dict(rec) for rec in records]
-        fab = doc.get("fabric")
-        if fab is not None:
-            try:
-                loaded_fabric = FabricSpec(
-                    grid=GridSpec(rows=int(fab["rows"]), cols=int(fab["cols"])),
-                    memory_banks=int(fab["memory_banks"]),
-                    memory_kb=float(fab["memory_kb"]),
-                    clock_mhz=float(fab["clock_mhz"]),
-                )
-            except (KeyError, TypeError, ValueError) as exc:
-                raise ParseError(f"malformed fabric block: {exc}", column="fabric") from None
-        else:
-            loaded_fabric = None
-        loaded_provenance = doc.get("provenance")
+        doc = _json_document(text)
+        records = doc["kernels"]
     else:
         raise ValueError(f"unknown dataset format: {format!r}")
+    loaded_fabric = _json_fabric(doc.get("fabric"))
 
-    kernels = _build_kernels(raw)
+    kernels = []
+    violations = []
+    for record in records:
+        try:
+            kernels.append(KernelProfile(**record))
+        except (TypeError, InvalidKernel) as exc:
+            violations.append(str(exc))
+    if not kernels and not violations:
+        raise EmptyInput("input document contains no records")
     ds = KernelDataset(
         kernels=tuple(kernels),
         fabric=fabric or loaded_fabric or _BUILTIN_FABRIC,
-        provenance=provenance if provenance is not None else (loaded_provenance or ""),
-        version=version,
+        provenance=provenance if provenance is not None else (doc.get("provenance") or ""),
+        version=doc.get("version", DATASET_VERSION),
     )
-    violations = validate_dataset(ds)
+    violations += validate_dataset(ds)
     if violations:
         raise DatasetValidationError(violations)
     return ds
-
-
-def load_breakdowns(source: str | os.PathLike | IO, format: str = "csv") -> list[DeviceBreakdown]:
-    """Parse lifecycle breakdown records (device, four phase percentages)."""
-    text = _read_text(source)
-    violations: list[str] = []
-    out: list[DeviceBreakdown] = []
-    if format == "csv":
-        rows = _csv_rows(text, BREAKDOWN_COLUMNS)
-        raw = [
-            {
-                "device": rec["device"],
-                "production_pct": _parse_float(rec["production_pct"], line, "production_pct"),
-                "transport_pct": _parse_float(rec["transport_pct"], line, "transport_pct"),
-                "use_pct": _parse_float(rec["use_pct"], line, "use_pct"),
-                "eol_pct": _parse_float(rec["eol_pct"], line, "eol_pct"),
-            }
-            for line, rec in rows
-        ]
-    elif format == "json":
-        _, records = _json_records(text, "breakdowns")
-        raw = [dict(rec) for rec in records]
-    else:
-        raise ValueError(f"unknown breakdown format: {format!r}")
-    for rec in raw:
-        try:
-            out.append(DeviceBreakdown(**rec))
-        except (TypeError, ValueError) as exc:
-            violations.append(str(exc))
-    if violations:
-        raise DatasetValidationError(violations)
-    return out
-
-
-def load_tech_nodes(source: str | os.PathLike | IO, format: str = "csv") -> list[TechNodeRecord]:
-    """Parse technology-node records; exactly one anchor row must be all-ones."""
-    text = _read_text(source)
-    violations: list[str] = []
-    out: list[TechNodeRecord] = []
-    if format == "csv":
-        rows = _csv_rows(text, TECH_NODE_COLUMNS)
-        raw = [
-            {
-                "node_name": rec["node"],
-                "rel_area_per_cell": _parse_float(rec["rel_area_per_cell"], line, "rel_area_per_cell"),
-                "rel_embodied_per_cell": _parse_float(
-                    rec["rel_embodied_per_cell"], line, "rel_embodied_per_cell"
-                ),
-            }
-            for line, rec in rows
-        ]
-    elif format == "json":
-        _, records = _json_records(text, "nodes")
-        raw = [
-            {
-                "node_name": rec.get("node", rec.get("node_name")),
-                "rel_area_per_cell": rec.get("rel_area_per_cell"),
-                "rel_embodied_per_cell": rec.get("rel_embodied_per_cell"),
-            }
-            for rec in records
-        ]
-    else:
-        raise ValueError(f"unknown tech-node format: {format!r}")
-    for rec in raw:
-        try:
-            out.append(TechNodeRecord(**rec))
-        except (TypeError, ValueError) as exc:
-            violations.append(str(exc))
-    anchors = [
-        r for r in out if abs(r.rel_area_per_cell - 1.0) < 1e-9 and abs(r.rel_embodied_per_cell - 1.0) < 1e-9
-    ]
-    if not violations and len(anchors) != 1:
-        violations.append(
-            f"expected exactly one anchor record with both ratios = 1, found {len(anchors)}"
-        )
-    if violations:
-        raise DatasetValidationError(violations)
-    return out
 
 
 def dump_dataset(ds: KernelDataset, format: str = "json") -> str:
@@ -364,19 +281,9 @@ def dump_dataset(ds: KernelDataset, format: str = "json") -> str:
     if format == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(CSV_COLUMNS)
+        writer.writerow(KERNEL_COLUMNS)
         for k in ds.kernels:
-            writer.writerow(
-                [
-                    k.name,
-                    k.domain,
-                    repr(k.area_norm),
-                    repr(k.energy_norm),
-                    repr(k.utilization),
-                    repr(k.memory_kb),
-                    "1" if k.estimated else "0",
-                ]
-            )
+            writer.writerow([fmt(getattr(k, column)) for column, _, fmt in _SCHEMA])
         return buf.getvalue()
     if format == "json":
         doc = {
@@ -389,43 +296,8 @@ def dump_dataset(ds: KernelDataset, format: str = "json") -> str:
                 "memory_kb": ds.fabric.memory_kb,
                 "clock_mhz": ds.fabric.clock_mhz,
             },
-            "kernels": [
-                {
-                    "name": k.name,
-                    "domain": k.domain,
-                    "area_norm": k.area_norm,
-                    "energy_norm": k.energy_norm,
-                    "utilization": k.utilization,
-                    "memory_kb": k.memory_kb,
-                    "estimated": k.estimated,
-                }
-                for k in ds.kernels
-            ],
+            "kernels": [{column: getattr(k, column) for column in KERNEL_COLUMNS} for k in ds.kernels],
         }
         return json.dumps(doc, indent=2) + "\n"
     raise ValueError(f"unknown dataset format: {format!r}")
 
-
-def normalized_kernel(
-    name: str,
-    domain: str,
-    dsa_area: float,
-    dsa_energy: float,
-    fabric_area: float,
-    fabric_energy: float,
-    utilization: float,
-    memory_kb: float,
-    estimated: bool = False,
-) -> KernelProfile:
-    """Build a profile from raw-unit measurements by dividing out the fabric."""
-    if fabric_area <= 0 or fabric_energy <= 0:
-        raise ValueError("fabric reference area and energy must be > 0")
-    return KernelProfile(
-        name=name,
-        domain=domain,
-        area_norm=dsa_area / fabric_area,
-        energy_norm=dsa_energy / fabric_energy,
-        utilization=utilization,
-        memory_kb=memory_kb,
-        estimated=estimated,
-    )

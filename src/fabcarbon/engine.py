@@ -15,12 +15,14 @@ import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from .concurrency import ScaleMode, scale_factor
-from .core import AggregateRatios, FootprintWeights, MeanKind, dsa_footprint, fabric_footprint
-from .errors import AlphaPole, DegenerateModel, InfeasibleFit, InvalidRange, InvalidScale, SingularFit
+from .concurrency import scale_factor
+from .core import AggregateRatios, FootprintWeights, MeanKind, dsa_footprint, fabric_footprint, is_real, require_concurrency, require_scale
+from .errors import AlphaPole, DegenerateModel, InfeasibleFit, InvalidAlpha, InvalidRange, SingularFit
 
 # Tolerance for inclusive endpoints when stepping a float range.
 _RANGE_EPS = 1e-9
+
+_POLE_MESSAGE = "alpha_e2o = 0 is a pole: the threshold diverges"
 
 
 @dataclass(frozen=True)
@@ -38,11 +40,10 @@ class CdcQuery:
 
     def __post_init__(self) -> None:
         if self.weights.alpha_e2o == 0:
-            raise AlphaPole("alpha_e2o = 0 is a pole: the threshold diverges")
-        if self.n < 1:
-            raise ValueError(f"concurrency must be >= 1: {self.n!r}")
-        if self.scale is not None and self.scale < 1:
-            raise InvalidScale(f"fabric scale must be >= 1: {self.scale!r}")
+            raise AlphaPole(_POLE_MESSAGE)
+        require_concurrency(self.n)
+        if self.scale is not None:
+            require_scale(self.scale)
 
     @property
     def effective_scale(self) -> float:
@@ -60,10 +61,7 @@ class SweepResult:
     def __post_init__(self) -> None:
         params = [p for p, _ in self.samples]
         if any(b <= a for a, b in zip(params, params[1:])):
-            raise ValueError("sweep parameters must be strictly increasing")
-        for p, v in self.samples:
-            if not math.isfinite(v) or v <= 0:
-                raise ValueError(f"sweep value at {p!r} is not finite and positive: {v!r}")
+            raise InvalidRange("sweep parameters must be strictly increasing")
 
     @property
     def parameters(self) -> tuple[float, ...]:
@@ -74,35 +72,67 @@ class SweepResult:
         return tuple(v for _, v in self.samples)
 
 
-def cdc(query: CdcQuery) -> float:
-    """Break-even DSA population for the queried parameters.
+def cdc_curve(
+    alphas: Sequence[float],
+    agg: AggregateRatios,
+    n: int = 1,
+    scale: float | None = None,
+) -> list[float]:
+    """Break-even DSA population at each alpha_e2o, other parameters fixed.
 
-    Returned as a real number; a population strictly above it makes the
-    fabric the greener option. Raises ``DegenerateModel`` when the fabric's
-    operational deficit alone outweighs its budget, i.e. no population is
-    large enough.
+    This is the one evaluator of the closed form. ``scale`` is the fabric
+    scaling factor n'; ``None`` means the conservative n' = n. Each value is
+    a real number; a population strictly above it makes the fabric the
+    greener option. Raises ``DegenerateModel`` when no finite population is
+    large enough: the fabric's operational deficit alone outweighs its
+    budget, or the threshold overflows.
     """
-    alpha = query.weights.alpha_e2o
-    scale = query.effective_scale
-    numerator = scale - (1.0 - alpha) * query.n * query.agg.energy
-    if numerator <= 0:
-        raise DegenerateModel(
-            "fabric is never greener: operational term "
-            f"{(1.0 - alpha) * query.n * query.agg.energy:.6g} >= fabric budget {scale:.6g}"
-        )
-    return numerator / (alpha * query.agg.area)
+    require_concurrency(n)
+    if scale is None:
+        scale = float(n)
+    else:
+        require_scale(scale)
+    if not alphas:
+        raise InvalidRange("no alpha values supplied")
+    area, energy = agg.area, agg.energy
+    values = []
+    for alpha in alphas:
+        if not 0.0 < alpha <= 1.0:
+            if alpha == 0:
+                raise AlphaPole(_POLE_MESSAGE)
+            raise InvalidAlpha(f"alpha_e2o out of (0, 1]: {alpha!r}")
+        numerator = scale - (1.0 - alpha) * n * energy
+        if numerator <= 0:
+            raise DegenerateModel(
+                "fabric is never greener: operational term "
+                f"{(1.0 - alpha) * n * energy:.6g} >= fabric budget {scale:.6g}"
+            )
+        denominator = alpha * area
+        value = numerator / denominator if denominator else math.inf
+        if value == math.inf:
+            raise DegenerateModel(f"threshold is not finite at alpha_e2o = {alpha!r}")
+        values.append(value)
+    return values
 
 
-def cdc_limit_embodied(agg: AggregateRatios, n: int = 1) -> float:
-    """Limit of the threshold as the embodied share dominates: n / A."""
-    if n < 1:
-        raise ValueError(f"concurrency must be >= 1: {n!r}")
-    return n / agg.area
+def cdc(query: CdcQuery) -> float:
+    """Break-even DSA population for the queried parameters (one point of ``cdc_curve``)."""
+    return cdc_curve((query.weights.alpha_e2o,), query.agg, query.n, query.scale)[0]
 
 
 def min_dsas_to_replace(query: CdcQuery) -> int:
-    """Smallest integer population strictly above the threshold."""
-    return math.floor(cdc(query)) + 1
+    """Smallest integer population, at least n, that makes the fabric greener.
+
+    The closed form gives the candidate; the footprint comparison of
+    ``is_fabric_greener`` then decides float ties one step either way, so
+    the two always agree near the threshold.
+    """
+    count = max(query.n, math.floor(cdc(query)) + 1)
+    if count > query.n and is_fabric_greener(count - 1, query):
+        return count - 1
+    if not is_fabric_greener(count, query):
+        return count + 1
+    return count
 
 
 def is_fabric_greener(dsa_count: int, query: CdcQuery) -> bool:
@@ -110,47 +140,16 @@ def is_fabric_greener(dsa_count: int, query: CdcQuery) -> bool:
 
     Evaluated from the footprints themselves; ties favor the DSAs.
     """
-    if dsa_count < 1:
-        raise ValueError(f"dsa_count must be >= 1: {dsa_count!r}")
     dsa = dsa_footprint(dsa_count, query.n, query.weights, query.agg)
     return dsa > fabric_footprint(query.effective_scale)
 
 
 def float_steps(lo: float, hi: float, step: float) -> list[float]:
     """Inclusive [lo, hi] samples at the given step, robust to float drift."""
+    if not (lo <= hi and step > 0 and (hi - lo) / step < math.inf):
+        raise InvalidRange(f"range needs finite LO <= HI and STEP > 0: {lo!r}:{hi!r}:{step!r}")
     count = math.floor((hi - lo) / step + _RANGE_EPS) + 1
     return [lo + i * step for i in range(count)]
-
-
-def sweep_alpha(
-    alpha_range: tuple[float, float, float],
-    agg: AggregateRatios,
-    n: int = 1,
-    scale_mode: ScaleMode | None = None,
-) -> SweepResult:
-    """CDC sampled over an inclusive [lo, hi] range of alpha_e2o."""
-    lo, hi, step = alpha_range
-    if not 0 < lo <= hi <= 1:
-        raise InvalidRange(f"alpha range must satisfy 0 < lo <= hi <= 1: {alpha_range!r}")
-    if step <= 0:
-        raise InvalidRange(f"alpha step must be > 0: {step!r}")
-    scale = scale_factor(n, scale_mode, mean_utilization=agg.utilization)
-    samples = []
-    for alpha in float_steps(lo, hi, step):
-        query = CdcQuery(FootprintWeights(alpha), agg, n=n, scale=scale)
-        samples.append((alpha, cdc(query)))
-    return SweepResult(
-        axis_name="alpha_e2o",
-        samples=tuple(samples),
-        metadata={
-            "area": agg.area,
-            "energy": agg.energy,
-            "utilization": agg.utilization,
-            "mean_kind": agg.mean_kind.value,
-            "n": n,
-            "scale": scale,
-        },
-    )
 
 
 def sweep_grid(
@@ -158,26 +157,19 @@ def sweep_grid(
     areas: Sequence[float],
     energies: Sequence[float],
     n: int = 1,
-    scale_mode: ScaleMode | None = None,
 ) -> list[SweepResult]:
-    """One alpha curve per (area, energy) pair of the Cartesian grid."""
-    if not alphas or not areas or not energies:
+    """One alpha curve per (area, energy) pair of the Cartesian grid, at n' = n."""
+    if not areas or not energies:
         raise InvalidRange("grid axes must be non-empty")
-    if any(not 0 < a <= 1 for a in alphas):
-        raise InvalidRange(f"alphas must lie in (0, 1]: {list(alphas)!r}")
+    scale = scale_factor(n)
     curves = []
     for area in areas:
         for energy in energies:
             agg = AggregateRatios(area=area, energy=energy, utilization=1.0, kernel_count=1)
-            scale = scale_factor(n, scale_mode, mean_utilization=agg.utilization)
-            samples = tuple(
-                (alpha, cdc(CdcQuery(FootprintWeights(alpha), agg, n=n, scale=scale)))
-                for alpha in alphas
-            )
             curves.append(
                 SweepResult(
                     axis_name="alpha_e2o",
-                    samples=samples,
+                    samples=tuple(zip(alphas, cdc_curve(alphas, agg, n, scale))),
                     metadata={"area": area, "energy": energy, "n": n, "scale": scale},
                 )
             )
@@ -203,18 +195,21 @@ def fit_aggregates(
         raise SingularFit(f"exactly two calibration points required, got {len(points)}")
     (a1, c1), (a2, c2) = points
     for alpha, value in points:
-        if not 0 < alpha <= 1:
+        if not (is_real(alpha) and 0 < alpha <= 1):
             raise InvalidRange(f"calibration alpha out of (0, 1]: {alpha!r}")
-        if value <= 0:
-            raise InvalidRange(f"calibration CDC must be > 0: {value!r}")
+        if not (is_real(value) and value > 0):
+            raise InvalidRange(f"calibration CDC out of (0, inf): {value!r}")
+    require_concurrency(n)
+    if scale is not None:
+        require_scale(scale)
     if a1 == a2:
         raise SingularFit(f"calibration points share alpha = {a1!r}")
     n_prime = float(n) if scale is None else float(scale)
     # Eliminate x between the two linear observations.
     y = (a2 * c2 - a1 * c1) / (n * (a2 - a1))
     x = (a1 * c1 + (1.0 - a1) * n * y) / n_prime
-    if x <= 0:
-        raise InfeasibleFit(f"fit implies non-positive 1/A = {x!r}")
+    if not 0 < x < math.inf:
+        raise InfeasibleFit(f"fit implies 1/A out of (0, inf): {x!r}")
     area = 1.0 / x
     energy = y / x
     if not 0 < energy < 1:

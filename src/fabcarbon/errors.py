@@ -7,40 +7,56 @@ class ModelError(ValueError):
     """Base class for violations of the footprint model's domain."""
 
 
+class InvalidValue(ModelError):
+    """One input value lies outside its domain; the CLI reports a usage error."""
+
+
+class InvalidAlpha(InvalidValue):
+    """The embodied weight alpha_e2o lies outside its domain."""
+
+
+class AlphaPole(InvalidAlpha):
+    """The critical DSA count is undefined at alpha_e2o = 0."""
+
+
+class InvalidConcurrency(InvalidValue):
+    """Concurrency below 1 or not a finite number."""
+
+
+class ConcurrencyExceedsPopulation(InvalidValue):
+    """More concurrently active DSAs than the chip integrates."""
+
+
+class InvalidScale(InvalidValue):
+    """Fabric scaling factor below 1 (the fabric must fit one kernel) or not finite."""
+
+
+class InvalidAggregates(InvalidValue):
+    """Mean area, energy, or utilization outside its domain."""
+
+
+class InvalidRange(InvalidValue):
+    """A sweep range is empty, inverted, or outside the parameter domain."""
+
+
+class UnknownDeviceClass(InvalidValue):
+    """No embodied-share band is defined for the requested device class."""
+
+
+class InvalidKernel(ModelError):
+    """A kernel profile violates one of its invariants."""
+
+
 class EmptyKernelSet(ModelError):
     """An aggregation was requested over zero kernels."""
 
 
-class ConcurrencyExceedsPopulation(ModelError):
-    """More concurrently active DSAs than the chip integrates."""
-
-
-class InvalidScale(ModelError):
-    """Fabric scaling factor below 1 (the fabric must fit one kernel)."""
-
-
 class InvalidBreakdown(ModelError):
-    """Lifecycle percentages are negative or do not sum to 100."""
-
-
-class UnknownDeviceClass(ModelError):
-    """No embodied-share band is defined for the requested device class."""
-
-
-class InvalidTechNode(ModelError):
-    """Technology-node ratios must be strictly positive."""
-
-
-class AlphaPole(ModelError):
-    """The critical DSA count is undefined at alpha_e2o = 0."""
+    """Lifecycle percentages are negative, not finite, or do not sum to 100."""
 
 
 class DegenerateModel(ModelError):
-    """Operational costs alone exceed the fabric budget; no finite threshold exists."""
-
-
-class InvalidRange(ModelError):
-    """A sweep range is empty, inverted, or outside the parameter domain."""
+    """No finite threshold: operational costs alone exceed the fabric budget, or it overflows."""
 
 
 class SingularFit(ModelError):

@@ -12,11 +12,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Iterable, Mapping
 
-from .engine import CdcQuery, SweepResult, cdc, fit_aggregates
+from .engine import SweepResult, cdc_curve, fit_aggregates
 from .concurrency import ScaleMode, average_utilization, scale_factor
-from .core import AggregateRatios, FootprintWeights, KernelProfile, MeanKind, aggregate, dsa_footprint, fabric_footprint
+from .core import AggregateRatios, FootprintWeights, KernelProfile, MeanKind, aggregate, dsa_footprint, fabric_footprint, is_real, require_concurrency
 from .dataset import KernelDataset, builtin_dataset
-from .errors import InvalidRange, NoFabricWorkload, UnknownScenario
+from .errors import ConcurrencyExceedsPopulation, EmptyKernelSet, InvalidAlpha, NoFabricWorkload, UnknownScenario
 
 # Defaults for savings-style questions: a representative chip integrates
 # 40 DSAs, and alpha 0.7 marks where the embodied share starts dominating.
@@ -56,12 +56,13 @@ class ScenarioSpec:
     mean_kind: MeanKind = MeanKind.ARITHMETIC
 
     def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError(f"concurrency must be >= 1: {self.n!r}")
-        if self.n > self.dsa_population:
-            raise ValueError(
+        require_concurrency(self.n)
+        if not (is_real(self.dsa_population) and self.n <= self.dsa_population):
+            raise ConcurrencyExceedsPopulation(
                 f"concurrency {self.n} exceeds DSA population {self.dsa_population}"
             )
+        if self.weights.alpha_e2o == 0:
+            raise InvalidAlpha("scenario alpha_e2o out of (0, 1]: 0.0")
 
 
 @dataclass(frozen=True)
@@ -144,7 +145,7 @@ def scenario_kernels(spec: ScenarioSpec, dataset: KernelDataset | None = None) -
     ds = dataset or builtin_dataset()
     included = ds.without(spec.excluded_kernels)
     if not included:
-        raise InvalidRange(f"scenario {spec.name!r} excludes every kernel")
+        raise EmptyKernelSet(f"scenario {spec.name!r} excludes every kernel")
     return list(included)
 
 
@@ -160,21 +161,13 @@ def evaluate_cdc_table(
     of the included kernels; pass ``aggregates`` to evaluate with calibrated
     area/energy instead of kernel means.
     """
-    alphas = list(alphas)
-    if not alphas:
-        raise InvalidRange("no alpha values supplied")
-    if any(not 0 < a <= 1 for a in alphas):
-        raise InvalidRange(f"alphas must lie in (0, 1]: {alphas!r}")
+    alphas = sorted(set(alphas))
     kernels = scenario_kernels(spec, dataset)
     agg = aggregates if aggregates is not None else aggregate(kernels, spec.mean_kind)
     scale = scale_factor(spec.n, spec.scale_mode, kernels=kernels)
-    samples = tuple(
-        (alpha, cdc(CdcQuery(FootprintWeights(alpha), agg, n=spec.n, scale=scale)))
-        for alpha in sorted(set(alphas))
-    )
     return SweepResult(
         axis_name="alpha_e2o",
-        samples=samples,
+        samples=tuple(zip(alphas, cdc_curve(alphas, agg, spec.n, scale))),
         metadata={
             "scenario": spec.name,
             "excluded": tuple(sorted(spec.excluded_kernels)),

@@ -185,16 +185,3 @@ def grouped_bar_chart(
     _legend(canvas, [label for label, _ in series])
     return canvas.finish()
 
-
-def emit_svg_chart(
-    data: Sequence[SweepResult] | tuple[Sequence[str], Sequence[tuple[str, Sequence[float]]]],
-    kind: str = "line",
-    **labels: str,
-) -> str:
-    """Dispatch to the line or grouped-bar renderer."""
-    if kind == "line":
-        return line_chart(data, **labels)  # type: ignore[arg-type]
-    if kind == "grouped_bar":
-        group_labels, series = data  # type: ignore[misc]
-        return grouped_bar_chart(group_labels, series, **labels)
-    raise ValueError(f"unknown chart kind: {kind!r}")

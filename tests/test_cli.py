@@ -3,9 +3,17 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+import fabcarbon
 from fabcarbon import builtin_dataset, dump_dataset
 from fabcarbon.cli import DATASET_ENV_VAR, run
 
@@ -185,3 +193,108 @@ class TestOutputsAndPlots:
         a = invoke("scenario", "--case", "II", "--alphas", "0.3,0.7")
         b = invoke("scenario", "--case", "II", "--alphas", "0.3,0.7")
         assert a == b
+
+
+CDC_ARGS = ("cdc", "--alpha", "0.8", "--area", "0.35", "--energy", "0.35")
+
+
+class TestExitCodes:
+    @pytest.mark.parametrize(
+        "argv,code",
+        [
+            (CDC_ARGS + ("--scale", "inf"), 2),
+            (("cdc", "--alpha", "0.8", "--area", "1e-320", "--energy", "0.35"), 1),
+            (("cdc", "--alpha", "0.8", "--area", "nan", "--energy", "0.35"), 2),
+            (("sweep", "--alpha", "0.1:0.9:0.1", "--areas", "nan"), 2),
+            (("calibrate", "--points", "0.3:nan,0.9:4"), 2),
+            (("calibrate", "--points", "1.5:3,0.5:2"), 2),
+            (("calibrate", "--points", "0.5:2,0.5:3"), 1),
+            (("alpha", "--breakdown", "production=nan,transport=3,use=15,eol=2"), 1),
+            (("savings", "--dsas", "3", "--n", "1:5"), 2),
+            (("savings", "--alpha", "0"), 2),
+            (("scenario", "--alphas", "0.5", "--n", "0"), 2),
+            (("hybrid", "--retain", "AESEncrypt", "--n", "1"), 1),
+        ],
+    )
+    def test_exit_code_and_one_line_diagnostic(self, argv, code):
+        got, out, err = invoke(*argv)
+        assert got == code
+        assert out == ""
+        assert err.endswith("\n") and err.count("\n") == 1
+        assert "Traceback" not in err
+
+    def test_non_finite_breakdown_is_named(self):
+        _, _, err = invoke("alpha", "--breakdown", "production=nan,transport=3,use=15,eol=2")
+        assert "breakdown" in err and "alpha_e2o" not in err
+
+
+def test_runs_as_a_module():
+    env = dict(os.environ, PYTHONPATH=str(Path(fabcarbon.__file__).resolve().parents[1]))
+    result = subprocess.run(
+        [sys.executable, "-m", "fabcarbon.cli", *CDC_ARGS],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert result.returncode == 0
+    assert "3.32" in result.stdout
+
+
+# Argument grammar for the surface property: every subcommand, with numeric
+# flags drawn from edge values.
+EDGE = ("0", "-1", "nan", "inf", "-inf", "1e-320", "1e308")
+NUMBER = st.one_of(st.sampled_from(EDGE), st.sampled_from(("0.3", "0.8", "1")))
+INTEGER = st.sampled_from(("0", "-1", "1", "3", "40", "nan", "1e308"))
+STEP = st.sampled_from(("0.1", "0.25", "0", "-1", "nan", "inf", "1e-320", "1e308"))
+MAX_SWEEP_POINTS = 10_000
+
+
+def _flag(name, values):
+    return st.one_of(st.just([]), values.map(lambda v: [name, v]))
+
+
+def _joined(parts, sep):
+    return st.tuples(*parts).map(sep.join)
+
+
+def _sweep_argv(lo, hi, step, areas, energies, n):
+    a, b, s = float(lo), float(hi), float(step)
+    # the point cap is not the CLI's job here; keep generated sweeps small
+    assume(not (a <= b and s > 0 and MAX_SWEEP_POINTS < (b - a) / s < math.inf))
+    return ["sweep", "--alpha", f"{lo}:{hi}:{step}", "--areas", areas, "--energies", energies, *n]
+
+
+ARGV = st.one_of(
+    st.tuples(NUMBER, NUMBER, NUMBER, _flag("--n", INTEGER),
+              st.one_of(_flag("--scale", NUMBER), st.just(["--util-mode", "avg"]))).map(
+        lambda t: ["cdc", "--alpha", t[0], "--area", t[1], "--energy", t[2], *t[3], *t[4]]
+    ),
+    st.builds(_sweep_argv, NUMBER, NUMBER, STEP, _joined([NUMBER, NUMBER], ","), NUMBER,
+              _flag("--n", INTEGER)),
+    st.tuples(st.sampled_from(("I", "II,III", "IV")), _joined([NUMBER, NUMBER], ","),
+              _flag("--n", INTEGER), st.sampled_from(([], ["--calibrated"], ["--util-mode", "avg"]))).map(
+        lambda t: ["scenario", "--case", t[0], "--alphas", t[1], *t[2], *t[3]]
+    ),
+    st.tuples(_flag("--dsas", INTEGER), _flag("--alpha", NUMBER), _joined([INTEGER, INTEGER], ":"),
+              st.sampled_from(([], ["--calibrated"]))).map(
+        lambda t: ["savings", *t[0], *t[1], "--n", t[2], *t[3]]
+    ),
+    st.tuples(st.sampled_from(("AESEncrypt", "AESEncrypt,Viterbi", "NoSuch")), INTEGER,
+              _flag("--dsas", INTEGER), _flag("--alpha", NUMBER)).map(
+        lambda t: ["hybrid", "--retain", t[0], "--n", t[1], *t[2], *t[3]]
+    ),
+    _joined([NUMBER.map(lambda v, k=k: f"{k}={v}") for k in ("production", "transport", "use", "eol")],
+            ",").map(lambda b: ["alpha", "--breakdown", b]),
+    st.sampled_from(("laptop", "toaster")).map(lambda d: ["alpha", "--device", d]),
+    st.tuples(_joined([NUMBER, NUMBER], ":"), _joined([NUMBER, NUMBER], ":"), _flag("--n", INTEGER)).map(
+        lambda t: ["calibrate", "--points", f"{t[0]},{t[1]}", *t[2]]
+    ),
+    st.tuples(st.sampled_from(("show", "validate")), st.sampled_from(([], ["/no/such/file.csv"]))).map(
+        lambda t: ["dataset", t[0], *t[1]]
+    ),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(argv=ARGV, fmt=st.sampled_from(([], ["--format", "csv"], ["--format", "json"])))
+def test_any_argv_ends_in_an_exit_code(argv, fmt):
+    code = run(argv + fmt, io.StringIO(), io.StringIO())
+    assert code in (0, 1, 2)

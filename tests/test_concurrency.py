@@ -1,27 +1,19 @@
 from __future__ import annotations
 
-import math
-
 import pytest
 
 from fabcarbon import (
-    GridSpec,
     KernelProfile,
     ScaleMode,
     average_utilization,
     fabric_footprint,
-    packing_feasible,
     scale_factor,
 )
-from fabcarbon.concurrency import pe_demand
 from fabcarbon.errors import EmptyKernelSet, InvalidScale
 
 
 def _kernel(name, util):
     return KernelProfile(name, "test", 0.3, 0.3, util, 1.0)
-
-
-GRID_8X8 = GridSpec(8, 8)
 
 
 class TestAverageUtilization:
@@ -77,40 +69,3 @@ class TestScaleFactor:
             cons = fabric_footprint(scale_factor(n, ScaleMode.conservative()))
             assert avg <= cons
 
-
-class TestPacking:
-    def test_exact_fit(self):
-        result = packing_feasible([_kernel("a", 0.5), _kernel("b", 0.5)], GRID_8X8, 1.0)
-        assert result.feasible
-        assert result.allocations == (("a", 32), ("b", 32))
-        assert result.allocated_pes == 64 == result.budget_pes
-
-    def test_two_saturated_kernels_overflow(self):
-        result = packing_feasible([_kernel("GeMM", 1.0), _kernel("FIR", 1.0)], GRID_8X8, 1.0)
-        assert not result.feasible
-        assert result.allocated_pes == 128 > result.budget_pes
-
-    def test_ceil_and_floor_are_pessimistic(self):
-        # 64 + ceil(28.8) = 93 demands vs floor(1.45 * 64) = 92 budget
-        kernels = [_kernel("GeMM", 1.0), _kernel("Conv2D", 0.45)]
-        tight = packing_feasible(kernels, GRID_8X8, 1.45)
-        assert not tight.feasible and tight.budget_pes == 92
-        roomy = packing_feasible(kernels, GRID_8X8, 1.5)
-        assert roomy.feasible and roomy.allocated_pes == 93
-
-    def test_constructive_witness_scale_is_feasible(self, dataset):
-        kernels = list(dataset.kernels)
-        demand = sum(pe_demand(k, GRID_8X8) for k in kernels)
-        result = packing_feasible(kernels, GRID_8X8, demand / GRID_8X8.pe_count)
-        assert result.feasible
-        assert result.allocated_pes == demand == result.budget_pes
-
-    def test_feasibility_implies_budget_respected(self):
-        kernels = [_kernel(f"k{i}", 0.3) for i in range(5)]
-        result = packing_feasible(kernels, GridSpec(4, 4), 2.0)
-        if result.feasible:
-            assert result.allocated_pes <= result.budget_pes
-
-    def test_demand_rounds_up(self):
-        assert pe_demand(_kernel("x", 0.45), GRID_8X8) == math.ceil(0.45 * 64)
-        assert pe_demand(_kernel("x", 0.45), GridSpec(10, 10)) == 45  # not 46 from float noise

@@ -8,12 +8,10 @@ from fabcarbon import (
     FootprintWeights,
     KernelProfile,
     MeanKind,
-    TechNodeRecord,
     aggregate,
     alpha_from_breakdown,
     device_preset,
     dsa_footprint,
-    embodied_intensity,
     fabric_footprint,
     weights_for_device,
 )
@@ -22,7 +20,6 @@ from fabcarbon.errors import (
     EmptyKernelSet,
     InvalidBreakdown,
     InvalidScale,
-    InvalidTechNode,
     UnknownDeviceClass,
 )
 
@@ -182,17 +179,3 @@ class TestAlphaEstimation:
         with pytest.raises(UnknownDeviceClass):
             device_preset("toaster")
 
-
-class TestEmbodiedIntensity:
-    def test_anchor_is_one(self):
-        assert embodied_intensity(TechNodeRecord("28nm", 1.0, 1.0)) == 1.0
-
-    def test_shrinking_area_raises_intensity(self):
-        assert embodied_intensity(TechNodeRecord("7nm", 0.1, 0.3)) == pytest.approx(3.0)
-
-    def test_proportional_scaling_keeps_intensity(self):
-        assert embodied_intensity(TechNodeRecord("14nm", 0.5, 0.5)) == 1.0
-
-    def test_nonpositive_ratio_rejected(self):
-        with pytest.raises(InvalidTechNode):
-            TechNodeRecord("bad", 0.0, 1.0)

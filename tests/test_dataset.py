@@ -8,13 +8,10 @@ import pytest
 from fabcarbon import (
     aggregate,
     dump_dataset,
-    load_breakdowns,
     load_dataset,
-    load_tech_nodes,
     validate_dataset,
 )
-from fabcarbon.dataset import FabricSpec, KernelDataset
-from fabcarbon.concurrency import GridSpec
+from fabcarbon.dataset import FabricSpec, GridSpec, KernelDataset
 from fabcarbon.errors import DatasetValidationError, EmptyInput, ParseError
 
 CSV_HEADER = "name,domain,area_norm,energy_norm,utilization,memory_kb,estimated\n"
@@ -122,71 +119,3 @@ class TestDatasetValidation:
         with pytest.raises(ParseError):
             load_dataset(io.StringIO("{not json"), "json")
 
-
-class TestRawUnitIngestion:
-    def test_normalizes_against_fabric_reference(self):
-        from fabcarbon.dataset import normalized_kernel
-
-        k = normalized_kernel(
-            "Custom", "test",
-            dsa_area=820.0, dsa_energy=541.0,
-            fabric_area=2000.0, fabric_energy=1000.0,
-            utilization=0.5, memory_kb=16.0,
-        )
-        assert k.area_norm == pytest.approx(0.41)
-        assert k.energy_norm == pytest.approx(0.541)
-
-    def test_nonpositive_fabric_reference_rejected(self):
-        from fabcarbon.dataset import normalized_kernel
-
-        with pytest.raises(ValueError, match="fabric reference"):
-            normalized_kernel("X", "t", 1.0, 1.0, 0.0, 1.0, 0.5, 1.0)
-
-
-class TestBreakdownLoader:
-    HEADER = "device,production_pct,transport_pct,use_pct,eol_pct\n"
-
-    def test_valid_rows(self):
-        text = self.HEADER + "laptop,68,4,26,2\nphone,80,3,15,2\n"
-        breakdowns = load_breakdowns(io.StringIO(text), "csv")
-        assert len(breakdowns) == 2
-        assert breakdowns[1].production_pct == 80
-
-    def test_sum_violation_reported(self):
-        text = self.HEADER + "broken,50,10,50,2\n"
-        with pytest.raises(DatasetValidationError, match="sum"):
-            load_breakdowns(io.StringIO(text), "csv")
-
-    def test_empty_file(self):
-        with pytest.raises(EmptyInput):
-            load_breakdowns(io.StringIO(""), "csv")
-
-    def test_json_form(self):
-        doc = {"version": 1, "breakdowns": [{"device": "laptop", "production_pct": 68, "transport_pct": 4, "use_pct": 26, "eol_pct": 2}]}
-        (b,) = load_breakdowns(io.StringIO(json.dumps(doc)), "json")
-        assert b.device == "laptop"
-
-
-class TestTechNodeLoader:
-    HEADER = "node,rel_area_per_cell,rel_embodied_per_cell\n"
-
-    def test_anchor_only_file(self):
-        (record,) = load_tech_nodes(io.StringIO(self.HEADER + "28nm,1,1\n"), "csv")
-        from fabcarbon import embodied_intensity
-
-        assert embodied_intensity(record) == 1.0
-
-    def test_missing_anchor_rejected(self):
-        text = self.HEADER + "7nm,0.1,0.3\n"
-        with pytest.raises(DatasetValidationError, match="anchor"):
-            load_tech_nodes(io.StringIO(text), "csv")
-
-    def test_negative_ratio_rejected(self):
-        text = self.HEADER + "28nm,1,1\n7nm,-0.1,0.3\n"
-        with pytest.raises(DatasetValidationError, match="ratios must be > 0"):
-            load_tech_nodes(io.StringIO(text), "csv")
-
-    def test_duplicate_anchor_rejected(self):
-        text = self.HEADER + "a,1,1\nb,1,1\n"
-        with pytest.raises(DatasetValidationError, match="exactly one anchor"):
-            load_tech_nodes(io.StringIO(text), "csv")

@@ -9,21 +9,22 @@ from fabcarbon import (
     CdcQuery,
     FootprintWeights,
     cdc,
-    cdc_limit_embodied,
+    cdc_curve,
     dsa_footprint,
     fabric_footprint,
     fit_aggregates,
     fit_scale,
     is_fabric_greener,
     min_dsas_to_replace,
-    sweep_alpha,
     sweep_grid,
 )
+from fabcarbon.engine import float_steps
 from fabcarbon.errors import (
     AlphaPole,
     DegenerateModel,
     InfeasibleFit,
     InvalidRange,
+    InvalidValue,
     SingularFit,
 )
 
@@ -91,13 +92,13 @@ class TestCdcWorkedCases:
 
 
 class TestEmbodiedLimit:
+    # at alpha = 1 the threshold reduces to n / A
     def test_direct_ratio(self):
-        assert cdc_limit_embodied(_agg(0.35, 0.5)) == pytest.approx(2.857, abs=5e-4)
-        assert cdc_limit_embodied(_agg(0.35, 0.5), n=3) == pytest.approx(8.571, abs=5e-4)
+        assert cdc(_query(1.0, 0.35, 0.5)) == pytest.approx(2.857, abs=5e-4)
+        assert cdc(_query(1.0, 0.35, 0.5, n=3)) == pytest.approx(8.571, abs=5e-4)
 
     def test_matches_cdc_at_full_embodied_weight(self):
-        agg = _agg(0.26868, 0.30322)
-        limit = cdc_limit_embodied(agg)
+        limit = 1 / 0.26868
         assert limit == pytest.approx(3.722, abs=5e-4)
         assert abs(cdc(_query(1.0, 0.26868, 0.30322)) - limit) < 1e-12
 
@@ -128,28 +129,29 @@ class TestReplacementDecision:
 
 class TestSweeps:
     def test_worked_cases_via_sweep(self):
-        sweep = sweep_alpha((0.25, 0.8, 0.55), _agg(0.35, 0.35))
-        assert sweep.parameters == (0.25, 0.8)
-        assert sweep.values[0] == pytest.approx(8.4286, abs=5e-5)
-        assert sweep.values[1] == pytest.approx(3.3214, abs=5e-5)
+        alphas = float_steps(0.25, 0.8, 0.55)
+        values = cdc_curve(alphas, _agg(0.35, 0.35))
+        assert alphas == [0.25, 0.8]
+        assert values[0] == pytest.approx(8.4286, abs=5e-5)
+        assert values[1] == pytest.approx(3.3214, abs=5e-5)
 
     def test_unit_energy_gives_constant_curve(self):
-        sweep = sweep_alpha((0.2, 1.0, 0.1), _agg(0.4, 1.0))
-        assert all(v == pytest.approx(2.5, abs=1e-12) for v in sweep.values)
+        values = cdc_curve(float_steps(0.2, 1.0, 0.1), _agg(0.4, 1.0))
+        assert all(v == pytest.approx(2.5, abs=1e-12) for v in values)
 
     def test_decreasing_when_energy_below_one(self):
-        sweep = sweep_alpha((0.05, 1.0, 0.05), _agg(0.35, 0.35))
-        assert all(b < a for a, b in zip(sweep.values, sweep.values[1:]))
+        values = cdc_curve(float_steps(0.05, 1.0, 0.05), _agg(0.35, 0.35))
+        assert all(b < a for a, b in zip(values, values[1:]))
 
     def test_inclusive_endpoint(self):
-        sweep = sweep_alpha((0.1, 0.9, 0.2), _agg(0.35, 0.35))
-        assert len(sweep.samples) == 5
-        assert sweep.parameters[-1] == pytest.approx(0.9)
+        alphas = float_steps(0.1, 0.9, 0.2)
+        assert len(alphas) == 5
+        assert alphas[-1] == pytest.approx(0.9)
 
     @pytest.mark.parametrize("bad", [(0.0, 0.9, 0.1), (0.5, 0.3, 0.1), (0.1, 1.1, 0.1), (0.1, 0.9, 0.0)])
     def test_invalid_ranges(self, bad):
-        with pytest.raises(InvalidRange):
-            sweep_alpha(bad, _agg(0.35, 0.35))
+        with pytest.raises(InvalidValue):
+            cdc_curve(float_steps(*bad), _agg(0.35, 0.35))
 
     def test_grid_evaluates_cartesian_product(self):
         curves = sweep_grid([0.8], [0.25, 0.45], [0.35])

@@ -6,8 +6,8 @@ import json
 
 import pytest
 
-from fabcarbon import sweep_alpha, sweep_grid
-from fabcarbon.core import AggregateRatios
+from fabcarbon import sweep_grid
+from fabcarbon.engine import float_steps
 from fabcarbon.report import (
     Column,
     RenderedReport,
@@ -15,10 +15,6 @@ from fabcarbon.report import (
     emit_table,
     sweep_report,
 )
-
-
-def _agg(area=0.35, energy=0.35):
-    return AggregateRatios(area=area, energy=energy, utilization=1.0, kernel_count=1)
 
 
 @pytest.fixture
@@ -68,7 +64,7 @@ class TestLosslessPayloads:
         assert doc["footnotes"] == ["estimated inputs: example"]
 
     def test_curve_csv_round_trips_engine_output(self):
-        sweep = sweep_alpha((0.1, 0.9, 0.1), _agg())
+        (sweep,) = sweep_grid(float_steps(0.1, 0.9, 0.1), [0.35], [0.35])
         text = emit_curve_csv([sweep])
         rows = list(csv.reader(io.StringIO(text)))
         assert rows[0] == ["series", "parameter", "value"]
@@ -94,7 +90,7 @@ class TestCurveCsvShapes:
         assert len({r[0] for r in rows}) == 9
 
     def test_single_point_sweep_single_row(self):
-        sweep = sweep_alpha((0.5, 0.5, 0.1), _agg())
+        (sweep,) = sweep_grid([0.5], [0.35], [0.35])
         rows = list(csv.reader(io.StringIO(emit_curve_csv([sweep]))))
         assert len(rows) == 2
 

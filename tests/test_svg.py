@@ -5,7 +5,7 @@ import xml.etree.ElementTree as ET
 import pytest
 
 from fabcarbon import sweep_grid
-from fabcarbon.svg import emit_svg_chart, grouped_bar_chart, line_chart
+from fabcarbon.svg import grouped_bar_chart, line_chart
 
 SVG_NS = "{http://www.w3.org/2000/svg}"
 
@@ -72,15 +72,3 @@ class TestGroupedBarChart:
         with pytest.raises(ValueError):
             grouped_bar_chart(["a", "b"], [("s", [1.0])])
 
-
-class TestDispatcher:
-    def test_line_kind(self, four_curves):
-        assert emit_svg_chart(four_curves, "line") == line_chart(four_curves)
-
-    def test_grouped_bar_kind(self):
-        data = (["a"], [("s", [1.0])])
-        assert emit_svg_chart(data, "grouped_bar") == grouped_bar_chart(*data)
-
-    def test_unknown_kind(self, four_curves):
-        with pytest.raises(ValueError):
-            emit_svg_chart(four_curves, "pie")
