@@ -24,6 +24,7 @@ from .core import (
     aggregate,
     alpha_from_breakdown,
     device_preset,
+    require_alpha,
 )
 from .dataset import KernelDataset, builtin_dataset, load_dataset, validate_dataset
 from .engine import (
@@ -280,6 +281,8 @@ def _cmd_cdc(args: argparse.Namespace) -> tuple[RenderedReport, list[SweepResult
 
 def _cmd_sweep(args: argparse.Namespace) -> tuple[RenderedReport, list[SweepResult]]:
     lo, hi, step = _parse_span(args.alpha, "--alpha")
+    require_alpha(lo)
+    require_alpha(hi)
     areas = _parse_float_list(args.areas, "--areas")
     energies = _parse_float_list(args.energies, "--energies")
     alphas = float_steps(lo, hi, step)

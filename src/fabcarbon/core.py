@@ -9,12 +9,14 @@ the operational share (energy proxy) with ``alpha_e2o`` in [0, 1].
 
 from __future__ import annotations
 
+import math
 import statistics
 import sys
 from dataclasses import dataclass
 from enum import Enum
 
 from .errors import (
+    AlphaPole,
     ConcurrencyExceedsPopulation,
     EmptyKernelSet,
     InvalidAggregates,
@@ -68,6 +70,14 @@ def is_real(value: object) -> bool:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         return False
     return -sys.float_info.max <= value <= sys.float_info.max
+
+
+def require_alpha(alpha: float) -> None:
+    """Reject an embodied weight outside (0, 1]; alpha_e2o = 0 is the model's pole."""
+    if alpha == 0:
+        raise AlphaPole("alpha_e2o = 0 is a pole: the threshold diverges")
+    if not (is_real(alpha) and 0 < alpha <= 1):
+        raise InvalidAlpha(f"alpha_e2o out of (0, 1]: {alpha!r}")
 
 
 def require_concurrency(n: int) -> None:
@@ -207,7 +217,8 @@ def dsa_footprint(
     threshold analyses can evaluate the footprint at the break-even point.
     """
     require_concurrency(concurrency)
-    if not dsa_count >= concurrency:
+    # A break-even count equal to n (A = E = 1) can round a few ulps below n.
+    if not (dsa_count >= concurrency or math.isclose(dsa_count, concurrency, rel_tol=1e-12)):
         raise ConcurrencyExceedsPopulation(
             f"concurrency {concurrency} exceeds DSA population {dsa_count}"
         )

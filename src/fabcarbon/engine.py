@@ -16,13 +16,11 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from .concurrency import scale_factor
-from .core import AggregateRatios, FootprintWeights, MeanKind, dsa_footprint, fabric_footprint, is_real, require_concurrency, require_scale
-from .errors import AlphaPole, DegenerateModel, InfeasibleFit, InvalidAlpha, InvalidRange, SingularFit
+from .core import AggregateRatios, FootprintWeights, MeanKind, dsa_footprint, fabric_footprint, is_real, require_alpha, require_concurrency, require_scale
+from .errors import DegenerateModel, InfeasibleFit, InvalidRange, SingularFit
 
 # Tolerance for inclusive endpoints when stepping a float range.
 _RANGE_EPS = 1e-9
-
-_POLE_MESSAGE = "alpha_e2o = 0 is a pole: the threshold diverges"
 
 
 @dataclass(frozen=True)
@@ -39,8 +37,7 @@ class CdcQuery:
     scale: float | None = None
 
     def __post_init__(self) -> None:
-        if self.weights.alpha_e2o == 0:
-            raise AlphaPole(_POLE_MESSAGE)
+        require_alpha(self.weights.alpha_e2o)
         require_concurrency(self.n)
         if self.scale is not None:
             require_scale(self.scale)
@@ -62,6 +59,9 @@ class SweepResult:
         params = [p for p, _ in self.samples]
         if any(b <= a for a, b in zip(params, params[1:])):
             raise InvalidRange("sweep parameters must be strictly increasing")
+        for p, v in self.samples:
+            if not 0 < v < math.inf:
+                raise DegenerateModel(f"sweep value at {p!r} is not finite and positive: {v!r}")
 
     @property
     def parameters(self) -> tuple[float, ...]:
@@ -75,32 +75,26 @@ class SweepResult:
 def cdc_curve(
     alphas: Sequence[float],
     agg: AggregateRatios,
-    n: int = 1,
-    scale: float | None = None,
+    n: int,
+    scale: float,
 ) -> list[float]:
     """Break-even DSA population at each alpha_e2o, other parameters fixed.
 
     This is the one evaluator of the closed form. ``scale`` is the fabric
-    scaling factor n'; ``None`` means the conservative n' = n. Each value is
-    a real number; a population strictly above it makes the fabric the
-    greener option. Raises ``DegenerateModel`` when no finite population is
-    large enough: the fabric's operational deficit alone outweighs its
-    budget, or the threshold overflows.
+    scaling factor n'. Each value is a real number; a population strictly
+    above it makes the fabric the greener option. Raises ``DegenerateModel``
+    when no finite population is large enough: the fabric's operational
+    deficit alone outweighs its budget, or the threshold overflows.
     """
     require_concurrency(n)
-    if scale is None:
-        scale = float(n)
-    else:
-        require_scale(scale)
+    require_scale(scale)
     if not alphas:
         raise InvalidRange("no alpha values supplied")
     area, energy = agg.area, agg.energy
     values = []
     for alpha in alphas:
-        if not 0.0 < alpha <= 1.0:
-            if alpha == 0:
-                raise AlphaPole(_POLE_MESSAGE)
-            raise InvalidAlpha(f"alpha_e2o out of (0, 1]: {alpha!r}")
+        if not 0.0 < alpha <= 1.0:  # inline fast path; require_alpha raises the typed error
+            require_alpha(alpha)
         numerator = scale - (1.0 - alpha) * n * energy
         if numerator <= 0:
             raise DegenerateModel(
@@ -117,7 +111,7 @@ def cdc_curve(
 
 def cdc(query: CdcQuery) -> float:
     """Break-even DSA population for the queried parameters (one point of ``cdc_curve``)."""
-    return cdc_curve((query.weights.alpha_e2o,), query.agg, query.n, query.scale)[0]
+    return cdc_curve((query.weights.alpha_e2o,), query.agg, query.n, query.effective_scale)[0]
 
 
 def min_dsas_to_replace(query: CdcQuery) -> int:
@@ -195,8 +189,7 @@ def fit_aggregates(
         raise SingularFit(f"exactly two calibration points required, got {len(points)}")
     (a1, c1), (a2, c2) = points
     for alpha, value in points:
-        if not (is_real(alpha) and 0 < alpha <= 1):
-            raise InvalidRange(f"calibration alpha out of (0, 1]: {alpha!r}")
+        require_alpha(alpha)
         if not (is_real(value) and value > 0):
             raise InvalidRange(f"calibration CDC out of (0, inf): {value!r}")
     require_concurrency(n)

@@ -14,9 +14,9 @@ from typing import Iterable, Mapping
 
 from .engine import SweepResult, cdc_curve, fit_aggregates
 from .concurrency import ScaleMode, average_utilization, scale_factor
-from .core import AggregateRatios, FootprintWeights, KernelProfile, MeanKind, aggregate, dsa_footprint, fabric_footprint, is_real, require_concurrency
+from .core import AggregateRatios, FootprintWeights, KernelProfile, MeanKind, aggregate, dsa_footprint, fabric_footprint, is_real, require_alpha, require_concurrency
 from .dataset import KernelDataset, builtin_dataset
-from .errors import ConcurrencyExceedsPopulation, EmptyKernelSet, InvalidAlpha, NoFabricWorkload, UnknownScenario
+from .errors import ConcurrencyExceedsPopulation, EmptyKernelSet, NoFabricWorkload, UnknownScenario
 
 # Defaults for savings-style questions: a representative chip integrates
 # 40 DSAs, and alpha 0.7 marks where the embodied share starts dominating.
@@ -61,8 +61,7 @@ class ScenarioSpec:
             raise ConcurrencyExceedsPopulation(
                 f"concurrency {self.n} exceeds DSA population {self.dsa_population}"
             )
-        if self.weights.alpha_e2o == 0:
-            raise InvalidAlpha("scenario alpha_e2o out of (0, 1]: 0.0")
+        require_alpha(self.weights.alpha_e2o)
 
 
 @dataclass(frozen=True)

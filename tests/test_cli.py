@@ -206,6 +206,8 @@ class TestExitCodes:
             (("cdc", "--alpha", "0.8", "--area", "1e-320", "--energy", "0.35"), 1),
             (("cdc", "--alpha", "0.8", "--area", "nan", "--energy", "0.35"), 2),
             (("sweep", "--alpha", "0.1:0.9:0.1", "--areas", "nan"), 2),
+            (("sweep", "--alpha", "0.5:2:1e-8"), 2),
+            (("sweep", "--alpha", "0:1e300:1"), 2),
             (("calibrate", "--points", "0.3:nan,0.9:4"), 2),
             (("calibrate", "--points", "1.5:3,0.5:2"), 2),
             (("calibrate", "--points", "0.5:2,0.5:3"), 1),
@@ -257,8 +259,9 @@ def _joined(parts, sep):
 
 def _sweep_argv(lo, hi, step, areas, energies, n):
     a, b, s = float(lo), float(hi), float(step)
-    # the point cap is not the CLI's job here; keep generated sweeps small
-    assume(not (a <= b and s > 0 and MAX_SWEEP_POINTS < (b - a) / s < math.inf))
+    # in-domain spans are unbounded until the point cap exists; keep those small,
+    # and let out-of-domain spans through: they must be rejected before stepping
+    assume(not (0 < a <= b <= 1 and s > 0 and MAX_SWEEP_POINTS < (b - a) / s < math.inf))
     return ["sweep", "--alpha", f"{lo}:{hi}:{step}", "--areas", areas, "--energies", energies, *n]
 
 

@@ -130,17 +130,17 @@ class TestReplacementDecision:
 class TestSweeps:
     def test_worked_cases_via_sweep(self):
         alphas = float_steps(0.25, 0.8, 0.55)
-        values = cdc_curve(alphas, _agg(0.35, 0.35))
+        values = cdc_curve(alphas, _agg(0.35, 0.35), 1, 1.0)
         assert alphas == [0.25, 0.8]
         assert values[0] == pytest.approx(8.4286, abs=5e-5)
         assert values[1] == pytest.approx(3.3214, abs=5e-5)
 
     def test_unit_energy_gives_constant_curve(self):
-        values = cdc_curve(float_steps(0.2, 1.0, 0.1), _agg(0.4, 1.0))
+        values = cdc_curve(float_steps(0.2, 1.0, 0.1), _agg(0.4, 1.0), 1, 1.0)
         assert all(v == pytest.approx(2.5, abs=1e-12) for v in values)
 
     def test_decreasing_when_energy_below_one(self):
-        values = cdc_curve(float_steps(0.05, 1.0, 0.05), _agg(0.35, 0.35))
+        values = cdc_curve(float_steps(0.05, 1.0, 0.05), _agg(0.35, 0.35), 1, 1.0)
         assert all(b < a for a, b in zip(values, values[1:]))
 
     def test_inclusive_endpoint(self):
@@ -151,7 +151,7 @@ class TestSweeps:
     @pytest.mark.parametrize("bad", [(0.0, 0.9, 0.1), (0.5, 0.3, 0.1), (0.1, 1.1, 0.1), (0.1, 0.9, 0.0)])
     def test_invalid_ranges(self, bad):
         with pytest.raises(InvalidValue):
-            cdc_curve(float_steps(*bad), _agg(0.35, 0.35))
+            cdc_curve(float_steps(*bad), _agg(0.35, 0.35), 1, 1.0)
 
     def test_grid_evaluates_cartesian_product(self):
         curves = sweep_grid([0.8], [0.25, 0.45], [0.35])

@@ -42,6 +42,7 @@ def make_query(alpha, area, energy, n, scale=None):
 
 class TestThresholdInvariants:
     @given(alpha=alphas, area=ratios, energy=ratios, n=concurrency)
+    @example(alpha=0.17059493934207098, area=1.0, energy=1.0, n=1)
     def test_fixed_point(self, alpha, area, energy, n):
         query = make_query(alpha, area, energy, n)
         threshold = cdc(query)

@@ -14,13 +14,17 @@ from fabcarbon import (
     KernelProfile,
     ScaleMode,
     ScenarioSpec,
+    SweepResult,
+    cdc_curve,
     dsa_footprint,
     fit_aggregates,
     scale_factor,
 )
 from fabcarbon.dataset import KernelDataset, builtin_dataset
 from fabcarbon.errors import (
+    AlphaPole,
     ConcurrencyExceedsPopulation,
+    DegenerateModel,
     EmptyKernelSet,
     InvalidAggregates,
     InvalidAlpha,
@@ -70,7 +74,7 @@ FLOAT_FIELDS = [
     (breakdown, "eol_pct", InvalidBreakdown),
     (query, "scale", InvalidScale),
     (ScaleMode, "explicit_scale", InvalidScale),
-    (fit, "alpha", InvalidRange),
+    (fit, "alpha", InvalidAlpha),
     (fit, "value", InvalidRange),
     (fit, "scale", InvalidScale),
     (fit, "utilization", InvalidAggregates),
@@ -124,3 +128,28 @@ class TestScenarioSpec:
         spec = ScenarioSpec("s", excluded_kernels=frozenset({ds.kernels[0].name}))
         with pytest.raises(EmptyKernelSet):
             scenario_kernels(spec, solo)
+
+
+ALPHA_USERS = {
+    "CdcQuery": lambda a: CdcQuery(FootprintWeights(a), aggregates()),
+    "ScenarioSpec": lambda a: ScenarioSpec("s", weights=FootprintWeights(a)),
+    "cdc_curve": lambda a: cdc_curve([0.5, a], aggregates(), 1, 1.0),
+}
+
+
+@pytest.mark.parametrize("make", ALPHA_USERS.values(), ids=ALPHA_USERS.keys())
+def test_alpha_zero_is_the_pole_everywhere(make):
+    with pytest.raises(AlphaPole):
+        make(0.0)
+
+
+@pytest.mark.parametrize("alpha", [1.1, -0.1, math.nan, math.inf])
+def test_curve_rejects_alpha_outside_unit_interval(alpha):
+    with pytest.raises(InvalidAlpha):
+        cdc_curve([alpha], aggregates(), 1, 1.0)
+
+
+@pytest.mark.parametrize("value", [0.0, -1.0, math.nan, math.inf])
+def test_sweep_result_values_are_finite_and_positive(value):
+    with pytest.raises(DegenerateModel):
+        SweepResult("alpha_e2o", ((0.5, 2.0), (0.6, value)), {})
