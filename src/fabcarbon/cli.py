@@ -34,9 +34,10 @@ from .engine import (
     fit_aggregates,
     float_steps,
     min_dsas_to_replace,
+    step_count,
     sweep_grid,
 )
-from .errors import DatasetError, InvalidValue, ModelError
+from .errors import DatasetError, InvalidRange, InvalidValue, ModelError
 from .report import (
     Column,
     RenderedReport,
@@ -45,9 +46,11 @@ from .report import (
     estimated_inputs_footnote,
     sweep_report,
 )
-from .svg import grouped_bar_chart, line_chart
 
 DATASET_ENV_VAR = "FABCARBON_DATASET"
+# Above this many points a sweep is refused before any is computed: peak
+# memory grows with the point count, most steeply for table output.
+MAX_SWEEP_POINTS = 2_000_000
 
 EXIT_OK = 0
 EXIT_DATA_ERROR = 1
@@ -236,7 +239,11 @@ def _scale_mode(util_mode: str) -> ScaleMode:
     return ScaleMode.conservative()
 
 
-def _cmd_cdc(args: argparse.Namespace) -> tuple[RenderedReport, list[SweepResult]]:
+def _dataset_footnote(ds: KernelDataset) -> tuple[str, ...]:
+    return estimated_inputs_footnote(k.name for k in ds.kernels if k.estimated)
+
+
+def _cmd_cdc(args: argparse.Namespace) -> RenderedReport:
     footnotes: tuple[str, ...] = ()
     kernels = None
     if args.scale is not None:
@@ -245,25 +252,14 @@ def _cmd_cdc(args: argparse.Namespace) -> tuple[RenderedReport, list[SweepResult
         ds = _resolve_dataset(args.dataset)
         kernels = list(ds.kernels)
         mode = ScaleMode.average_utilization()
-        note = estimated_inputs_footnote(sorted(k.name for k in ds.kernels if k.estimated))
-        footnotes = (note,) if note else ()
+        footnotes = _dataset_footnote(ds)
     else:
         mode = ScaleMode.conservative()
     scale = scale_factor(args.n, mode, kernels=kernels)
     agg = AggregateRatios(area=args.area, energy=args.energy, utilization=1.0, kernel_count=1)
     query = CdcQuery(FootprintWeights(args.alpha), agg, n=args.n, scale=scale)
     value = compute_cdc(query)
-    record = {
-        "alpha_e2o": args.alpha,
-        "area": args.area,
-        "energy": args.energy,
-        "n": args.n,
-        "scale": scale,
-        "cdc": value,
-        "min_replace": min_dsas_to_replace(query),
-    }
-    report = RenderedReport(
-        title="",
+    return RenderedReport(
         columns=(
             Column("alpha_e2o", "alpha_e2o", "num"),
             Column("area", "area", "num"),
@@ -273,24 +269,24 @@ def _cmd_cdc(args: argparse.Namespace) -> tuple[RenderedReport, list[SweepResult
             Column("cdc", "cdc", "ratio"),
             Column("min_replace", "min_replace", "int"),
         ),
-        records=(record,),
+        records=((args.alpha, args.area, args.energy, args.n, scale, value, min_dsas_to_replace(query)),),
         footnotes=footnotes,
     )
-    return report, []
 
 
-def _cmd_sweep(args: argparse.Namespace) -> tuple[RenderedReport, list[SweepResult]]:
+def _cmd_sweep(args: argparse.Namespace) -> list[SweepResult]:
     lo, hi, step = _parse_span(args.alpha, "--alpha")
     require_alpha(lo)
     require_alpha(hi)
     areas = _parse_float_list(args.areas, "--areas")
     energies = _parse_float_list(args.energies, "--energies")
-    alphas = float_steps(lo, hi, step)
-    sweeps = sweep_grid(alphas, areas, energies, n=args.n)
-    return sweep_report(sweeps), sweeps
+    points = step_count(lo, hi, step) * len(areas) * len(energies)
+    if points > MAX_SWEEP_POINTS:
+        raise InvalidRange(f"sweep of {points} points exceeds the cap of {MAX_SWEEP_POINTS} points")
+    return sweep_grid(float_steps(lo, hi, step), areas, energies, n=args.n)
 
 
-def _cmd_scenario(args: argparse.Namespace) -> tuple[RenderedReport, list[SweepResult]]:
+def _cmd_scenario(args: argparse.Namespace) -> list[SweepResult]:
     alphas = _parse_float_list(args.alphas, "--alphas")
     cases = [c.strip() for c in args.case.split(",") if c.strip()]
     if not cases:
@@ -302,30 +298,21 @@ def _cmd_scenario(args: argparse.Namespace) -> tuple[RenderedReport, list[SweepR
         spec = scen_mod.builtin_case(case, n=args.n, scale_mode=mode)
         agg = scen_mod.calibrated_aggregates(spec, ds) if args.calibrated else None
         sweeps.append(scen_mod.evaluate_cdc_table(spec, alphas, dataset=ds, aggregates=agg))
-    return sweep_report(sweeps), sweeps
+    return sweeps
 
 
-def _cmd_savings(args: argparse.Namespace) -> tuple[RenderedReport, list[SweepResult]]:
+def _cmd_savings(args: argparse.Namespace) -> RenderedReport:
     n_lo, n_hi = _parse_int_span(args.n, "--n")
     ds = _resolve_dataset(args.dataset)
     records = []
-    estimated: tuple[str, ...] = ()
     for n in range(n_lo, n_hi + 1):
         spec = scen_mod.builtin_case("I", n=n, alpha=args.alpha, dsa_population=args.dsas)
         agg = scen_mod.calibrated_aggregates(spec, ds) if args.calibrated else None
         result = scen_mod.savings_factor(spec, dataset=ds, aggregates=agg)
-        estimated = result.inputs.get("estimated_kernels", ())
         records.append(
-            {
-                "n": result.n,
-                "scale_avg_util": result.scale_avg_util,
-                "improvement_avg_util": result.improvement_avg_util,
-                "improvement_conservative": result.improvement_conservative,
-            }
+            (result.n, result.scale_avg_util, result.improvement_avg_util, result.improvement_conservative)
         )
-    note = estimated_inputs_footnote(list(estimated))
-    report = RenderedReport(
-        title="",
+    return RenderedReport(
         columns=(
             Column("n", "n", "int"),
             Column("n_prime_avg", "scale_avg_util", "scale"),
@@ -333,12 +320,11 @@ def _cmd_savings(args: argparse.Namespace) -> tuple[RenderedReport, list[SweepRe
             Column("improvement_conservative", "improvement_conservative", "ratio"),
         ),
         records=tuple(records),
-        footnotes=(note,) if note else (),
+        footnotes=_dataset_footnote(ds),
     )
-    return report, []
 
 
-def _cmd_hybrid(args: argparse.Namespace) -> tuple[RenderedReport, list[SweepResult]]:
+def _cmd_hybrid(args: argparse.Namespace) -> RenderedReport:
     retained = [name.strip() for name in args.retain.split(",") if name.strip()]
     ds = _resolve_dataset(args.dataset)
     spec = scen_mod.builtin_case(
@@ -351,17 +337,7 @@ def _cmd_hybrid(args: argparse.Namespace) -> tuple[RenderedReport, list[SweepRes
     agg = scen_mod.calibrated_aggregates(spec, ds) if args.calibrated else None
     improvement = scen_mod.hybrid_retained_savings(spec, retained, dataset=ds, aggregates=agg)
     baseline = scen_mod.savings_factor(spec, dataset=ds, aggregates=agg)
-    note = estimated_inputs_footnote(list(baseline.inputs.get("estimated_kernels", ())))
-    record = {
-        "retained": ",".join(sorted(retained)),
-        "n": args.n,
-        "dsa_population": args.dsas,
-        "alpha_e2o": args.alpha,
-        "improvement": improvement,
-        "baseline_avg_util": baseline.improvement_avg_util,
-    }
-    report = RenderedReport(
-        title="",
+    return RenderedReport(
         columns=(
             Column("retained", "retained"),
             Column("n", "n", "int"),
@@ -370,32 +346,22 @@ def _cmd_hybrid(args: argparse.Namespace) -> tuple[RenderedReport, list[SweepRes
             Column("improvement", "improvement", "ratio"),
             Column("baseline_avg_util", "baseline_avg_util", "ratio"),
         ),
-        records=(record,),
-        footnotes=(note,) if note else (),
+        records=(
+            (",".join(sorted(retained)), args.n, args.dsas, args.alpha, improvement,
+             baseline.improvement_avg_util),
+        ),
+        footnotes=_dataset_footnote(ds),
     )
-    return report, []
 
 
-def _cmd_alpha(args: argparse.Namespace) -> tuple[RenderedReport, list[SweepResult]]:
+def _cmd_alpha(args: argparse.Namespace) -> RenderedReport:
     if args.breakdown:
-        breakdown = _parse_breakdown(args.breakdown)
-        weights = alpha_from_breakdown(breakdown)
-        record = {
-            "source": "breakdown",
-            "alpha_e2o": weights.alpha_e2o,
-            "alpha_low": None,
-            "alpha_high": None,
-        }
+        weights = alpha_from_breakdown(_parse_breakdown(args.breakdown))
+        record = ("breakdown", weights.alpha_e2o, None, None)
     else:
         low, high = device_preset(args.device)
-        record = {
-            "source": args.device,
-            "alpha_e2o": (low + high) / 2.0,
-            "alpha_low": low,
-            "alpha_high": high,
-        }
-    report = RenderedReport(
-        title="",
+        record = (args.device, (low + high) / 2.0, low, high)
+    return RenderedReport(
         columns=(
             Column("source", "source"),
             Column("alpha_e2o", "alpha_e2o", "num"),
@@ -404,65 +370,39 @@ def _cmd_alpha(args: argparse.Namespace) -> tuple[RenderedReport, list[SweepResu
         ),
         records=(record,),
     )
-    return report, []
 
 
-def _cmd_calibrate(args: argparse.Namespace) -> tuple[RenderedReport, list[SweepResult]]:
+def _cmd_calibrate(args: argparse.Namespace) -> RenderedReport:
     points = _parse_points(args.points)
     agg = fit_aggregates(points, n=args.n)
-    record = {
-        "area": agg.area,
-        "energy": agg.energy,
-        "points": ";".join(f"{a:g}:{c:g}" for a, c in points),
-    }
-    report = RenderedReport(
-        title="",
+    return RenderedReport(
         columns=(
             Column("area", "area", "num"),
             Column("energy", "energy", "num"),
             Column("points", "points"),
         ),
-        records=(record,),
+        records=((agg.area, agg.energy, ";".join(f"{a:g}:{c:g}" for a, c in points)),),
     )
-    return report, []
 
 
-def _cmd_dataset(args: argparse.Namespace) -> tuple[RenderedReport, list[SweepResult]]:
+def _cmd_dataset(args: argparse.Namespace) -> RenderedReport:
     ds = _resolve_dataset(args.path)
     if args.action == "validate":
         violations = validate_dataset(ds)
         if violations:
             raise DatasetError("; ".join(violations))
-        report = RenderedReport(
-            title="",
+        return RenderedReport(
             columns=(Column("dataset", "dataset"), Column("status", "status")),
-            records=({"dataset": ds.provenance or "(unnamed)", "status": "ok"},),
+            records=((ds.provenance or "(unnamed)", "ok"),),
         )
-        return report, []
     agg = aggregate(list(ds.kernels))
-    records = tuple(
-        {
-            "name": k.name,
-            "domain": k.domain,
-            "area_norm": k.area_norm,
-            "energy_norm": k.energy_norm,
-            "utilization": k.utilization,
-            "memory_kb": k.memory_kb,
-            "estimated": "yes" if k.estimated else "no",
-        }
-        for k in ds.kernels
-    )
     fabric = ds.fabric
-    notes = [
+    notes = (
         f"fabric: {fabric.grid.rows}x{fabric.grid.cols} PEs, {fabric.memory_banks} banks, "
         f"{fabric.memory_kb:g} KB, {fabric.clock_mhz:g} MHz",
         f"means: area {agg.area:g}, energy {agg.energy:g}, utilization {agg.utilization:g}",
-    ]
-    estimated_note = estimated_inputs_footnote(sorted(k.name for k in ds.kernels if k.estimated))
-    if estimated_note:
-        notes.append(estimated_note)
-    report = RenderedReport(
-        title="",
+    )
+    return RenderedReport(
         columns=(
             Column("name", "name"),
             Column("domain", "domain"),
@@ -472,10 +412,13 @@ def _cmd_dataset(args: argparse.Namespace) -> tuple[RenderedReport, list[SweepRe
             Column("memory_kb", "memory_kb", "num"),
             Column("estimated", "estimated"),
         ),
-        records=records,
-        footnotes=tuple(notes),
+        records=tuple(
+            (k.name, k.domain, k.area_norm, k.energy_norm, k.utilization, k.memory_kb,
+             "yes" if k.estimated else "no")
+            for k in ds.kernels
+        ),
+        footnotes=notes + _dataset_footnote(ds),
     )
-    return report, []
 
 
 _COMMANDS = {
@@ -490,26 +433,33 @@ _COMMANDS = {
 }
 
 
-def _render_plot(report: RenderedReport, sweeps: list[SweepResult]) -> str:
-    if sweeps:
-        if len(sweeps) > 1 and all("scenario" in s.metadata for s in sweeps):
-            groups = [str(s.metadata["scenario"]) for s in sweeps]
-            alphas = sweeps[0].parameters
+def _render(result: RenderedReport | list[SweepResult], format: str) -> str:
+    if isinstance(result, RenderedReport):
+        return emit_table(result, format)
+    if format == "csv":
+        return emit_curve_csv(result)
+    return emit_table(sweep_report(result), format)
+
+
+def _render_plot(result: RenderedReport | list[SweepResult]) -> str:
+    from .svg import grouped_bar_chart, line_chart
+
+    if not isinstance(result, RenderedReport):
+        if len(result) > 1 and all("scenario" in s.metadata for s in result):
+            groups = [str(s.metadata["scenario"]) for s in result]
             series = [
-                (f"alpha={alpha:g}", [s.values[i] for s in sweeps])
-                for i, alpha in enumerate(alphas)
+                (f"alpha={alpha:g}", [s.values[i] for s in result])
+                for i, alpha in enumerate(result[0].parameters)
             ]
             return grouped_bar_chart(groups, series)
-        return line_chart(sweeps)
-    numeric = [c for c in report.columns if c.kind == "ratio"]
-    label_col = report.columns[0]
-    groups = [report.cell(r, label_col) for r in report.records]
+        return line_chart(result)
+    label_col = result.columns[0]
+    groups = [result.cell(r[0], label_col) for r in result.records]
     series = []
-    for column in numeric:
-        values = [r.get(column.key) for r in report.records]
-        if any(v is None for v in values):
-            continue
-        series.append((column.header, [float(v) for v in values]))
+    for i, column in enumerate(result.columns):
+        values = [r[i] for r in result.records]
+        if column.kind == "ratio" and None not in values:
+            series.append((column.header, [float(v) for v in values]))
     if not series:
         raise ModelError("nothing to plot for this report")
     return grouped_bar_chart(groups, series, y_label="improvement (x)", x_label=label_col.header)
@@ -527,13 +477,10 @@ def run(argv: Sequence[str], stdout: IO[str] | None = None, stderr: IO[str] | No
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        report, sweeps = _COMMANDS[args.command](args)
-        if args.format == "csv" and sweeps:
-            payload = emit_curve_csv(sweeps)
-        else:
-            payload = emit_table(report, args.format)
+        result = _COMMANDS[args.command](args)
+        payload = _render(result, args.format)
         if getattr(args, "plot", None):
-            Path(args.plot).write_text(_render_plot(report, sweeps), encoding="utf-8")
+            Path(args.plot).write_text(_render_plot(result), encoding="utf-8")
         if getattr(args, "out", None):
             Path(args.out).write_text(payload, encoding="utf-8")
         else:

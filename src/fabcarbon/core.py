@@ -80,10 +80,15 @@ def require_alpha(alpha: float) -> None:
         raise InvalidAlpha(f"alpha_e2o out of (0, 1]: {alpha!r}")
 
 
+# Concurrency meets floats in n' and in the threshold; above 2**53 a float
+# no longer holds every integer, so results would silently round.
+MAX_CONCURRENCY = 2**53
+
+
 def require_concurrency(n: int) -> None:
-    """Reject a concurrency level below 1 or not finite."""
-    if not (is_real(n) and n >= 1):
-        raise InvalidConcurrency(f"concurrency must be >= 1: {n!r}")
+    """Reject a concurrency level below 1, above 2**53 or not finite."""
+    if not (is_real(n) and 1 <= n <= MAX_CONCURRENCY):
+        raise InvalidConcurrency(f"concurrency must be in [1, 2**53]: {n!r}")
 
 
 def require_scale(scale: float) -> None:
@@ -110,8 +115,10 @@ class KernelProfile:
     estimated: bool = False
 
     def __post_init__(self) -> None:
-        if not self.name:
-            raise InvalidKernel("kernel name must be non-empty")
+        if not (isinstance(self.name, str) and self.name):
+            raise InvalidKernel(f"kernel name must be a non-empty string: {self.name!r}")
+        if not isinstance(self.domain, str):
+            raise InvalidKernel(f"kernel {self.name!r}: domain must be a string: {self.domain!r}")
         if not (is_real(self.area_norm) and self.area_norm > 0):
             raise InvalidKernel(f"kernel {self.name!r}: area_norm out of (0, inf): {self.area_norm!r}")
         if not (is_real(self.energy_norm) and self.energy_norm > 0):

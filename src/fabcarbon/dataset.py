@@ -16,10 +16,20 @@ import os
 from dataclasses import dataclass
 from typing import IO, Iterable, Iterator, Mapping
 
-from .core import KernelProfile
-from .errors import DatasetValidationError, EmptyInput, InvalidKernel, ParseError
+from .core import KernelProfile, is_real
+from .errors import DatasetValidationError, EmptyInput, InvalidFabric, InvalidKernel, ParseError
 
 DATASET_VERSION = 1
+
+
+def _require_count(name: str, value: object) -> None:
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise InvalidFabric(f"fabric {name} must be an integer >= 1: {value!r}")
+
+
+def _require_positive(name: str, value: object) -> None:
+    if not (is_real(value) and value > 0):
+        raise InvalidFabric(f"fabric {name} must be finite and > 0: {value!r}")
 
 
 @dataclass(frozen=True)
@@ -30,8 +40,8 @@ class GridSpec:
     cols: int
 
     def __post_init__(self) -> None:
-        if self.rows < 1 or self.cols < 1:
-            raise ValueError(f"grid dimensions must be >= 1: {self.rows}x{self.cols}")
+        _require_count("rows", self.rows)
+        _require_count("cols", self.cols)
 
 
 @dataclass(frozen=True)
@@ -42,6 +52,11 @@ class FabricSpec:
     memory_banks: int
     memory_kb: float
     clock_mhz: float
+
+    def __post_init__(self) -> None:
+        _require_count("memory_banks", self.memory_banks)
+        _require_positive("memory_kb", self.memory_kb)
+        _require_positive("clock_mhz", self.clock_mhz)
 
 
 @dataclass(frozen=True)
@@ -203,6 +218,8 @@ def _json_document(text: str) -> Mapping:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc.msg}", line=exc.lineno) from None
+    except (ValueError, RecursionError) as exc:  # over-long integer literals, deep nesting
+        raise ParseError(f"invalid JSON: {exc}") from None
     if not isinstance(doc, Mapping):
         raise ParseError("top-level JSON value must be an object")
     version = doc.get("version", DATASET_VERSION)
@@ -220,15 +237,17 @@ def _json_document(text: str) -> Mapping:
 def _json_fabric(block: object) -> FabricSpec | None:
     if block is None:
         return None
+    if not isinstance(block, Mapping):
+        raise ParseError("fabric must be an object", column="fabric")
     try:
         return FabricSpec(
-            grid=GridSpec(rows=int(block["rows"]), cols=int(block["cols"])),
-            memory_banks=int(block["memory_banks"]),
-            memory_kb=float(block["memory_kb"]),
-            clock_mhz=float(block["clock_mhz"]),
+            grid=GridSpec(rows=block["rows"], cols=block["cols"]),
+            memory_banks=block["memory_banks"],
+            memory_kb=block["memory_kb"],
+            clock_mhz=block["clock_mhz"],
         )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ParseError(f"malformed fabric block: {exc}", column="fabric") from None
+    except KeyError as exc:
+        raise ParseError(f"malformed fabric block: missing {exc}", column="fabric") from None
 
 
 def load_dataset(
@@ -257,11 +276,14 @@ def load_dataset(
 
     kernels = []
     violations = []
-    for record in records:
-        try:
-            kernels.append(KernelProfile(**record))
-        except (TypeError, InvalidKernel) as exc:
-            violations.append(str(exc))
+    try:
+        for record in records:
+            try:
+                kernels.append(KernelProfile(**record))
+            except (TypeError, InvalidKernel) as exc:
+                violations.append(str(exc))
+    except csv.Error as exc:  # e.g. a field longer than the csv module's limit
+        raise ParseError(str(exc)) from None
     if not kernels and not violations:
         raise EmptyInput("input document contains no records")
     ds = KernelDataset(

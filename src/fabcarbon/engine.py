@@ -138,12 +138,16 @@ def is_fabric_greener(dsa_count: int, query: CdcQuery) -> bool:
     return dsa > fabric_footprint(query.effective_scale)
 
 
-def float_steps(lo: float, hi: float, step: float) -> list[float]:
-    """Inclusive [lo, hi] samples at the given step, robust to float drift."""
+def step_count(lo: float, hi: float, step: float) -> int:
+    """Number of inclusive [lo, hi] samples at the given step, robust to float drift."""
     if not (lo <= hi and step > 0 and (hi - lo) / step < math.inf):
         raise InvalidRange(f"range needs finite LO <= HI and STEP > 0: {lo!r}:{hi!r}:{step!r}")
-    count = math.floor((hi - lo) / step + _RANGE_EPS) + 1
-    return [lo + i * step for i in range(count)]
+    return math.floor((hi - lo) / step + _RANGE_EPS) + 1
+
+
+def float_steps(lo: float, hi: float, step: float) -> list[float]:
+    """Inclusive [lo, hi] samples at the given step, robust to float drift."""
+    return [lo + i * step for i in range(step_count(lo, hi, step))]
 
 
 def sweep_grid(

@@ -106,5 +106,9 @@ class DatasetValidationError(DatasetError):
         super().__init__("; ".join(self.violations))
 
 
+class InvalidFabric(DatasetError):
+    """Fabric metadata violates one of its invariants."""
+
+
 class EmptyInput(DatasetError):
     """The input document contains no records."""

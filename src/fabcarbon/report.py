@@ -12,7 +12,7 @@ import csv
 import io
 import json
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Iterable, Sequence
 
 from .engine import SweepResult
 
@@ -30,6 +30,8 @@ MISSING_CELL = "-"
 
 @dataclass(frozen=True)
 class Column:
+    """One report column: its display header, its JSON field name and its display kind."""
+
     header: str
     key: str
     kind: str = "plain"
@@ -41,26 +43,29 @@ class Column:
 
 @dataclass(frozen=True)
 class RenderedReport:
-    """Formatted rows plus the lossless numeric payload they came from."""
+    """Raw values, one tuple per row in column order, plus footnotes.
 
-    title: str
+    Rendering formats them; nothing here is rounded.
+    """
+
     columns: tuple[Column, ...]
-    records: tuple[Mapping[str, object], ...]
+    records: tuple[tuple, ...]
     footnotes: tuple[str, ...] = ()
 
-    def cell(self, record: Mapping[str, object], column: Column) -> str:
-        value = record.get(column.key)
+    def cell(self, value: object, column: Column) -> str:
+        """The display form of one value of `column`."""
         if value is None:
             return MISSING_CELL
         return _FORMATS[column.kind](value)
 
-    @property
-    def headers(self) -> tuple[str, ...]:
-        return tuple(c.header for c in self.columns)
 
-    @property
-    def rows(self) -> tuple[tuple[str, ...], ...]:
-        return tuple(tuple(self.cell(r, c) for c in self.columns) for r in self.records)
+def _display_columns(report: RenderedReport) -> list[list[str]]:
+    """Display cells column by column, looking up each column's formatter once."""
+    cells = []
+    for i, column in enumerate(report.columns):
+        fmt = _FORMATS[column.kind]
+        cells.append([MISSING_CELL if r[i] is None else fmt(r[i]) for r in report.records])
+    return cells
 
 
 def _raw_cell(value: object) -> str:
@@ -73,36 +78,34 @@ def _raw_cell(value: object) -> str:
 
 def emit_table(report: RenderedReport, format: str = "table") -> str:
     """Render a report; identical input yields byte-identical output."""
+    headers = [c.header for c in report.columns]
     if format == "table":
-        widths = [len(h) for h in report.headers]
-        rows = report.rows
-        for row in rows:
-            widths = [max(w, len(cell)) for w, cell in zip(widths, row)]
-        lines = []
-        if report.title:
-            lines.append(report.title)
-        lines.append("  ".join(h.ljust(w) for h, w in zip(report.headers, widths)).rstrip())
-        lines.append("  ".join("-" * w for w in widths))
-        for row in rows:
-            lines.append("  ".join(c.rjust(w) for c, w in zip(row, widths)).rstrip())
-        for note in report.footnotes:
-            lines.append(f"note: {note}")
+        cells = _display_columns(report)
+        widths = [max(len(h), max(map(len, col), default=0)) for h, col in zip(headers, cells)]
+        row_template = "  ".join(f"{{:>{w}}}" for w in widths)
+        lines = [
+            "  ".join(h.ljust(w) for h, w in zip(headers, widths)).rstrip(),
+            "  ".join("-" * w for w in widths),
+        ]
+        lines.extend(row_template.format(*row).rstrip() for row in zip(*cells))
+        lines.extend(f"note: {note}" for note in report.footnotes)
         return "\n".join(lines) + "\n"
     if format == "csv":
+        exact = [i for i, c in enumerate(report.columns) if c.numeric]
         buf = io.StringIO()
         for note in report.footnotes:
             buf.write(f"# {note}\n")
         writer = csv.writer(buf, lineterminator="\n")
-        exact = [c for c in report.columns if c.numeric]
-        writer.writerow(list(report.headers) + [f"{c.header}_exact" for c in exact])
-        for record, row in zip(report.records, report.rows):
-            writer.writerow(list(row) + [_raw_cell(record.get(c.key)) for c in exact])
+        writer.writerow(headers + [f"{headers[i]}_exact" for i in exact])
+        exact_cells = [[_raw_cell(r[i]) for r in report.records] for i in exact]
+        writer.writerows(zip(*_display_columns(report), *exact_cells))
         return buf.getvalue()
     if format == "json":
+        keys = [c.key for c in report.columns]
         doc = {
-            "title": report.title,
-            "columns": list(report.headers),
-            "records": [dict(r) for r in report.records],
+            "title": "",  # no report has a title; the key stays for readers of the format
+            "columns": headers,
+            "records": [dict(zip(keys, r)) for r in report.records],
             "footnotes": list(report.footnotes),
         }
         return json.dumps(doc, indent=2) + "\n"
@@ -112,12 +115,13 @@ def emit_table(report: RenderedReport, format: str = "table") -> str:
 def emit_curve_csv(sweeps: Sequence[SweepResult]) -> str:
     """Long-format CSV of sweep curves: one row per sampled point."""
     buf = io.StringIO()
+    for note in _curve_footnotes(sweeps):
+        buf.write(f"# {note}\n")
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["series", "parameter", "value"])
     for sweep in sweeps:
         label = series_label(sweep)
-        for parameter, value in sweep.samples:
-            writer.writerow([label, repr(parameter), repr(value)])
+        writer.writerows((label, repr(parameter), repr(value)) for parameter, value in sweep.samples)
     return buf.getvalue()
 
 
@@ -130,43 +134,34 @@ def series_label(sweep: SweepResult) -> str:
     return sweep.axis_name
 
 
-def estimated_inputs_footnote(names: Sequence[str]) -> str | None:
-    if not names:
-        return None
-    return "estimated inputs: utilization values for " + ", ".join(names) + " are constrained estimates"
+def estimated_inputs_footnote(names: Iterable[str]) -> tuple[str, ...]:
+    """The footnote naming kernels whose utilization is estimated; empty when none is."""
+    unique = sorted(set(names))
+    if not unique:
+        return ()
+    return ("estimated inputs: utilization values for " + ", ".join(unique) + " are constrained estimates",)
 
 
-def sweep_report(sweeps: Sequence[SweepResult], value_header: str = "cdc") -> RenderedReport:
+def _curve_footnotes(sweeps: Sequence[SweepResult]) -> tuple[str, ...]:
+    return estimated_inputs_footnote(
+        name for sweep in sweeps for name in sweep.metadata.get("estimated_kernels", ())
+    )
+
+
+def sweep_report(sweeps: Sequence[SweepResult]) -> RenderedReport:
     """Long-format report over one or more sweep curves."""
     records = []
-    estimated: list[str] = []
     for sweep in sweeps:
         label = series_label(sweep)
-        for name in sweep.metadata.get("estimated_kernels", ()):
-            if name not in estimated:
-                estimated.append(name)
-        for parameter, value in sweep.samples:
-            records.append(
-                {
-                    "series": label,
-                    sweep.axis_name: parameter,
-                    value_header: value,
-                    "n": sweep.metadata.get("n"),
-                    "scale": sweep.metadata.get("scale"),
-                }
-            )
+        n = sweep.metadata.get("n")
+        scale = sweep.metadata.get("scale")
+        records.extend((label, parameter, value, n, scale) for parameter, value in sweep.samples)
     axis = sweeps[0].axis_name if sweeps else "parameter"
     columns = (
         Column("series", "series"),
         Column(axis, axis, "num"),
-        Column(value_header, value_header, "ratio"),
+        Column("cdc", "cdc", "ratio"),
         Column("n", "n", "int"),
         Column("n_prime", "scale", "scale"),
     )
-    note = estimated_inputs_footnote(sorted(estimated))
-    return RenderedReport(
-        title="",
-        columns=columns,
-        records=tuple(records),
-        footnotes=(note,) if note else (),
-    )
+    return RenderedReport(columns, tuple(records), _curve_footnotes(sweeps))

@@ -221,7 +221,6 @@ def savings_factor(
             "energy": agg.energy,
             "utilization": agg.utilization,
             "mean_kind": agg.mean_kind.value,
-            "estimated_kernels": tuple(sorted(k.name for k in kernels if k.estimated)),
         },
     )
 

@@ -7,8 +7,8 @@ decimals to keep the files stable across platforms.
 
 from __future__ import annotations
 
+from html import escape
 from typing import Sequence
-from xml.sax.saxutils import escape
 
 from .engine import SweepResult
 from .report import series_label
@@ -20,6 +20,7 @@ _MARGIN_RIGHT = 150
 _MARGIN_TOP = 32
 _MARGIN_BOTTOM = 48
 
+_CDC_LABEL = "critical DSA count (dimensionless)"
 _PALETTE = ("#1b6ca8", "#c0392b", "#1e8449", "#9a7d0a", "#6c3483", "#117a65", "#a04000", "#5d6d7e")
 
 
@@ -36,18 +37,13 @@ def _tick_values(lo: float, hi: float, count: int = 5) -> list[float]:
 
 
 class _Canvas:
-    def __init__(self, title: str):
+    def __init__(self):
         self.parts: list[str] = [
             '<?xml version="1.0" encoding="UTF-8"?>',
             f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" height="{_HEIGHT}" '
             f'viewBox="0 0 {_WIDTH} {_HEIGHT}" font-family="monospace" font-size="12">',
             f'<rect x="0" y="0" width="{_WIDTH}" height="{_HEIGHT}" fill="white"/>',
         ]
-        if title:
-            self.parts.append(
-                f'<text x="{_WIDTH / 2:.0f}" y="20" text-anchor="middle" font-size="14">'
-                f"{escape(title)}</text>"
-            )
 
     def add(self, element: str) -> None:
         self.parts.append(element)
@@ -75,11 +71,11 @@ def _axes(canvas: _Canvas, x_label: str, y_label: str) -> None:
     )
     canvas.add(
         f'<text x="{_fmt((x0 + x1) / 2)}" y="{_HEIGHT - 10}" text-anchor="middle">'
-        f"{escape(x_label)}</text>"
+        f"{escape(x_label, quote=False)}</text>"
     )
     canvas.add(
         f'<text x="16" y="{_fmt((y0 + y1) / 2)}" text-anchor="middle" '
-        f'transform="rotate(-90 16 {_fmt((y0 + y1) / 2)})">{escape(y_label)}</text>'
+        f'transform="rotate(-90 16 {_fmt((y0 + y1) / 2)})">{escape(y_label, quote=False)}</text>'
     )
 
 
@@ -89,20 +85,14 @@ def _legend(canvas: _Canvas, labels: Sequence[str]) -> None:
         y = _MARGIN_TOP + 14 + i * 18
         color = _PALETTE[i % len(_PALETTE)]
         canvas.add(f'<rect x="{x}" y="{y - 9}" width="10" height="10" fill="{color}"/>')
-        canvas.add(f'<text class="legend" x="{x + 16}" y="{y}">{escape(label)}</text>')
+        canvas.add(f'<text class="legend" x="{x + 16}" y="{y}">{escape(label, quote=False)}</text>')
 
 
-def line_chart(
-    series: Sequence[SweepResult],
-    *,
-    x_label: str = "alpha_e2o (dimensionless)",
-    y_label: str = "critical DSA count (dimensionless)",
-    title: str = "",
-) -> str:
+def line_chart(series: Sequence[SweepResult]) -> str:
     """One path per sweep curve, legend entries matching series labels."""
     if not series:
         raise ValueError("at least one series required")
-    canvas = _Canvas(title)
+    canvas = _Canvas()
     x0, y0, x1, y1 = _plot_area()
     xs = [p for s in series for p in s.parameters]
     ys = [v for s in series for v in s.values]
@@ -117,7 +107,7 @@ def line_chart(
     def sy(v: float) -> float:
         return y1 - (v - y_lo) / (y_hi - y_lo) * (y1 - y0)
 
-    _axes(canvas, x_label, y_label)
+    _axes(canvas, "alpha_e2o (dimensionless)", _CDC_LABEL)
     for tick in _tick_values(x_lo, x_hi):
         canvas.add(
             f'<text x="{_fmt(sx(tick))}" y="{_fmt(y1 + 16)}" text-anchor="middle">{tick:.2g}</text>'
@@ -145,9 +135,8 @@ def grouped_bar_chart(
     group_labels: Sequence[str],
     series: Sequence[tuple[str, Sequence[float]]],
     *,
-    y_label: str = "critical DSA count (dimensionless)",
+    y_label: str = _CDC_LABEL,
     x_label: str = "scenario",
-    title: str = "",
 ) -> str:
     """One rect per value, grouped by position; legend names the series."""
     if not series:
@@ -155,7 +144,7 @@ def grouped_bar_chart(
     for label, values in series:
         if len(values) != len(group_labels):
             raise ValueError(f"series {label!r} has {len(values)} values for {len(group_labels)} groups")
-    canvas = _Canvas(title)
+    canvas = _Canvas()
     x0, y0, x1, y1 = _plot_area()
     y_hi = max(v for _, values in series for v in values) * 1.1
     group_width = (x1 - x0) / len(group_labels)
@@ -173,7 +162,7 @@ def grouped_bar_chart(
         base = x0 + g * group_width + group_width * 0.1
         canvas.add(
             f'<text x="{_fmt(x0 + (g + 0.5) * group_width)}" y="{_fmt(y1 + 16)}" '
-            f'text-anchor="middle">{escape(str(group))}</text>'
+            f'text-anchor="middle">{escape(str(group), quote=False)}</text>'
         )
         for s, (_, values) in enumerate(series):
             color = _PALETTE[s % len(_PALETTE)]

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 import fabcarbon
 from fabcarbon import builtin_dataset, dump_dataset
-from fabcarbon.cli import DATASET_ENV_VAR, run
+from fabcarbon.cli import DATASET_ENV_VAR, MAX_SWEEP_POINTS, run
 
 CSV_HEADER = "name,domain,area_norm,energy_norm,utilization,memory_kb,estimated\n"
 
@@ -216,6 +216,8 @@ class TestExitCodes:
             (("savings", "--alpha", "0"), 2),
             (("scenario", "--alphas", "0.5", "--n", "0"), 2),
             (("hybrid", "--retain", "AESEncrypt", "--n", "1"), 1),
+            (("sweep", "--alpha", "0.1:0.9:1e-7"), 2),  # 8M points, above the cap
+            (CDC_ARGS + ("--n", "9007199254740993"), 2),  # 2**53 + 1 has no exact float
         ],
     )
     def test_exit_code_and_one_line_diagnostic(self, argv, code):
@@ -225,9 +227,40 @@ class TestExitCodes:
         assert err.endswith("\n") and err.count("\n") == 1
         assert "Traceback" not in err
 
+    def test_point_cap_names_count_and_cap(self):
+        _, _, err = invoke("sweep", "--alpha", "0.1:0.9:1e-7", "--areas", "0.3,0.4")
+        assert "16000002 points" in err and str(MAX_SWEEP_POINTS) in err
+
+    @pytest.mark.parametrize(
+        "old,new",
+        [
+            ('"rows": 8', '"rows": 1e400'),
+            ('"name": "GeMM"', '"name": {"x": 1}'),
+            ('"name": "GeMM"', '"name": 7'),
+            ('"memory_kb": 256.0', '"memory_kb": NaN'),  # the fabric's, which comes first
+        ],
+    )
+    def test_malformed_dataset_is_one_line_data_error(self, tmp_path, old, new):
+        path = tmp_path / "bad.json"
+        path.write_text(dump_dataset(builtin_dataset(), "json").replace(old, new, 1))
+        got, out, err = invoke("dataset", "show", str(path))
+        assert got == 1
+        assert out == ""
+        assert err.endswith("\n") and err.count("\n") == 1
+
     def test_non_finite_breakdown_is_named(self):
         _, _, err = invoke("alpha", "--breakdown", "production=nan,transport=3,use=15,eol=2")
         assert "breakdown" in err and "alpha_e2o" not in err
+
+
+def test_import_loads_no_svg_or_xml():
+    env = dict(os.environ, PYTHONPATH=str(Path(fabcarbon.__file__).resolve().parents[1]))
+    probe = "import sys, fabcarbon.cli; print([m for m in ('fabcarbon.svg', 'xml.sax') if m in sys.modules])"
+    result = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert result.returncode == 0
+    assert result.stdout == "[]\n"
 
 
 def test_runs_as_a_module():
@@ -245,8 +278,8 @@ def test_runs_as_a_module():
 EDGE = ("0", "-1", "nan", "inf", "-inf", "1e-320", "1e308")
 NUMBER = st.one_of(st.sampled_from(EDGE), st.sampled_from(("0.3", "0.8", "1")))
 INTEGER = st.sampled_from(("0", "-1", "1", "3", "40", "nan", "1e308"))
-STEP = st.sampled_from(("0.1", "0.25", "0", "-1", "nan", "inf", "1e-320", "1e308"))
-MAX_SWEEP_POINTS = 10_000
+STEP = st.sampled_from(("0.1", "0.25", "1e-7", "0", "-1", "nan", "inf", "1e-320", "1e308"))
+FAST_SWEEP_POINTS = 10_000
 
 
 def _flag(name, values):
@@ -259,9 +292,9 @@ def _joined(parts, sep):
 
 def _sweep_argv(lo, hi, step, areas, energies, n):
     a, b, s = float(lo), float(hi), float(step)
-    # in-domain spans are unbounded until the point cap exists; keep those small,
-    # and let out-of-domain spans through: they must be rejected before stepping
-    assume(not (0 < a <= b <= 1 and s > 0 and MAX_SWEEP_POINTS < (b - a) / s < math.inf))
+    # in-domain spans between 10k alphas and the cap run in full: skip them for
+    # speed. Spans outside the domain or above the cap must be rejected at once.
+    assume(not (0 < a <= b <= 1 and s > 0 and FAST_SWEEP_POINTS < (b - a) / s <= MAX_SWEEP_POINTS))
     return ["sweep", "--alpha", f"{lo}:{hi}:{step}", "--areas", areas, "--energies", energies, *n]
 
 

@@ -2,17 +2,21 @@ from __future__ import annotations
 
 import io
 import json
+import math
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from fabcarbon import (
     aggregate,
+    builtin_dataset,
     dump_dataset,
     load_dataset,
     validate_dataset,
 )
-from fabcarbon.dataset import FabricSpec, GridSpec, KernelDataset
-from fabcarbon.errors import DatasetValidationError, EmptyInput, ParseError
+from fabcarbon.dataset import KERNEL_COLUMNS, FabricSpec, GridSpec, KernelDataset
+from fabcarbon.errors import DatasetError, DatasetValidationError, EmptyInput, ParseError
 
 CSV_HEADER = "name,domain,area_norm,energy_norm,utilization,memory_kb,estimated\n"
 
@@ -119,3 +123,57 @@ class TestDatasetValidation:
         with pytest.raises(ParseError):
             load_dataset(io.StringIO("{not json"), "json")
 
+
+
+# Loader boundary property: schema-shaped documents with edge values in
+# every slot load or raise a DatasetError, never anything else.
+BUILTIN_JSON = dump_dataset(builtin_dataset(), "json")
+OVERFLOW = "__1e400__"  # json.dumps cannot write 1e400, so it is patched into the text
+EDGE = st.sampled_from(
+    (float("nan"), float("inf"), -float("inf"), OVERFLOW, 10**400, 0, -1, 0.5, 1, 1.0, 8, 256.0,
+     True, False, "", "x", None, [], {"x": 1})
+)
+VALUE = st.one_of(EDGE, st.floats(), st.integers(), st.text(max_size=4))
+FABRIC_KEYS = ("rows", "cols", "memory_banks", "memory_kb", "clock_mhz")
+
+
+def _keyed(keys):
+    """Objects over `keys` with any of them missing, plus possibly an extra key."""
+    return st.tuples(
+        st.fixed_dictionaries({}, optional={k: VALUE for k in keys}),
+        st.dictionaries(st.text(max_size=3), VALUE, max_size=1),
+    ).map(lambda t: {**t[0], **t[1]})
+
+
+JSON_DOCS = st.fixed_dictionaries(
+    {"kernels": st.one_of(st.lists(st.one_of(_keyed(KERNEL_COLUMNS), EDGE), max_size=4), EDGE)},
+    optional={"version": VALUE, "provenance": VALUE, "fabric": st.one_of(_keyed(FABRIC_KEYS), EDGE)},
+).map(lambda doc: json.dumps(doc).replace(f'"{OVERFLOW}"', "1e400"))
+CSV_CELL = st.one_of(
+    st.sampled_from(("nan", "inf", "-inf", "1e400", "0", "-1", "0.5", "1", "1.0", "", "x", '"a,b"')),
+    st.text(max_size=4),
+)
+CSV_DOCS = st.tuples(
+    st.sampled_from((",".join(KERNEL_COLUMNS), "name,domain", "")),
+    st.lists(st.lists(CSV_CELL, min_size=6, max_size=8).map(",".join), max_size=4),
+).map(lambda t: "\n".join((t[0], *t[1])) + "\n")
+
+
+@settings(deadline=None)
+@given(document=st.one_of(JSON_DOCS.map(lambda d: (d, "json")), CSV_DOCS.map(lambda d: (d, "csv"))))
+@example(document=(BUILTIN_JSON.replace('"rows": 8', '"rows": 1e400'), "json"))
+@example(document=(BUILTIN_JSON.replace('"name": "GeMM"', '"name": {"x": 1}'), "json"))
+@example(document=(BUILTIN_JSON.replace('"name": "GeMM"', '"name": 7'), "json"))
+@example(document=(BUILTIN_JSON.replace('"memory_kb": 256.0', '"memory_kb": NaN', 1), "json"))
+@example(document=(CSV_HEADER + "x" * 200_000 + ",a,1,1,1,1,0\n", "csv"))
+def test_loader_yields_a_dataset_or_a_dataset_error(document):
+    text, fmt = document
+    try:
+        loaded = load_dataset(io.StringIO(text), fmt)
+    except DatasetError:
+        return
+    assert validate_dataset(loaded) == []
+    assert all(isinstance(k.name, str) and isinstance(k.domain, str) for k in loaded.kernels)
+    fabric = loaded.fabric
+    assert all(type(v) is int for v in (fabric.grid.rows, fabric.grid.cols, fabric.memory_banks))
+    assert math.isfinite(fabric.memory_kb) and math.isfinite(fabric.clock_mhz)

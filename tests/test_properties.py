@@ -90,13 +90,25 @@ class TestThresholdInvariants:
         assert math.isclose(shrunk / scale, base, rel_tol=1e-9)
 
     @given(alpha=st.floats(min_value=0.1, max_value=0.95), area=ratios, energy=ratios, n=concurrency)
+    # E = 1: the slope is 0, and the two evaluations (48 + 1 ulp, 48 - 2 ulps) give 1.07e-9
+    @example(alpha=0.25, area=0.0625, energy=1.0, n=3)
     def test_central_difference_matches_analytic_derivative(self, alpha, area, energy, n):
         h = 1e-5
         numeric = (
             cdc(make_query(alpha + h, area, energy, n)) - cdc(make_query(alpha - h, area, energy, n))
         ) / (2 * h)
         analytic = n * (energy - 1.0) / (alpha * alpha * area)
-        assert math.isclose(numeric, analytic, rel_tol=1e-6, abs_tol=1e-9)
+        # Rounding model. Each evaluation computes (n - (1-a)*n*E) / (a*A). The
+        # subtraction cancels, so its rounding error is a few ulps not of the
+        # result but of the operands, carried through the division:
+        # about 2 * ulp(M) with M = (n + (1-a)*n*E) / (a*A), which grows as alpha
+        # falls. The central difference divides the two errors by 2h, so it
+        # carries up to 2 * ulp(M) / h; the bound doubles that for M crossing a
+        # power of two between alpha - h and alpha + h. rel_tol covers the
+        # truncation error, relative h^2 / alpha^2 <= 1e-8.
+        magnitude = (n + (1.0 - alpha) * n * energy) / (alpha * area)
+        rounding = 4 * math.ulp(magnitude) / h
+        assert math.isclose(numeric, analytic, rel_tol=1e-6, abs_tol=rounding)
 
 
 class TestDecisionInvariants:

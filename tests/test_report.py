@@ -20,15 +20,14 @@ from fabcarbon.report import (
 @pytest.fixture
 def sample_report():
     return RenderedReport(
-        title="",
         columns=(
             Column("n", "n", "int"),
             Column("n_prime", "scale", "scale"),
             Column("savings", "savings", "ratio"),
         ),
         records=(
-            {"n": 2, "scale": 1.28, "savings": 6.115131769040444},
-            {"n": 4, "scale": 2.56, "savings": 3.129758604858354},
+            (2, 1.28, 6.115131769040444),
+            (4, 2.56, 3.129758604858354),
         ),
         footnotes=("estimated inputs: example",),
     )
@@ -104,7 +103,7 @@ class TestCurveCsvShapes:
 class TestSweepReport:
     def test_rows_are_rectangular(self):
         report = sweep_report(sweep_grid([0.3, 0.6], [0.3, 0.4], [0.3]))
-        assert {len(r) for r in report.rows} == {len(report.headers)}
+        assert {len(r) for r in report.records} == {len(report.columns)}
 
     def test_unknown_format_rejected(self, sample_report):
         with pytest.raises(ValueError):
