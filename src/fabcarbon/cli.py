@@ -51,6 +51,9 @@ DATASET_ENV_VAR = "FABCARBON_DATASET"
 # Above this many points a sweep is refused before any is computed: peak
 # memory grows with the point count, most steeply for table output.
 MAX_SWEEP_POINTS = 2_000_000
+# `savings --n LO:HI` computes one row per n, about 150 us each on a 2-CPU
+# host, so the cap keeps one call near 15 s.
+MAX_SAVINGS_ROWS = 100_000
 
 EXIT_OK = 0
 EXIT_DATA_ERROR = 1
@@ -303,6 +306,9 @@ def _cmd_scenario(args: argparse.Namespace) -> list[SweepResult]:
 
 def _cmd_savings(args: argparse.Namespace) -> RenderedReport:
     n_lo, n_hi = _parse_int_span(args.n, "--n")
+    rows = n_hi - n_lo + 1
+    if rows > MAX_SAVINGS_ROWS:
+        raise InvalidRange(f"savings over {rows} values of n exceeds the cap of {MAX_SAVINGS_ROWS} rows")
     ds = _resolve_dataset(args.dataset)
     records = []
     for n in range(n_lo, n_hi + 1):

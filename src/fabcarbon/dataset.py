@@ -223,8 +223,10 @@ def _json_document(text: str) -> Mapping:
     if not isinstance(doc, Mapping):
         raise ParseError("top-level JSON value must be an object")
     version = doc.get("version", DATASET_VERSION)
-    if not isinstance(version, int):
+    if not isinstance(version, int) or isinstance(version, bool):
         raise ParseError("version must be an integer", column="version")
+    if not isinstance(doc.get("provenance"), (str, type(None))):
+        raise ParseError("provenance must be a string", column="provenance")
     if version > DATASET_VERSION:
         raise DatasetValidationError([f"unsupported dataset version: {version}"])
     if "kernels" not in doc:

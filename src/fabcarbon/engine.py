@@ -49,27 +49,30 @@ class CdcQuery:
 
 @dataclass(frozen=True)
 class SweepResult:
-    """Sampled (parameter, CDC) curve plus the parameters held fixed."""
+    """Sampled CDC curve as parameter and value columns, plus the parameters held fixed.
+
+    The curves of one grid share one ``parameters`` tuple.
+    """
 
     axis_name: str
-    samples: tuple[tuple[float, float], ...]
+    parameters: tuple[float, ...]
+    values: tuple[float, ...]
     metadata: Mapping[str, object]
 
     def __post_init__(self) -> None:
-        params = [p for p, _ in self.samples]
+        params, values = self.parameters, self.values
+        if len(params) != len(values):
+            raise InvalidRange(f"sweep has {len(params)} parameters but {len(values)} values")
         if any(b <= a for a, b in zip(params, params[1:])):
             raise InvalidRange("sweep parameters must be strictly increasing")
-        for p, v in self.samples:
+        for p, v in zip(params, values):
             if not 0 < v < math.inf:
                 raise DegenerateModel(f"sweep value at {p!r} is not finite and positive: {v!r}")
 
     @property
-    def parameters(self) -> tuple[float, ...]:
-        return tuple(p for p, _ in self.samples)
-
-    @property
-    def values(self) -> tuple[float, ...]:
-        return tuple(v for _, v in self.samples)
+    def samples(self) -> tuple[tuple[float, float], ...]:
+        """The curve as (parameter, value) pairs."""
+        return tuple(zip(self.parameters, self.values))
 
 
 def cdc_curve(
@@ -160,6 +163,7 @@ def sweep_grid(
     if not areas or not energies:
         raise InvalidRange("grid axes must be non-empty")
     scale = scale_factor(n)
+    alphas = tuple(alphas)  # one parameters column, shared by every curve
     curves = []
     for area in areas:
         for energy in energies:
@@ -167,7 +171,8 @@ def sweep_grid(
             curves.append(
                 SweepResult(
                     axis_name="alpha_e2o",
-                    samples=tuple(zip(alphas, cdc_curve(alphas, agg, n, scale))),
+                    parameters=alphas,
+                    values=tuple(cdc_curve(alphas, agg, n, scale)),
                     metadata={"area": area, "energy": energy, "n": n, "scale": scale},
                 )
             )

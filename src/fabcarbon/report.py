@@ -12,6 +12,7 @@ import csv
 import io
 import json
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Iterable, Sequence
 
 from .engine import SweepResult
@@ -113,16 +114,32 @@ def emit_table(report: RenderedReport, format: str = "table") -> str:
 
 
 def emit_curve_csv(sweeps: Sequence[SweepResult]) -> str:
-    """Long-format CSV of sweep curves: one row per sampled point."""
-    buf = io.StringIO()
-    for note in _curve_footnotes(sweeps):
-        buf.write(f"# {note}\n")
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["series", "parameter", "value"])
+    """Long-format CSV of sweep curves: one row per sampled point.
+
+    Only the series label can need CSV quoting, so each label is quoted
+    once. Parameter cells are formatted once per parameters column: the
+    curves of one grid share one tuple. The test is identity, not
+    equality, so that -0.0 never reuses the cell of 0.0.
+    """
+    parts = [f"# {note}\n" for note in _curve_footnotes(sweeps)]
+    parts.append("series,parameter,value\n")
+    parameters = None
+    cells: list[str] = []
     for sweep in sweeps:
-        label = series_label(sweep)
-        writer.writerows((label, repr(parameter), repr(value)) for parameter, value in sweep.samples)
-    return buf.getvalue()
+        if sweep.parameters is not parameters:
+            parameters = sweep.parameters
+            cells = [f"{p!r}," for p in parameters]
+        label = _csv_field(series_label(sweep)) + ","
+        # joined per curve, so only one curve's row strings are alive at a time
+        parts.append("".join([f"{label}{cell}{value!r}\n" for cell, value in zip(cells, sweep.values)]))
+    return "".join(parts)
+
+
+def _csv_field(text: str) -> str:
+    """`text` as the csv module writes it as one field of a longer row."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerow((text, "-"))
+    return buf.getvalue()[: -len(",-\n")]
 
 
 def series_label(sweep: SweepResult) -> str:
@@ -155,7 +172,7 @@ def sweep_report(sweeps: Sequence[SweepResult]) -> RenderedReport:
         label = series_label(sweep)
         n = sweep.metadata.get("n")
         scale = sweep.metadata.get("scale")
-        records.extend((label, parameter, value, n, scale) for parameter, value in sweep.samples)
+        records.extend(zip(repeat(label), sweep.parameters, sweep.values, repeat(n), repeat(scale)))
     axis = sweeps[0].axis_name if sweeps else "parameter"
     columns = (
         Column("series", "series"),

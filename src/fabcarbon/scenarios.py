@@ -160,13 +160,14 @@ def evaluate_cdc_table(
     of the included kernels; pass ``aggregates`` to evaluate with calibrated
     area/energy instead of kernel means.
     """
-    alphas = sorted(set(alphas))
+    alphas = tuple(sorted(set(alphas)))
     kernels = scenario_kernels(spec, dataset)
     agg = aggregates if aggregates is not None else aggregate(kernels, spec.mean_kind)
     scale = scale_factor(spec.n, spec.scale_mode, kernels=kernels)
     return SweepResult(
         axis_name="alpha_e2o",
-        samples=tuple(zip(alphas, cdc_curve(alphas, agg, spec.n, scale))),
+        parameters=alphas,
+        values=tuple(cdc_curve(alphas, agg, spec.n, scale)),
         metadata={
             "scenario": spec.name,
             "excluded": tuple(sorted(spec.excluded_kernels)),

@@ -119,10 +119,9 @@ def line_chart(series: Sequence[SweepResult]) -> str:
     labels = []
     for i, sweep in enumerate(series):
         color = _PALETTE[i % len(_PALETTE)]
-        first_p, first_v = sweep.samples[0]
-        path = f"M {_fmt(sx(first_p))},{_fmt(sy(first_v))}"
-        for p, v in sweep.samples[1:]:
-            path += f" L {_fmt(sx(p))},{_fmt(sy(v))}"
+        path = "M " + " L ".join(
+            f"{_fmt(sx(p))},{_fmt(sy(v))}" for p, v in zip(sweep.parameters, sweep.values)
+        )
         canvas.add(
             f'<path class="series" d="{path}" fill="none" stroke="{color}" stroke-width="1.5"/>'
         )

@@ -4,7 +4,10 @@ from __future__ import annotations
 
 import ast
 import inspect
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import fabcarbon
@@ -42,3 +45,25 @@ def test_readme_library_block_uses_exported_names():
     names = _readme_library_imports()
     assert names
     assert names <= set(fabcarbon.__all__)
+
+
+# Imports every fabcarbon module, then prints the top-level modules loaded
+# that are neither the standard library nor fabcarbon. `-S` keeps `site`
+# and the .pth files of installed packages from loading modules of their own.
+_STDLIB_PROBE = """
+import importlib, pkgutil, sys
+import fabcarbon
+for info in pkgutil.walk_packages(fabcarbon.__path__, "fabcarbon."):
+    importlib.import_module(info.name)
+top = {name.partition(".")[0] for name in sys.modules}
+print(sorted(top - set(sys.stdlib_module_names) - {"__main__", "fabcarbon"}))
+"""
+
+
+def test_every_module_imports_only_the_standard_library():
+    env = dict(os.environ, PYTHONPATH=str(Path(fabcarbon.__file__).resolve().parents[1]))
+    result = subprocess.run(
+        [sys.executable, "-S", "-c", _STDLIB_PROBE], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "[]\n"

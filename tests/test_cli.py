@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 import fabcarbon
 from fabcarbon import builtin_dataset, dump_dataset
-from fabcarbon.cli import DATASET_ENV_VAR, MAX_SWEEP_POINTS, run
+from fabcarbon.cli import DATASET_ENV_VAR, MAX_SAVINGS_ROWS, MAX_SWEEP_POINTS, run
 
 CSV_HEADER = "name,domain,area_norm,energy_norm,utilization,memory_kb,estimated\n"
 
@@ -218,6 +218,7 @@ class TestExitCodes:
             (("hybrid", "--retain", "AESEncrypt", "--n", "1"), 1),
             (("sweep", "--alpha", "0.1:0.9:1e-7"), 2),  # 8M points, above the cap
             (CDC_ARGS + ("--n", "9007199254740993"), 2),  # 2**53 + 1 has no exact float
+            (("savings", "--dsas", "1000000000", "--n", "1:1000000000"), 2),  # rows above the cap
         ],
     )
     def test_exit_code_and_one_line_diagnostic(self, argv, code):
@@ -231,6 +232,10 @@ class TestExitCodes:
         _, _, err = invoke("sweep", "--alpha", "0.1:0.9:1e-7", "--areas", "0.3,0.4")
         assert "16000002 points" in err and str(MAX_SWEEP_POINTS) in err
 
+    def test_savings_cap_names_count_and_cap(self):
+        _, _, err = invoke("savings", "--dsas", "1000000000", "--n", "2:1000000000")
+        assert "999999999 values" in err and str(MAX_SAVINGS_ROWS) in err
+
     @pytest.mark.parametrize(
         "old,new",
         [
@@ -238,6 +243,8 @@ class TestExitCodes:
             ('"name": "GeMM"', '"name": {"x": 1}'),
             ('"name": "GeMM"', '"name": 7'),
             ('"memory_kb": 256.0', '"memory_kb": NaN'),  # the fabric's, which comes first
+            ('"version": 1', '"version": true'),
+            ('"provenance": "', '"provenance": {"a": 1}, "old": "'),  # the old text under another key
         ],
     )
     def test_malformed_dataset_is_one_line_data_error(self, tmp_path, old, new):

@@ -6,13 +6,15 @@ import json
 
 import pytest
 
-from fabcarbon import sweep_grid
+from fabcarbon import SweepResult, sweep_grid
 from fabcarbon.engine import float_steps
 from fabcarbon.report import (
     Column,
     RenderedReport,
     emit_curve_csv,
     emit_table,
+    estimated_inputs_footnote,
+    series_label,
     sweep_report,
 )
 
@@ -98,6 +100,41 @@ class TestCurveCsvShapes:
         rows = list(csv.reader(io.StringIO(emit_curve_csv(curves))))[1:]
         params = [float(r[1]) for r in rows]
         assert params == sorted(params)
+
+
+def _reference_curve_csv(sweeps):
+    """The curve CSV written row by row with csv.writer."""
+    buf = io.StringIO()
+    names = [name for s in sweeps for name in s.metadata.get("estimated_kernels", ())]
+    for note in estimated_inputs_footnote(names):
+        buf.write(f"# {note}\n")
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["series", "parameter", "value"])
+    for sweep in sweeps:
+        writer.writerows((series_label(sweep), repr(p), repr(v)) for p, v in sweep.samples)
+    return buf.getvalue()
+
+
+class TestCurveCsvMatchesCsvWriter:
+    def test_quoted_labels_and_shared_and_equal_parameters(self):
+        shared = (0.1, 0.25, 0.7)
+        equal = tuple(list(shared))  # equal to `shared`, a separate object
+        signed = (-0.0, 0.5)
+        unsigned = (0.0, 0.5)  # equal to `signed`, but 0.0 is written differently
+        curves = [
+            SweepResult("alpha_e2o", shared, (3.0, 2.5, 1.0), {"scenario": "a,b"}),
+            SweepResult("alpha_e2o", shared, (4.0, 3.5, 2.0), {"scenario": 'say "hi"'}),
+            SweepResult("alpha_e2o", equal, (5.0, 4.5, 3.0), {"scenario": "two\nlines"}),
+            SweepResult("alpha_e2o", signed, (1e-300, 1e300), {"scenario": ""}),
+            SweepResult("alpha_e2o", unsigned, (7.0, 6.0), {"scenario": "cr\rlf"}),
+            SweepResult("alpha_e2o", shared, (9.0, 8.0, 0.5),
+                        {"area": 0.35, "energy": 0.25, "estimated_kernels": ("FFT", "KNN")}),
+        ]
+        assert emit_curve_csv(curves) == _reference_curve_csv(curves)
+
+    def test_grid_curves(self):
+        curves = sweep_grid(float_steps(0.1, 0.9, 0.05), [0.25, 0.35], [0.25, 0.5])
+        assert emit_curve_csv(curves) == _reference_curve_csv(curves)
 
 
 class TestSweepReport:

@@ -152,4 +152,9 @@ def test_curve_rejects_alpha_outside_unit_interval(alpha):
 @pytest.mark.parametrize("value", [0.0, -1.0, math.nan, math.inf])
 def test_sweep_result_values_are_finite_and_positive(value):
     with pytest.raises(DegenerateModel):
-        SweepResult("alpha_e2o", ((0.5, 2.0), (0.6, value)), {})
+        SweepResult("alpha_e2o", (0.5, 0.6), (2.0, value), {})
+
+
+def test_sweep_result_columns_have_equal_length():
+    with pytest.raises(InvalidRange):
+        SweepResult("alpha_e2o", (0.5, 0.6), (2.0,), {})
