@@ -42,6 +42,7 @@ from .report import (
     Column,
     RenderedReport,
     emit_curve_csv,
+    emit_curve_table,
     emit_table,
     estimated_inputs_footnote,
     sweep_report,
@@ -49,7 +50,7 @@ from .report import (
 
 DATASET_ENV_VAR = "FABCARBON_DATASET"
 # Above this many points a sweep is refused before any is computed: peak
-# memory grows with the point count, most steeply for table output.
+# memory grows with the point count, for table and CSV output alike.
 MAX_SWEEP_POINTS = 2_000_000
 # `savings --n LO:HI` computes one row per n, about 150 us each on a 2-CPU
 # host, so the cap keeps one call near 15 s.
@@ -332,6 +333,8 @@ def _cmd_savings(args: argparse.Namespace) -> RenderedReport:
 
 def _cmd_hybrid(args: argparse.Namespace) -> RenderedReport:
     retained = [name.strip() for name in args.retain.split(",") if name.strip()]
+    if not retained:
+        raise UsageError("--retain: empty kernel list")
     ds = _resolve_dataset(args.dataset)
     spec = scen_mod.builtin_case(
         "I",
@@ -444,6 +447,8 @@ def _render(result: RenderedReport | list[SweepResult], format: str) -> str:
         return emit_table(result, format)
     if format == "csv":
         return emit_curve_csv(result)
+    if format == "table":
+        return emit_curve_table(result)
     return emit_table(sweep_report(result), format)
 
 

@@ -12,6 +12,7 @@ At n' = n this reduces to n * (E/A + (1 - E) / (alpha * A)).
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -21,6 +22,11 @@ from .errors import DegenerateModel, InfeasibleFit, InvalidRange, SingularFit
 
 # Tolerance for inclusive endpoints when stepping a float range.
 _RANGE_EPS = 1e-9
+
+# The last parameters tuple found strictly increasing. The curves of one grid
+# share one tuple, so it is checked once, not once per curve; holding it keeps
+# its identity from being reused by another object.
+_increasing_parameters: tuple[float, ...] | None = None
 
 
 @dataclass(frozen=True)
@@ -60,11 +66,15 @@ class SweepResult:
     metadata: Mapping[str, object]
 
     def __post_init__(self) -> None:
+        global _increasing_parameters
         params, values = self.parameters, self.values
         if len(params) != len(values):
             raise InvalidRange(f"sweep has {len(params)} parameters but {len(values)} values")
-        if any(b <= a for a, b in zip(params, params[1:])):
-            raise InvalidRange("sweep parameters must be strictly increasing")
+        if params is not _increasing_parameters:
+            if any(map(operator.le, params[1:], params)):
+                raise InvalidRange("sweep parameters must be strictly increasing")
+            if type(params) is tuple:  # immutable, so once it has passed it stays valid
+                _increasing_parameters = params
         for p, v in zip(params, values):
             if not 0 < v < math.inf:
                 raise DegenerateModel(f"sweep value at {p!r} is not finite and positive: {v!r}")

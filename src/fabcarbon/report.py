@@ -55,9 +55,11 @@ class RenderedReport:
 
     def cell(self, value: object, column: Column) -> str:
         """The display form of one value of `column`."""
-        if value is None:
-            return MISSING_CELL
-        return _FORMATS[column.kind](value)
+        return _cell(value, column.kind)
+
+
+def _cell(value: object, kind: str) -> str:
+    return MISSING_CELL if value is None else _FORMATS[kind](value)
 
 
 def _display_columns(report: RenderedReport) -> list[list[str]]:
@@ -67,6 +69,15 @@ def _display_columns(report: RenderedReport) -> list[list[str]]:
         fmt = _FORMATS[column.kind]
         cells.append([MISSING_CELL if r[i] is None else fmt(r[i]) for r in report.records])
     return cells
+
+
+def _framed_table(
+    headers: Sequence[str], widths: Sequence[int], body: Iterable[str], footnotes: Iterable[str]
+) -> str:
+    """A table: header line, `---` rule, the body's newline-ended lines, one `note:` line per footnote."""
+    head = "  ".join(h.ljust(w) for h, w in zip(headers, widths)).rstrip()
+    rule = "  ".join("-" * w for w in widths)
+    return "".join([head, "\n", rule, "\n", *body, *(f"note: {note}\n" for note in footnotes)])
 
 
 def _raw_cell(value: object) -> str:
@@ -84,13 +95,8 @@ def emit_table(report: RenderedReport, format: str = "table") -> str:
         cells = _display_columns(report)
         widths = [max(len(h), max(map(len, col), default=0)) for h, col in zip(headers, cells)]
         row_template = "  ".join(f"{{:>{w}}}" for w in widths)
-        lines = [
-            "  ".join(h.ljust(w) for h, w in zip(headers, widths)).rstrip(),
-            "  ".join("-" * w for w in widths),
-        ]
-        lines.extend(row_template.format(*row).rstrip() for row in zip(*cells))
-        lines.extend(f"note: {note}" for note in report.footnotes)
-        return "\n".join(lines) + "\n"
+        rows = [row_template.format(*row).rstrip() + "\n" for row in zip(*cells)]
+        return _framed_table(headers, widths, rows, report.footnotes)
     if format == "csv":
         exact = [i for i, c in enumerate(report.columns) if c.numeric]
         buf = io.StringIO()
@@ -165,6 +171,17 @@ def _curve_footnotes(sweeps: Sequence[SweepResult]) -> tuple[str, ...]:
     )
 
 
+def _curve_columns(sweeps: Sequence[SweepResult]) -> tuple[Column, ...]:
+    axis = sweeps[0].axis_name if sweeps else "parameter"
+    return (
+        Column("series", "series"),
+        Column(axis, axis, "num"),
+        Column("cdc", "cdc", "ratio"),
+        Column("n", "n", "int"),
+        Column("n_prime", "scale", "scale"),
+    )
+
+
 def sweep_report(sweeps: Sequence[SweepResult]) -> RenderedReport:
     """Long-format report over one or more sweep curves."""
     records = []
@@ -173,12 +190,52 @@ def sweep_report(sweeps: Sequence[SweepResult]) -> RenderedReport:
         n = sweep.metadata.get("n")
         scale = sweep.metadata.get("scale")
         records.extend(zip(repeat(label), sweep.parameters, sweep.values, repeat(n), repeat(scale)))
-    axis = sweeps[0].axis_name if sweeps else "parameter"
-    columns = (
-        Column("series", "series"),
-        Column(axis, axis, "num"),
-        Column("cdc", "cdc", "ratio"),
-        Column("n", "n", "int"),
-        Column("n_prime", "scale", "scale"),
-    )
-    return RenderedReport(columns, tuple(records), _curve_footnotes(sweeps))
+    return RenderedReport(_curve_columns(sweeps), tuple(records), _curve_footnotes(sweeps))
+
+
+def emit_curve_table(sweeps: Sequence[SweepResult]) -> str:
+    """The table of `sweep_report(sweeps)`, formatting each cell only as often as it is distinct.
+
+    The label, n and n' cells are formatted once per curve and the
+    parameter cells once per parameters column, tested by identity as in
+    `emit_curve_csv`. Only the cdc cell is formatted per point, and only
+    once: each curve's rows are one printf-style template, filled with the
+    curve's values by one `%`. The cdc column is as wide as the largest
+    value's cell, since a positive value's fixed-point form never gets
+    shorter as the value grows.
+    """
+    columns = _curve_columns(sweeps)
+    widths = [len(c.header) for c in columns]
+    curves = []  # (sweep, label cell, n cell, n' cell, parameter cells) per curve with points
+    parameters = None
+    param_cells: list[str] = []
+    for sweep in sweeps:
+        if not sweep.values:
+            continue  # a curve without points adds no row, so it widens no column
+        if sweep.parameters is not parameters:
+            parameters = sweep.parameters
+            param_cells = [_cell(p, "num") for p in parameters]
+            widths[1] = max(widths[1], *map(len, param_cells))
+        label = series_label(sweep)
+        n = _cell(sweep.metadata.get("n"), "int")
+        scale = _cell(sweep.metadata.get("scale"), "scale")
+        curves.append((sweep, label, n, scale, param_cells))
+        widths[0] = max(widths[0], len(label))
+        widths[2] = max(widths[2], len(_cell(max(sweep.values), "ratio")))
+        widths[3] = max(widths[3], len(n))
+        widths[4] = max(widths[4], len(scale))
+
+    label_w, param_w, cdc_w, n_w, scale_w = widths
+    parts = []
+    shared = None
+    pieces: list[str] = []
+    for sweep, label, n, scale, cells in curves:
+        if cells is not shared:
+            shared = cells
+            # "%.2f" is the "ratio" display rule; of all cells only a label can hold a "%"
+            pieces = [f"{cell:>{param_w}}  %{cdc_w}.2f" for cell in cells]
+        head = f"{label:>{label_w}}  ".replace("%", "%%")
+        # a row ends in the n' cell, which ends in a digit or "-", so `emit_table`'s rstrip is a no-op
+        tail = f"  {n:>{n_w}}  {scale:>{scale_w}}\n"
+        parts.append((head + (tail + head).join(pieces) + tail) % tuple(sweep.values))
+    return _framed_table([c.header for c in columns], widths, parts, _curve_footnotes(sweeps))

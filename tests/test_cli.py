@@ -14,6 +14,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import fabcarbon
+import fabcarbon.cli
+import fabcarbon.report
 from fabcarbon import builtin_dataset, dump_dataset
 from fabcarbon.cli import DATASET_ENV_VAR, MAX_SAVINGS_ROWS, MAX_SWEEP_POINTS, run
 
@@ -194,6 +196,25 @@ class TestOutputsAndPlots:
         b = invoke("scenario", "--case", "II", "--alphas", "0.3,0.7")
         assert a == b
 
+    @pytest.mark.parametrize(
+        "case",
+        [
+            "sweep --alpha 0.1:0.9:0.2 --areas 0.25,0.45 --energies 0.35 --format table",
+            "scenario --case I,II,III --alphas 0.3,0.5,0.7,0.9 --format table",
+        ],
+    )
+    def test_curve_table_builds_no_report(self, monkeypatch, case):
+        """Curve tables render from the curves: no per-point report is built for them."""
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a curve table built a RenderedReport")
+
+        monkeypatch.setattr(fabcarbon.report, "sweep_report", refuse)
+        monkeypatch.setattr(fabcarbon.cli, "sweep_report", refuse)
+        monkeypatch.setattr(fabcarbon.report.RenderedReport, "__init__", refuse)
+        golden = json.loads(Path(__file__).with_name("golden_outputs.json").read_text(encoding="utf-8"))
+        assert invoke(*case.split()) == (0, golden[case], "")
+
 
 CDC_ARGS = ("cdc", "--alpha", "0.8", "--area", "0.35", "--energy", "0.35")
 
@@ -219,6 +240,8 @@ class TestExitCodes:
             (("sweep", "--alpha", "0.1:0.9:1e-7"), 2),  # 8M points, above the cap
             (CDC_ARGS + ("--n", "9007199254740993"), 2),  # 2**53 + 1 has no exact float
             (("savings", "--dsas", "1000000000", "--n", "1:1000000000"), 2),  # rows above the cap
+            (("hybrid", "--retain", "", "--n", "1"), 2),
+            (("hybrid", "--retain", ",", "--n", "1"), 2),
         ],
     )
     def test_exit_code_and_one_line_diagnostic(self, argv, code):

@@ -6,12 +6,13 @@ import json
 
 import pytest
 
-from fabcarbon import SweepResult, sweep_grid
+from fabcarbon import ScaleMode, SweepResult, builtin_case, builtin_dataset, evaluate_cdc_table, sweep_grid
 from fabcarbon.engine import float_steps
 from fabcarbon.report import (
     Column,
     RenderedReport,
     emit_curve_csv,
+    emit_curve_table,
     emit_table,
     estimated_inputs_footnote,
     series_label,
@@ -135,6 +136,46 @@ class TestCurveCsvMatchesCsvWriter:
     def test_grid_curves(self):
         curves = sweep_grid(float_steps(0.1, 0.9, 0.05), [0.25, 0.35], [0.25, 0.5])
         assert emit_curve_csv(curves) == _reference_curve_csv(curves)
+
+
+class TestCurveTableMatchesReport:
+    """`emit_curve_table` prints exactly the table of `sweep_report`."""
+
+    @staticmethod
+    def assert_same_table(curves):
+        assert emit_curve_table(curves) == emit_table(sweep_report(curves), "table")
+
+    def test_labels_parameters_and_widths(self):
+        shared = (0.1, 0.25, 0.7)
+        equal = tuple(list(shared))  # equal to `shared`, a separate object
+        signed = (-0.0, 0.5)
+        unsigned = (0.0, 0.5)  # equal to `signed`, but 0.0 is printed differently
+        tiny = (1.2345678e-05, 0.5, 0.75, 1.0)  # a wider parameter cell, in a later curve
+        self.assert_same_table([
+            SweepResult("alpha_e2o", shared, (3.0, 2.5, 1.0), {"scenario": "I", "n": 2, "scale": 2.0}),
+            SweepResult("alpha_e2o", shared, (4.0, 3.5, 2.0), {"scenario": "a much longer label"}),
+            SweepResult("alpha_e2o", equal, (5.0, 4.5, 3.0), {"scenario": "", "n": 1}),
+            SweepResult("alpha_e2o", signed, (1e-300, 1.5), {"scenario": "50% of 100%s"}),
+            SweepResult("alpha_e2o", unsigned, (7.0, 6.0), {"scenario": "zero", "scale": 1.25}),
+            SweepResult("alpha_e2o", (), (), {"scenario": "a label longer than any printed one"}),
+            SweepResult("alpha_e2o", tiny, (1234.5678, 999.995, 9.995, 1.0), {"area": 0.35, "energy": 0.25}),
+            SweepResult("alpha_e2o", (0.5,), (2.0,), {"scenario": "one point", "n": 12345, "scale": 98765.4}),
+        ])
+
+    def test_scenario_curves_with_footnote(self):
+        spec = dict(n=2, scale_mode=ScaleMode.average_utilization())
+        curves = [
+            evaluate_cdc_table(builtin_case(case, **spec), [0.3, 0.5, 0.7, 0.9], dataset=builtin_dataset())
+            for case in ("I", "II", "III")
+        ]
+        assert "\nnote: estimated inputs: " in emit_curve_table(curves)
+        self.assert_same_table(curves)
+
+    def test_grid_curves(self):
+        self.assert_same_table(sweep_grid(float_steps(0.01, 0.99, 0.01), [0.01, 0.35], [0.25, 0.5], n=3))
+
+    def test_no_curves(self):
+        self.assert_same_table([])
 
 
 class TestSweepReport:

@@ -158,3 +158,19 @@ def test_sweep_result_values_are_finite_and_positive(value):
 def test_sweep_result_columns_have_equal_length():
     with pytest.raises(InvalidRange):
         SweepResult("alpha_e2o", (0.5, 0.6), (2.0,), {})
+
+
+def test_sweep_result_checks_each_parameters_column():
+    accepted = (0.5, 0.6)
+    SweepResult("alpha_e2o", accepted, (2.0, 1.0), {})
+    SweepResult("alpha_e2o", accepted, (3.0, 2.0), {})  # the same tuple again
+    with pytest.raises(DegenerateModel):  # values are checked on every curve
+        SweepResult("alpha_e2o", accepted, (3.0, math.nan), {})
+    for params in [(0.6, 0.5), (0.5, 0.5)]:  # distinct tuples, checked after `accepted` passed
+        with pytest.raises(InvalidRange, match="strictly increasing"):
+            SweepResult("alpha_e2o", params, (2.0, 1.0), {})
+    mutable = [0.5, 0.6]
+    SweepResult("alpha_e2o", mutable, (2.0, 1.0), {})
+    mutable.reverse()
+    with pytest.raises(InvalidRange, match="strictly increasing"):
+        SweepResult("alpha_e2o", mutable, (2.0, 1.0), {})
