@@ -13,7 +13,7 @@ import contextlib
 import os
 import sys
 from pathlib import Path
-from typing import IO, Sequence
+from typing import IO, Callable, Sequence
 
 from . import scenarios as scen_mod
 from .concurrency import ScaleMode, scale_factor
@@ -26,7 +26,7 @@ from .core import (
     device_preset,
     require_alpha,
 )
-from .dataset import KernelDataset, builtin_dataset, load_dataset, validate_dataset
+from .dataset import KernelDataset, builtin_dataset, load_dataset
 from .engine import (
     CdcQuery,
     SweepResult,
@@ -41,16 +41,18 @@ from .errors import DatasetError, InvalidRange, InvalidValue, ModelError
 from .report import (
     Column,
     RenderedReport,
-    emit_curve_csv,
-    emit_curve_table,
     emit_table,
     estimated_inputs_footnote,
     sweep_report,
+    write_curve_csv,
+    write_curve_table,
 )
 
 DATASET_ENV_VAR = "FABCARBON_DATASET"
-# Above this many points a sweep is refused before any is computed: peak
-# memory grows with the point count, for table and CSV output alike.
+# Above this many points a sweep is refused before any is computed. Table
+# and CSV rows are written curve by curve, so the curves' values, not their
+# text, set the peak memory; it still grows with the point count, as does
+# the time.
 MAX_SWEEP_POINTS = 2_000_000
 # `savings --n LO:HI` computes one row per n, about 150 us each on a 2-CPU
 # host, so the cap keeps one call near 15 s.
@@ -243,6 +245,13 @@ def _scale_mode(util_mode: str) -> ScaleMode:
     return ScaleMode.conservative()
 
 
+def _case_aggregates(spec: scen_mod.ScenarioSpec, ds: KernelDataset, calibrated: bool) -> AggregateRatios:
+    """A scenario's aggregates: fitted to its reference anchors, or the means of its kernels."""
+    if calibrated:
+        return scen_mod.calibrated_aggregates(spec, ds)
+    return aggregate(scen_mod.scenario_kernels(spec, ds), spec.mean_kind)
+
+
 def _dataset_footnote(ds: KernelDataset) -> tuple[str, ...]:
     return estimated_inputs_footnote(k.name for k in ds.kernels if k.estimated)
 
@@ -311,10 +320,13 @@ def _cmd_savings(args: argparse.Namespace) -> RenderedReport:
     if rows > MAX_SAVINGS_ROWS:
         raise InvalidRange(f"savings over {rows} values of n exceeds the cap of {MAX_SAVINGS_ROWS} rows")
     ds = _resolve_dataset(args.dataset)
+    # every n maps the same kernels, so one aggregate serves all rows
+    agg = _case_aggregates(
+        scen_mod.builtin_case("I", n=n_lo, alpha=args.alpha, dsa_population=args.dsas), ds, args.calibrated
+    )
     records = []
     for n in range(n_lo, n_hi + 1):
         spec = scen_mod.builtin_case("I", n=n, alpha=args.alpha, dsa_population=args.dsas)
-        agg = scen_mod.calibrated_aggregates(spec, ds) if args.calibrated else None
         result = scen_mod.savings_factor(spec, dataset=ds, aggregates=agg)
         records.append(
             (result.n, result.scale_avg_util, result.improvement_avg_util, result.improvement_conservative)
@@ -332,7 +344,7 @@ def _cmd_savings(args: argparse.Namespace) -> RenderedReport:
 
 
 def _cmd_hybrid(args: argparse.Namespace) -> RenderedReport:
-    retained = [name.strip() for name in args.retain.split(",") if name.strip()]
+    retained = sorted({name.strip() for name in args.retain.split(",") if name.strip()})
     if not retained:
         raise UsageError("--retain: empty kernel list")
     ds = _resolve_dataset(args.dataset)
@@ -343,7 +355,8 @@ def _cmd_hybrid(args: argparse.Namespace) -> RenderedReport:
         dsa_population=args.dsas,
         scale_mode=ScaleMode.average_utilization(),
     )
-    agg = scen_mod.calibrated_aggregates(spec, ds) if args.calibrated else None
+    # both cover the full kernel list, so one aggregate serves both
+    agg = _case_aggregates(spec, ds, args.calibrated)
     improvement = scen_mod.hybrid_retained_savings(spec, retained, dataset=ds, aggregates=agg)
     baseline = scen_mod.savings_factor(spec, dataset=ds, aggregates=agg)
     return RenderedReport(
@@ -356,7 +369,7 @@ def _cmd_hybrid(args: argparse.Namespace) -> RenderedReport:
             Column("baseline_avg_util", "baseline_avg_util", "ratio"),
         ),
         records=(
-            (",".join(sorted(retained)), args.n, args.dsas, args.alpha, improvement,
+            (",".join(retained), args.n, args.dsas, args.alpha, improvement,
              baseline.improvement_avg_util),
         ),
         footnotes=_dataset_footnote(ds),
@@ -397,9 +410,7 @@ def _cmd_calibrate(args: argparse.Namespace) -> RenderedReport:
 def _cmd_dataset(args: argparse.Namespace) -> RenderedReport:
     ds = _resolve_dataset(args.path)
     if args.action == "validate":
-        violations = validate_dataset(ds)
-        if violations:
-            raise DatasetError("; ".join(violations))
+        # `load_dataset` has validated the file, and the bundled set is valid
         return RenderedReport(
             columns=(Column("dataset", "dataset"), Column("status", "status")),
             records=((ds.provenance or "(unnamed)", "ok"),),
@@ -442,14 +453,16 @@ _COMMANDS = {
 }
 
 
-def _render(result: RenderedReport | list[SweepResult], format: str) -> str:
+def _render(result: RenderedReport | list[SweepResult], format: str, out: IO[str]) -> None:
+    """Write `result` to `out`; table and CSV curves are written curve by curve."""
     if isinstance(result, RenderedReport):
-        return emit_table(result, format)
-    if format == "csv":
-        return emit_curve_csv(result)
-    if format == "table":
-        return emit_curve_table(result)
-    return emit_table(sweep_report(result), format)
+        out.write(emit_table(result, format))
+    elif format == "csv":
+        write_curve_csv(result, out)
+    elif format == "table":
+        write_curve_table(result, out)
+    else:
+        out.write(emit_table(sweep_report(result), format))
 
 
 def _render_plot(result: RenderedReport | list[SweepResult]) -> str:
@@ -476,6 +489,36 @@ def _render_plot(result: RenderedReport | list[SweepResult]) -> str:
     return grouped_bar_chart(groups, series, y_label="improvement (x)", x_label=label_col.header)
 
 
+def _write_file(path: str, write: Callable[[IO[str]], object]) -> None:
+    """Call `write` on `path` opened for UTF-8 text, so that a failed write leaves no partial file.
+
+    A regular file, or a path that does not exist yet, is written as
+    `<path>.<pid>.tmp` in the same directory, which `os.replace` moves onto
+    `path` once `write` returns; the file keeps its permission bits. On any
+    exception the temporary file is removed and the old file is left as it
+    was. Any other path (a symlink, a device such as /dev/stdout or
+    /dev/null, a FIFO) is written in place, since replacing it would put a
+    regular file where the link or device was.
+    """
+    if os.path.islink(path) or (os.path.exists(path) and not os.path.isfile(path)):
+        with open(path, "w", encoding="utf-8") as fh:
+            write(fh)
+        return
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            write(fh)
+        if os.path.exists(path):
+            os.chmod(tmp, os.stat(path).st_mode & 0o7777)
+        os.replace(tmp, path)
+    except BaseException as exc:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        if isinstance(exc, OSError) and exc.filename == tmp:
+            exc.filename = path  # the diagnostic names the path the user gave
+        raise
+
+
 def run(argv: Sequence[str], stdout: IO[str] | None = None, stderr: IO[str] | None = None) -> int:
     """Parse and execute one invocation; returns the process exit code."""
     out = stdout if stdout is not None else sys.stdout
@@ -489,13 +532,13 @@ def run(argv: Sequence[str], stdout: IO[str] | None = None, stderr: IO[str] | No
         return int(exc.code or 0)
     try:
         result = _COMMANDS[args.command](args)
-        payload = _render(result, args.format)
         if getattr(args, "plot", None):
-            Path(args.plot).write_text(_render_plot(result), encoding="utf-8")
+            chart = _render_plot(result)
+            _write_file(args.plot, lambda fh: fh.write(chart))
         if getattr(args, "out", None):
-            Path(args.out).write_text(payload, encoding="utf-8")
+            _write_file(args.out, lambda fh: _render(result, args.format, fh))
         else:
-            out.write(payload)
+            _render(result, args.format, out)
         return EXIT_OK
     except (UsageError, InvalidValue) as exc:
         print(f"usage error: {exc}", file=err)

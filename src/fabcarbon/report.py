@@ -13,7 +13,7 @@ import io
 import json
 from dataclasses import dataclass
 from itertools import repeat
-from typing import Iterable, Sequence
+from typing import IO, Iterable, Iterator, Sequence
 
 from .engine import SweepResult
 
@@ -71,13 +71,18 @@ def _display_columns(report: RenderedReport) -> list[list[str]]:
     return cells
 
 
-def _framed_table(
-    headers: Sequence[str], widths: Sequence[int], body: Iterable[str], footnotes: Iterable[str]
-) -> str:
-    """A table: header line, `---` rule, the body's newline-ended lines, one `note:` line per footnote."""
+def _write_framed_table(
+    out: IO[str], headers: Sequence[str], widths: Sequence[int], body: Iterable[str], footnotes: Iterable[str]
+) -> None:
+    """Write a table: header line, `---` rule, the body's newline-ended lines, one `note:` line per footnote.
+
+    Each body string is written as soon as `body` yields it.
+    """
     head = "  ".join(h.ljust(w) for h, w in zip(headers, widths)).rstrip()
     rule = "  ".join("-" * w for w in widths)
-    return "".join([head, "\n", rule, "\n", *body, *(f"note: {note}\n" for note in footnotes)])
+    out.write(f"{head}\n{rule}\n")
+    out.writelines(body)
+    out.writelines(f"note: {note}\n" for note in footnotes)
 
 
 def _raw_cell(value: object) -> str:
@@ -96,7 +101,9 @@ def emit_table(report: RenderedReport, format: str = "table") -> str:
         widths = [max(len(h), max(map(len, col), default=0)) for h, col in zip(headers, cells)]
         row_template = "  ".join(f"{{:>{w}}}" for w in widths)
         rows = [row_template.format(*row).rstrip() + "\n" for row in zip(*cells)]
-        return _framed_table(headers, widths, rows, report.footnotes)
+        buf = io.StringIO()
+        _write_framed_table(buf, headers, widths, rows, report.footnotes)
+        return buf.getvalue()
     if format == "csv":
         exact = [i for i, c in enumerate(report.columns) if c.numeric]
         buf = io.StringIO()
@@ -119,16 +126,18 @@ def emit_table(report: RenderedReport, format: str = "table") -> str:
     raise ValueError(f"unknown report format: {format!r}")
 
 
-def emit_curve_csv(sweeps: Sequence[SweepResult]) -> str:
-    """Long-format CSV of sweep curves: one row per sampled point.
+def write_curve_csv(sweeps: Sequence[SweepResult], out: IO[str]) -> None:
+    """Write the long-format CSV of sweep curves to `out`: one row per sampled point.
 
-    Only the series label can need CSV quoting, so each label is quoted
-    once. Parameter cells are formatted once per parameters column: the
-    curves of one grid share one tuple. The test is identity, not
-    equality, so that -0.0 never reuses the cell of 0.0.
+    Each curve's rows are written as one string as soon as they are
+    formatted, so only one curve's text is alive at a time. Only the
+    series label can need CSV quoting, so each label is quoted once.
+    Parameter cells are formatted once per parameters column: the curves
+    of one grid share one tuple. The test is identity, not equality, so
+    that -0.0 never reuses the cell of 0.0.
     """
-    parts = [f"# {note}\n" for note in _curve_footnotes(sweeps)]
-    parts.append("series,parameter,value\n")
+    out.writelines(f"# {note}\n" for note in _curve_footnotes(sweeps))
+    out.write("series,parameter,value\n")
     parameters = None
     cells: list[str] = []
     for sweep in sweeps:
@@ -136,9 +145,14 @@ def emit_curve_csv(sweeps: Sequence[SweepResult]) -> str:
             parameters = sweep.parameters
             cells = [f"{p!r}," for p in parameters]
         label = _csv_field(series_label(sweep)) + ","
-        # joined per curve, so only one curve's row strings are alive at a time
-        parts.append("".join([f"{label}{cell}{value!r}\n" for cell, value in zip(cells, sweep.values)]))
-    return "".join(parts)
+        out.write("".join([f"{label}{cell}{value!r}\n" for cell, value in zip(cells, sweep.values)]))
+
+
+def emit_curve_csv(sweeps: Sequence[SweepResult]) -> str:
+    """The text `write_curve_csv` writes, as one string."""
+    buf = io.StringIO()
+    write_curve_csv(sweeps, buf)
+    return buf.getvalue()
 
 
 def _csv_field(text: str) -> str:
@@ -193,12 +207,15 @@ def sweep_report(sweeps: Sequence[SweepResult]) -> RenderedReport:
     return RenderedReport(_curve_columns(sweeps), tuple(records), _curve_footnotes(sweeps))
 
 
-def emit_curve_table(sweeps: Sequence[SweepResult]) -> str:
-    """The table of `sweep_report(sweeps)`, formatting each cell only as often as it is distinct.
+def write_curve_table(sweeps: Sequence[SweepResult], out: IO[str]) -> None:
+    """Write the table of `sweep_report(sweeps)` to `out`, formatting each cell only as often as it is distinct.
 
-    The label, n and n' cells are formatted once per curve and the
-    parameter cells once per parameters column, tested by identity as in
-    `emit_curve_csv`. Only the cdc cell is formatted per point, and only
+    A first pass takes every column width from the curves' values and
+    shared cells; a second writes each curve's rows as one string as soon
+    as they are formatted, so no row string outlives its curve. The
+    label, n and n' cells are formatted once per curve and the parameter
+    cells once per parameters column, tested by identity as in
+    `write_curve_csv`. Only the cdc cell is formatted per point, and only
     once: each curve's rows are one printf-style template, filled with the
     curve's values by one `%`. The cdc column is as wide as the largest
     value's cell, since a positive value's fixed-point form never gets
@@ -224,9 +241,13 @@ def emit_curve_table(sweeps: Sequence[SweepResult]) -> str:
         widths[2] = max(widths[2], len(_cell(max(sweep.values), "ratio")))
         widths[3] = max(widths[3], len(n))
         widths[4] = max(widths[4], len(scale))
+    body = _curve_table_rows(curves, widths)
+    _write_framed_table(out, [c.header for c in columns], widths, body, _curve_footnotes(sweeps))
 
+
+def _curve_table_rows(curves: list, widths: Sequence[int]) -> Iterator[str]:
+    """Each curve's table rows as one string, formatted only when the writer asks for it."""
     label_w, param_w, cdc_w, n_w, scale_w = widths
-    parts = []
     shared = None
     pieces: list[str] = []
     for sweep, label, n, scale, cells in curves:
@@ -237,5 +258,11 @@ def emit_curve_table(sweeps: Sequence[SweepResult]) -> str:
         head = f"{label:>{label_w}}  ".replace("%", "%%")
         # a row ends in the n' cell, which ends in a digit or "-", so `emit_table`'s rstrip is a no-op
         tail = f"  {n:>{n_w}}  {scale:>{scale_w}}\n"
-        parts.append((head + (tail + head).join(pieces) + tail) % tuple(sweep.values))
-    return _framed_table([c.header for c in columns], widths, parts, _curve_footnotes(sweeps))
+        yield (head + (tail + head).join(pieces) + tail) % tuple(sweep.values)
+
+
+def emit_curve_table(sweeps: Sequence[SweepResult]) -> str:
+    """The text `write_curve_table` writes, as one string."""
+    buf = io.StringIO()
+    write_curve_table(sweeps, buf)
+    return buf.getvalue()

@@ -193,10 +193,13 @@ def savings_factor(
     Computed twice: against a conservatively scaled fabric (n' = n) and
     against one scaled by the aggregate mean utilization (n' = n * u,
     clamped to 1). The utilization travels with the aggregates, so the
-    calibrated triple carries its own reverse-fitted value.
+    calibrated triple carries its own reverse-fitted value; when
+    ``aggregates`` is given, the kernels are not read at all.
     """
-    kernels = scenario_kernels(spec, dataset)
-    agg = aggregates if aggregates is not None else aggregate(kernels, spec.mean_kind)
+    if aggregates is not None:
+        agg = aggregates
+    else:
+        agg = aggregate(scenario_kernels(spec, dataset), spec.mean_kind)
     dsa = dsa_footprint(spec.dsa_population, spec.n, spec.weights, agg)
     scale_cons = float(spec.n)
     improvement_cons = dsa / fabric_footprint(scale_cons)

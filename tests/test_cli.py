@@ -5,8 +5,10 @@ import io
 import json
 import math
 import os
+import stat
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -15,9 +17,13 @@ from hypothesis import strategies as st
 
 import fabcarbon
 import fabcarbon.cli
+import fabcarbon.core
+import fabcarbon.dataset
 import fabcarbon.report
+import fabcarbon.scenarios
 from fabcarbon import builtin_dataset, dump_dataset
 from fabcarbon.cli import DATASET_ENV_VAR, MAX_SAVINGS_ROWS, MAX_SWEEP_POINTS, run
+from fabcarbon.engine import float_steps, sweep_grid
 
 CSV_HEADER = "name,domain,area_norm,energy_norm,utilization,memory_kb,estimated\n"
 
@@ -214,6 +220,152 @@ class TestOutputsAndPlots:
         monkeypatch.setattr(fabcarbon.report.RenderedReport, "__init__", refuse)
         golden = json.loads(Path(__file__).with_name("golden_outputs.json").read_text(encoding="utf-8"))
         assert invoke(*case.split()) == (0, golden[case], "")
+
+
+# 1000 alphas x 10 areas x 10 energies = 100k points, about 4 MB of CSV
+STREAM_SPAN = (0.0005, 0.9995, 0.001)
+STREAM_GRID = [round(0.05 * i, 2) for i in range(1, 11)]
+STREAM_SWEEP = (
+    "sweep", "--alpha", ":".join(map(str, STREAM_SPAN)),
+    "--areas", ",".join(map(str, STREAM_GRID)), "--energies", ",".join(map(str, STREAM_GRID)),
+)
+
+
+class TestStreamedOutput:
+    @pytest.mark.parametrize("fmt", ["csv", "table"])
+    @pytest.mark.parametrize(
+        "case",
+        [
+            "sweep --alpha 0.1:0.9:0.2 --areas 0.25,0.45 --energies 0.35,0.5 --n 2",
+            "scenario --case I,II,III --alphas 0.3,0.5,0.7,0.9 --util-mode avg --n 2",
+        ],
+    )
+    def test_out_file_equals_stdout(self, tmp_path, case, fmt):
+        target = tmp_path / "out.txt"
+        code, printed, _ = invoke(*case.split(), "--format", fmt)
+        assert code == 0
+        assert invoke(*case.split(), "--format", fmt, "--out", str(target)) == (0, "", "")
+        assert target.read_bytes() == printed.encode("utf-8")
+
+    @pytest.mark.parametrize("fmt", ["csv", "table"])
+    def test_rows_are_written_as_they_are_rendered(self, tmp_path, fmt):
+        """Writing the curves adds little memory above the curves themselves.
+
+        Rendering the whole text before writing it would hold at least
+        one full copy of the output on top of the curves.
+        """
+        target = tmp_path / f"curves.{fmt}"
+        invoke("sweep", "--alpha", "0.1:0.9:0.4", "--format", fmt, "--out", str(target))  # warm-up
+        tracemalloc.start()
+        try:
+            curves = sweep_grid(float_steps(*STREAM_SPAN), STREAM_GRID, STREAM_GRID)
+            curves_peak = tracemalloc.get_traced_memory()[1]
+            del curves
+            floor = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            code = run([*STREAM_SWEEP, "--format", fmt, "--out", str(target)], io.StringIO(), io.StringIO())
+            run_peak = tracemalloc.get_traced_memory()[1] - floor
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        size = target.stat().st_size
+        assert size > 4_000_000
+        assert run_peak - curves_peak < size / 4
+
+
+class TestAtomicOutput:
+    @pytest.mark.parametrize("fmt,writer", [("csv", "write_curve_csv"), ("table", "write_curve_table")])
+    @pytest.mark.parametrize("old", ["old content\n", None])
+    def test_failed_write_leaves_the_old_file(self, tmp_path, monkeypatch, fmt, writer, old):
+        target = tmp_path / "curves.out"
+        if old is not None:
+            target.write_text(old, encoding="utf-8")
+        real = getattr(fabcarbon.cli, writer)
+
+        def fail_midway(sweeps, out):
+            real(sweeps[:1], out)
+            raise OSError("No space left on device")
+
+        monkeypatch.setattr(fabcarbon.cli, writer, fail_midway)
+        code, out, err = invoke("sweep", "--alpha", "0.1:0.9:0.2", "--areas", "0.2,0.3",
+                                "--format", fmt, "--out", str(target))
+        assert (code, out) == (1, "")
+        assert "No space left" in err
+        assert [p.name for p in tmp_path.iterdir()] == ([] if old is None else ["curves.out"])
+        if old is not None:
+            assert target.read_text(encoding="utf-8") == old
+
+    def test_missing_directory_is_named_without_the_temporary_suffix(self, tmp_path):
+        target = tmp_path / "no_such_dir" / "curves.csv"
+        code, out, err = invoke("sweep", "--alpha", "0.1:0.9:0.2", "--format", "csv", "--out", str(target))
+        assert (code, out) == (1, "")
+        assert err == f"error: [Errno 2] No such file or directory: {str(target)!r}\n"
+
+    def test_replaced_file_keeps_its_permissions(self, tmp_path):
+        target = tmp_path / "table.txt"
+        target.write_text("old\n")
+        target.chmod(0o600)
+        code, _, _ = invoke("savings", "--n", "1:3", "--out", str(target))
+        assert code == 0
+        assert "improvement_conservative" in target.read_text()
+        assert stat.S_IMODE(target.stat().st_mode) == 0o600
+        assert [p.name for p in tmp_path.iterdir()] == ["table.txt"]
+
+    def test_symlink_is_written_through(self, tmp_path):
+        real, link = tmp_path / "real.svg", tmp_path / "link.svg"
+        real.write_text("old\n")
+        link.symlink_to(real)
+        code, _, _ = invoke("sweep", "--alpha", "0.1:0.9:0.2", "--plot", str(link))
+        assert code == 0
+        assert link.is_symlink()
+        assert real.read_text().endswith("</svg>\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["link.svg", "real.svg"]
+
+
+class TestHybridCommand:
+    def test_repeated_retained_name_is_listed_once(self):
+        code, out, _ = invoke("hybrid", "--retain", "Viterbi,AESEncrypt,Viterbi", "--n", "4", "--format", "csv")
+        assert code == 0
+        body = [line for line in out.splitlines() if not line.startswith("#")]
+        assert next(csv.DictReader(body))["retained"] == "AESEncrypt,Viterbi"
+        assert out == invoke("hybrid", "--retain", "AESEncrypt,Viterbi", "--n", "4", "--format", "csv")[1]
+
+
+class TestWorkDoneOnce:
+    @pytest.fixture
+    def aggregate_calls(self, monkeypatch):
+        calls = []
+        real = fabcarbon.core.aggregate
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        for module in (fabcarbon.cli, fabcarbon.scenarios):
+            monkeypatch.setattr(module, "aggregate", counted)
+        return calls
+
+    @pytest.mark.parametrize(
+        "argv,expected",
+        [
+            (("savings", "--n", "1:5"), 1),
+            (("savings", "--n", "1:5", "--calibrated"), 0),
+            (("hybrid", "--retain", "AESEncrypt,Viterbi", "--n", "4"), 1),
+        ],
+    )
+    def test_one_aggregate_per_kernel_set(self, aggregate_calls, argv, expected):
+        assert invoke(*argv)[0] == 0
+        assert len(aggregate_calls) == expected
+
+    def test_dataset_is_validated_once(self, tmp_path, monkeypatch):
+        path = tmp_path / "kernels.csv"
+        path.write_text(dump_dataset(builtin_dataset(), "csv"))
+        calls = []
+        real = fabcarbon.dataset.validate_dataset
+        for module in (fabcarbon.dataset, fabcarbon.cli):  # wherever a caller may have imported it
+            monkeypatch.setattr(module, "validate_dataset", lambda ds: calls.append(ds) or real(ds), raising=False)
+        assert invoke("dataset", "validate", str(path))[0] == 0
+        assert len(calls) == 1
 
 
 CDC_ARGS = ("cdc", "--alpha", "0.8", "--area", "0.35", "--energy", "0.35")
