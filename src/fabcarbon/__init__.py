@@ -18,7 +18,6 @@ from .engine import (
     sweep_grid,
 )
 from .concurrency import (
-    ScaleKind,
     ScaleMode,
     average_utilization,
     scale_factor,
@@ -72,7 +71,6 @@ __all__ = [
     "KernelProfile",
     "MeanKind",
     "SavingsResult",
-    "ScaleKind",
     "ScaleMode",
     "ScenarioSpec",
     "SweepResult",

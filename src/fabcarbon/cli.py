@@ -12,7 +12,6 @@ import argparse
 import contextlib
 import os
 import sys
-from pathlib import Path
 from typing import IO, Callable, Sequence
 
 from . import scenarios as scen_mod
@@ -221,7 +220,7 @@ def _parse_breakdown(raw: str) -> DeviceBreakdown:
 
 
 def _dataset_format(path: str) -> str:
-    suffix = Path(path).suffix.lower()
+    suffix = os.path.splitext(path)[1].lower()
     if suffix == ".csv":
         return "csv"
     if suffix == ".json":
@@ -239,17 +238,11 @@ def _resolve_dataset(path: str | None) -> KernelDataset:
         raise DatasetError(f"cannot read dataset {path!r}: {exc}") from None
 
 
-def _scale_mode(util_mode: str) -> ScaleMode:
-    if util_mode == "avg":
-        return ScaleMode.average_utilization()
-    return ScaleMode.conservative()
-
-
 def _case_aggregates(spec: scen_mod.ScenarioSpec, ds: KernelDataset, calibrated: bool) -> AggregateRatios:
     """A scenario's aggregates: fitted to its reference anchors, or the means of its kernels."""
     if calibrated:
         return scen_mod.calibrated_aggregates(spec, ds)
-    return aggregate(scen_mod.scenario_kernels(spec, ds), spec.mean_kind)
+    return aggregate(scen_mod.scenario_kernels(spec, ds))
 
 
 def _dataset_footnote(ds: KernelDataset) -> tuple[str, ...]:
@@ -258,17 +251,13 @@ def _dataset_footnote(ds: KernelDataset) -> tuple[str, ...]:
 
 def _cmd_cdc(args: argparse.Namespace) -> RenderedReport:
     footnotes: tuple[str, ...] = ()
-    kernels = None
-    if args.scale is not None:
-        mode = ScaleMode.explicit(args.scale)
-    elif args.util_mode == "avg":
+    scale = args.scale
+    if args.util_mode == "avg":
         ds = _resolve_dataset(args.dataset)
-        kernels = list(ds.kernels)
-        mode = ScaleMode.average_utilization()
+        scale = scale_factor(args.n, ScaleMode.AVERAGE_UTILIZATION, kernels=list(ds.kernels))
         footnotes = _dataset_footnote(ds)
-    else:
-        mode = ScaleMode.conservative()
-    scale = scale_factor(args.n, mode, kernels=kernels)
+    elif args.dataset is not None:
+        raise UsageError("--dataset applies only with --util-mode avg")
     agg = AggregateRatios(area=args.area, energy=args.energy, utilization=1.0, kernel_count=1)
     query = CdcQuery(FootprintWeights(args.alpha), agg, n=args.n, scale=scale)
     value = compute_cdc(query)
@@ -282,7 +271,9 @@ def _cmd_cdc(args: argparse.Namespace) -> RenderedReport:
             Column("cdc", "cdc", "ratio"),
             Column("min_replace", "min_replace", "int"),
         ),
-        records=((args.alpha, args.area, args.energy, args.n, scale, value, min_dsas_to_replace(query)),),
+        records=(
+            (args.alpha, args.area, args.energy, args.n, query.effective_scale, value, min_dsas_to_replace(query)),
+        ),
         footnotes=footnotes,
     )
 
@@ -305,7 +296,7 @@ def _cmd_scenario(args: argparse.Namespace) -> list[SweepResult]:
     if not cases:
         raise UsageError("--case: empty case list")
     ds = _resolve_dataset(args.dataset)
-    mode = _scale_mode(args.util_mode)
+    mode = ScaleMode.AVERAGE_UTILIZATION if args.util_mode == "avg" else ScaleMode.CONSERVATIVE
     sweeps = []
     for case in cases:
         spec = scen_mod.builtin_case(case, n=args.n, scale_mode=mode)
@@ -353,7 +344,7 @@ def _cmd_hybrid(args: argparse.Namespace) -> RenderedReport:
         n=args.n,
         alpha=args.alpha,
         dsa_population=args.dsas,
-        scale_mode=ScaleMode.average_utilization(),
+        scale_mode=ScaleMode.AVERAGE_UTILIZATION,
     )
     # both cover the full kernel list, so one aggregate serves both
     agg = _case_aggregates(spec, ds, args.calibrated)

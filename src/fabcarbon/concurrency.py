@@ -9,43 +9,25 @@ occupy (n' = n * mean utilization, never below one full fabric).
 from __future__ import annotations
 
 import statistics
-from dataclasses import dataclass
 from enum import Enum
 
-from .core import KernelProfile, require_concurrency, require_scale
+from .core import KernelProfile, require_concurrency
 from .errors import EmptyKernelSet
 
 
-class ScaleKind(str, Enum):
+class ScaleMode(str, Enum):
+    """How to derive n' from the concurrency level."""
+
     CONSERVATIVE = "conservative"
     AVERAGE_UTILIZATION = "average_utilization"
 
-
-@dataclass(frozen=True)
-class ScaleMode:
-    """How to derive n' from the concurrency level.
-
-    ``explicit_scale``, when set, wins over the rule and is used verbatim.
-    """
-
-    kind: ScaleKind = ScaleKind.CONSERVATIVE
-    explicit_scale: float | None = None
-
-    def __post_init__(self) -> None:
-        if self.explicit_scale is not None:
-            require_scale(self.explicit_scale)
-
     @classmethod
     def conservative(cls) -> ScaleMode:
-        return cls(kind=ScaleKind.CONSERVATIVE)
+        return cls.CONSERVATIVE
 
     @classmethod
     def average_utilization(cls) -> ScaleMode:
-        return cls(kind=ScaleKind.AVERAGE_UTILIZATION)
-
-    @classmethod
-    def explicit(cls, scale: float) -> ScaleMode:
-        return cls(explicit_scale=float(scale))
+        return cls.AVERAGE_UTILIZATION
 
 
 def average_utilization(kernels: list[KernelProfile]) -> float:
@@ -67,13 +49,10 @@ def scale_factor(
     Under average utilization the result is clamped to 1: the fabric is
     sized to host the largest kernel in full, so it never shrinks below one.
     ``mean_utilization`` short-circuits the kernel average when the caller
-    already aggregated it.
+    already aggregated it. ``None`` means the conservative rule.
     """
     require_concurrency(n)
-    mode = mode or ScaleMode.conservative()
-    if mode.explicit_scale is not None:
-        return mode.explicit_scale
-    if mode.kind is ScaleKind.CONSERVATIVE:
+    if mode != ScaleMode.AVERAGE_UTILIZATION:
         return float(n)
     if mean_utilization is None:
         if kernels is None:

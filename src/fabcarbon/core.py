@@ -176,18 +176,17 @@ class DeviceBreakdown:
     transport_pct: float
     use_pct: float
     eol_pct: float
-    device: str = ""
 
     def __post_init__(self) -> None:
         parts = (self.production_pct, self.transport_pct, self.use_pct, self.eol_pct)
         if not all(is_real(p) and p >= 0 for p in parts):
             raise InvalidBreakdown(
-                f"breakdown {self.device!r}: percentages must be finite and >= 0: {parts}"
+                f"breakdown percentages must be finite and >= 0: {parts}"
             )
         total = sum(parts)
         if abs(total - 100.0) > BREAKDOWN_SUM_TOLERANCE:
             raise InvalidBreakdown(
-                f"breakdown {self.device!r}: percentages sum to {total}, expected 100"
+                f"breakdown percentages sum to {total}, expected 100"
                 f" +/- {BREAKDOWN_SUM_TOLERANCE}"
             )
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from .concurrency import scale_factor
-from .core import AggregateRatios, FootprintWeights, MeanKind, dsa_footprint, fabric_footprint, is_real, require_alpha, require_concurrency, require_scale
+from .core import AggregateRatios, FootprintWeights, dsa_footprint, fabric_footprint, is_real, require_alpha, require_concurrency, require_scale
 from .errors import DegenerateModel, InfeasibleFit, InvalidRange, SingularFit
 
 # Tolerance for inclusive endpoints when stepping a float range.
@@ -192,7 +192,6 @@ def sweep_grid(
 def fit_aggregates(
     points: Sequence[tuple[float, float]],
     n: int = 1,
-    scale: float | None = None,
     *,
     utilization: float = 1.0,
     kernel_count: int | None = None,
@@ -200,7 +199,7 @@ def fit_aggregates(
     """Recover (A, E) from two (alpha, CDC) observations.
 
     Inverts the closed form: with x = 1/A and y = E/A, each observation is
-    linear, alpha * CDC = n' * x - (1 - alpha) * n * y. The returned
+    linear, alpha * CDC = n * x - (1 - alpha) * n * y at n' = n. The returned
     aggregates are a calibration artifact, not kernel means; ``utilization``
     and ``kernel_count`` describe the population the curve summarizes.
     """
@@ -212,14 +211,11 @@ def fit_aggregates(
         if not (is_real(value) and value > 0):
             raise InvalidRange(f"calibration CDC out of (0, inf): {value!r}")
     require_concurrency(n)
-    if scale is not None:
-        require_scale(scale)
     if a1 == a2:
         raise SingularFit(f"calibration points share alpha = {a1!r}")
-    n_prime = float(n) if scale is None else float(scale)
     # Eliminate x between the two linear observations.
     y = (a2 * c2 - a1 * c1) / (n * (a2 - a1))
-    x = (a1 * c1 + (1.0 - a1) * n * y) / n_prime
+    x = (a1 * c1 + (1.0 - a1) * n * y) / n
     if not 0 < x < math.inf:
         raise InfeasibleFit(f"fit implies 1/A out of (0, inf): {x!r}")
     area = 1.0 / x
@@ -231,7 +227,6 @@ def fit_aggregates(
         energy=energy,
         utilization=utilization,
         kernel_count=len(points) if kernel_count is None else kernel_count,
-        mean_kind=MeanKind.ARITHMETIC,
     )
 
 

@@ -9,12 +9,12 @@ keeps selected kernels as dedicated blocks next to a smaller fabric.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Iterable, Mapping
+from dataclasses import dataclass, field
+from typing import Iterable
 
 from .engine import SweepResult, cdc_curve, fit_aggregates
 from .concurrency import ScaleMode, average_utilization, scale_factor
-from .core import AggregateRatios, FootprintWeights, KernelProfile, MeanKind, aggregate, dsa_footprint, fabric_footprint, is_real, require_alpha, require_concurrency
+from .core import AggregateRatios, FootprintWeights, KernelProfile, aggregate, dsa_footprint, fabric_footprint, is_real, require_alpha, require_concurrency
 from .dataset import KernelDataset, builtin_dataset
 from .errors import ConcurrencyExceedsPopulation, EmptyKernelSet, NoFabricWorkload, UnknownScenario
 
@@ -50,10 +50,9 @@ class ScenarioSpec:
     name: str
     excluded_kernels: frozenset[str] = frozenset()
     n: int = 1
-    scale_mode: ScaleMode = field(default_factory=ScaleMode.conservative)
+    scale_mode: ScaleMode = ScaleMode.CONSERVATIVE
     dsa_population: int = DEFAULT_DSA_POPULATION
     weights: FootprintWeights = field(default_factory=lambda: FootprintWeights(DEFAULT_ALPHA))
-    mean_kind: MeanKind = MeanKind.ARITHMETIC
 
     def __post_init__(self) -> None:
         require_concurrency(self.n)
@@ -75,9 +74,7 @@ class SavingsResult:
     n: int
     improvement_conservative: float
     improvement_avg_util: float | None
-    scale_conservative: float
     scale_avg_util: float | None
-    inputs: Mapping[str, object]
 
     def __post_init__(self) -> None:
         if self.improvement_conservative <= 0:
@@ -90,10 +87,9 @@ def builtin_case(
     case_id: str,
     *,
     n: int = 1,
-    scale_mode: ScaleMode | None = None,
+    scale_mode: ScaleMode = ScaleMode.CONSERVATIVE,
     alpha: float = DEFAULT_ALPHA,
     dsa_population: int = DEFAULT_DSA_POPULATION,
-    mean_kind: MeanKind = MeanKind.ARITHMETIC,
 ) -> ScenarioSpec:
     """One of the built-in exclusion scenarios (case "I", "II", or "III")."""
     key = str(case_id).upper()
@@ -103,10 +99,9 @@ def builtin_case(
         name=f"CASE-{key}",
         excluded_kernels=CASE_EXCLUSIONS[key],
         n=n,
-        scale_mode=scale_mode or ScaleMode.conservative(),
+        scale_mode=scale_mode,
         dsa_population=dsa_population,
         weights=FootprintWeights(alpha),
-        mean_kind=mean_kind,
     )
 
 
@@ -135,8 +130,7 @@ def calibrated_aggregates(case: ScenarioSpec | str = "I", dataset: KernelDataset
         utilization = CALIBRATED_UTILIZATION
     else:
         utilization = average_utilization(list(included))
-    fit = fit_aggregates(REFERENCE_CDC_ANCHORS[key], n=1)
-    return replace(fit, utilization=utilization, kernel_count=len(included))
+    return fit_aggregates(REFERENCE_CDC_ANCHORS[key], n=1, utilization=utilization, kernel_count=len(included))
 
 
 def scenario_kernels(spec: ScenarioSpec, dataset: KernelDataset | None = None) -> list[KernelProfile]:
@@ -162,7 +156,7 @@ def evaluate_cdc_table(
     """
     alphas = tuple(sorted(set(alphas)))
     kernels = scenario_kernels(spec, dataset)
-    agg = aggregates if aggregates is not None else aggregate(kernels, spec.mean_kind)
+    agg = aggregates if aggregates is not None else aggregate(kernels)
     scale = scale_factor(spec.n, spec.scale_mode, kernels=kernels)
     return SweepResult(
         axis_name="alpha_e2o",
@@ -199,33 +193,20 @@ def savings_factor(
     if aggregates is not None:
         agg = aggregates
     else:
-        agg = aggregate(scenario_kernels(spec, dataset), spec.mean_kind)
+        agg = aggregate(scenario_kernels(spec, dataset))
     dsa = dsa_footprint(spec.dsa_population, spec.n, spec.weights, agg)
-    scale_cons = float(spec.n)
-    improvement_cons = dsa / fabric_footprint(scale_cons)
+    improvement_cons = dsa / fabric_footprint(float(spec.n))
     if spec.n == 1:
         scale_avg = None
         improvement_avg = None
     else:
-        scale_avg = scale_factor(
-            spec.n, ScaleMode.average_utilization(), mean_utilization=agg.utilization
-        )
+        scale_avg = scale_factor(spec.n, ScaleMode.AVERAGE_UTILIZATION, mean_utilization=agg.utilization)
         improvement_avg = dsa / fabric_footprint(scale_avg)
     return SavingsResult(
         n=spec.n,
         improvement_conservative=improvement_cons,
         improvement_avg_util=improvement_avg,
-        scale_conservative=scale_cons,
         scale_avg_util=scale_avg,
-        inputs={
-            "scenario": spec.name,
-            "dsa_population": spec.dsa_population,
-            "alpha_e2o": spec.weights.alpha_e2o,
-            "area": agg.area,
-            "energy": agg.energy,
-            "utilization": agg.utilization,
-            "mean_kind": agg.mean_kind.value,
-        },
     )
 
 
@@ -250,7 +231,7 @@ def hybrid_retained_savings(
             f"retaining {len(retained_names)} kernel(s) leaves no fabric slot at concurrency {spec.n}"
         )
     included = ds.without(retained_names)
-    full_agg = aggregates if aggregates is not None else aggregate(list(ds.kernels), spec.mean_kind)
+    full_agg = aggregates if aggregates is not None else aggregate(list(ds.kernels))
     numerator = dsa_footprint(spec.dsa_population, spec.n, spec.weights, full_agg)
 
     alpha = spec.weights.alpha_e2o

@@ -394,6 +394,8 @@ class TestExitCodes:
             (("savings", "--dsas", "1000000000", "--n", "1:1000000000"), 2),  # rows above the cap
             (("hybrid", "--retain", "", "--n", "1"), 2),
             (("hybrid", "--retain", ",", "--n", "1"), 2),
+            (CDC_ARGS + ("--dataset", "/no/such/file.csv"), 2),  # a dataset only --util-mode avg reads
+            (CDC_ARGS + ("--scale", "2", "--dataset", "/no/such/file.csv"), 2),
         ],
     )
     def test_exit_code_and_one_line_diagnostic(self, argv, code):
@@ -433,6 +435,7 @@ class TestExitCodes:
     def test_non_finite_breakdown_is_named(self):
         _, _, err = invoke("alpha", "--breakdown", "production=nan,transport=3,use=15,eol=2")
         assert "breakdown" in err and "alpha_e2o" not in err
+        assert "''" not in err
 
 
 def test_import_loads_no_svg_or_xml():
@@ -443,6 +446,17 @@ def test_import_loads_no_svg_or_xml():
     )
     assert result.returncode == 0
     assert result.stdout == "[]\n"
+
+
+def test_import_loads_no_pathlib():
+    # -S skips `site`, whose .pth hooks may load pathlib before any import of ours
+    env = dict(os.environ, PYTHONPATH=str(Path(fabcarbon.__file__).resolve().parents[1]))
+    probe = "import sys, fabcarbon.cli; print('pathlib' in sys.modules)"
+    result = subprocess.run(
+        [sys.executable, "-S", "-c", probe], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert result.returncode == 0
+    assert result.stdout == "False\n"
 
 
 def test_runs_as_a_module():

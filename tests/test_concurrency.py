@@ -9,7 +9,7 @@ from fabcarbon import (
     fabric_footprint,
     scale_factor,
 )
-from fabcarbon.errors import EmptyKernelSet, InvalidScale
+from fabcarbon.errors import EmptyKernelSet
 
 
 def _kernel(name, util):
@@ -47,12 +47,11 @@ class TestScaleFactor:
         for n in range(1, 6):
             assert scale_factor(n, ScaleMode.conservative()) == float(n)
 
-    def test_explicit_override_wins(self):
-        assert scale_factor(4, ScaleMode.explicit(1.9), mean_utilization=0.2) == 1.9
+    def test_no_mode_is_conservative(self):
+        assert scale_factor(3, None) == 3.0
 
-    def test_explicit_below_one_rejected(self):
-        with pytest.raises(InvalidScale):
-            ScaleMode.explicit(0.5)
+    def test_mode_value_selects_its_rule(self):
+        assert scale_factor(3, "average_utilization", mean_utilization=0.5) == 1.5
 
     def test_monotone_in_n_and_utilization(self):
         mode = ScaleMode.average_utilization()

@@ -208,7 +208,7 @@ class TestFitAggregates:
 
     def test_concurrent_fit_divides_out_n(self):
         points = [(0.3, cdc(_query(0.3, 0.4, 0.2, n=3, scale=3.0))), (0.9, cdc(_query(0.9, 0.4, 0.2, n=3, scale=3.0)))]
-        fit = fit_aggregates(points, n=3, scale=3.0)
+        fit = fit_aggregates(points, n=3)
         assert fit.area == pytest.approx(0.4, abs=1e-9)
         assert fit.energy == pytest.approx(0.2, abs=1e-9)
 

@@ -35,6 +35,7 @@ COMMANDS = (
     ("calibrate", "--points", "0.3:9.773,0.9:4.01"),
     ("dataset", "show"),
     ("dataset", "validate"),
+    ("cdc", "--alpha", "0.8", "--area", "0.35", "--energy", "0.35", "--n", "3", "--scale", "1.5"),
 )
 # One chart of each kind: sweep curves as lines, scenario cases and a
 # report's ratio columns as grouped bars.

@@ -12,7 +12,6 @@ from fabcarbon import (
     DeviceBreakdown,
     FootprintWeights,
     KernelProfile,
-    ScaleMode,
     ScenarioSpec,
     SweepResult,
     cdc_curve,
@@ -73,10 +72,8 @@ FLOAT_FIELDS = [
     (breakdown, "use_pct", InvalidBreakdown),
     (breakdown, "eol_pct", InvalidBreakdown),
     (query, "scale", InvalidScale),
-    (ScaleMode, "explicit_scale", InvalidScale),
     (fit, "alpha", InvalidAlpha),
     (fit, "value", InvalidRange),
-    (fit, "scale", InvalidScale),
     (fit, "utilization", InvalidAggregates),
 ]
 
