@@ -24,7 +24,6 @@ from .concurrency import (
 )
 from .core import (
     AggregateRatios,
-    AlphaSource,
     DeviceBreakdown,
     DeviceClass,
     FootprintWeights,
@@ -60,7 +59,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AggregateRatios",
-    "AlphaSource",
     "CdcQuery",
     "DeviceBreakdown",
     "DeviceClass",

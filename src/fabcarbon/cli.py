@@ -300,7 +300,7 @@ def _cmd_scenario(args: argparse.Namespace) -> list[SweepResult]:
     sweeps = []
     for case in cases:
         spec = scen_mod.builtin_case(case, n=args.n, scale_mode=mode)
-        agg = scen_mod.calibrated_aggregates(spec, ds) if args.calibrated else None
+        agg = _case_aggregates(spec, ds, args.calibrated)
         sweeps.append(scen_mod.evaluate_cdc_table(spec, alphas, dataset=ds, aggregates=agg))
     return sweeps
 
@@ -456,12 +456,13 @@ def _render(result: RenderedReport | list[SweepResult], format: str, out: IO[str
         out.write(emit_table(sweep_report(result), format))
 
 
-def _render_plot(result: RenderedReport | list[SweepResult]) -> str:
+def _render_plot(result: RenderedReport | list[SweepResult], scenario_curves: bool) -> str:
+    """The SVG chart of `result`: grouped bars for several scenario curves, else lines or the report's ratios."""
     from .svg import grouped_bar_chart, line_chart
 
     if not isinstance(result, RenderedReport):
-        if len(result) > 1 and all("scenario" in s.metadata for s in result):
-            groups = [str(s.metadata["scenario"]) for s in result]
+        if scenario_curves and len(result) > 1:
+            groups = [s.label for s in result]
             series = [
                 (f"alpha={alpha:g}", [s.values[i] for s in result])
                 for i, alpha in enumerate(result[0].parameters)
@@ -524,7 +525,7 @@ def run(argv: Sequence[str], stdout: IO[str] | None = None, stderr: IO[str] | No
     try:
         result = _COMMANDS[args.command](args)
         if getattr(args, "plot", None):
-            chart = _render_plot(result)
+            chart = _render_plot(result, scenario_curves=args.command == "scenario")
             _write_file(args.plot, lambda fh: fh.write(chart))
         if getattr(args, "out", None):
             _write_file(args.out, lambda fh: _render(result, args.format, fh))

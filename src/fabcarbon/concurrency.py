@@ -49,10 +49,11 @@ def scale_factor(
     Under average utilization the result is clamped to 1: the fabric is
     sized to host the largest kernel in full, so it never shrinks below one.
     ``mean_utilization`` short-circuits the kernel average when the caller
-    already aggregated it. ``None`` means the conservative rule.
+    already aggregated it. ``None`` means the conservative rule; a value
+    that names neither rule raises ``ValueError``.
     """
     require_concurrency(n)
-    if mode != ScaleMode.AVERAGE_UTILIZATION:
+    if mode is None or ScaleMode(mode) is ScaleMode.CONSERVATIVE:
         return float(n)
     if mean_utilization is None:
         if kernels is None:

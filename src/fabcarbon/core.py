@@ -34,12 +34,6 @@ class MeanKind(str, Enum):
     GEOMETRIC = "geometric"
 
 
-class AlphaSource(str, Enum):
-    EXPLICIT = "explicit"
-    DEVICE_PRESET = "device_preset"
-    BREAKDOWN = "breakdown"
-
-
 class DeviceClass(str, Enum):
     WATCH = "watch"
     SMARTPHONE = "smartphone"
@@ -158,10 +152,9 @@ class AggregateRatios:
 
 @dataclass(frozen=True)
 class FootprintWeights:
-    """Embodied-to-operational weight and where it came from."""
+    """Embodied-to-operational weight: the embodied share of the footprint."""
 
     alpha_e2o: float
-    source: AlphaSource = AlphaSource.EXPLICIT
 
     def __post_init__(self) -> None:
         if not (is_real(self.alpha_e2o) and 0 <= self.alpha_e2o <= 1):
@@ -246,7 +239,7 @@ def alpha_from_breakdown(breakdown: DeviceBreakdown) -> FootprintWeights:
     """
     embodied = breakdown.production_pct + breakdown.transport_pct + breakdown.eol_pct
     total = embodied + breakdown.use_pct
-    return FootprintWeights(alpha_e2o=embodied / total, source=AlphaSource.BREAKDOWN)
+    return FootprintWeights(alpha_e2o=embodied / total)
 
 
 def device_preset(device: DeviceClass | str) -> tuple[float, float]:
@@ -261,4 +254,4 @@ def device_preset(device: DeviceClass | str) -> tuple[float, float]:
 def weights_for_device(device: DeviceClass | str) -> FootprintWeights:
     """Band midpoint as ready-to-use weights."""
     low, high = device_preset(device)
-    return FootprintWeights(alpha_e2o=(low + high) / 2.0, source=AlphaSource.DEVICE_PRESET)
+    return FootprintWeights(alpha_e2o=(low + high) / 2.0)

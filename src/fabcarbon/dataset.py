@@ -142,7 +142,7 @@ def validate_dataset(ds: KernelDataset) -> list[str]:
                 "fabric memory below largest kernel: "
                 f"{ds.fabric.memory_kb:g} KB < {largest.name} {largest.memory_kb:g} KB"
             )
-    if ds.version > DATASET_VERSION:
+    if not 1 <= ds.version <= DATASET_VERSION:
         violations.append(f"unsupported dataset version: {ds.version}")
     return violations
 
@@ -227,7 +227,7 @@ def _json_document(text: str) -> Mapping:
         raise ParseError("version must be an integer", column="version")
     if not isinstance(doc.get("provenance"), (str, type(None))):
         raise ParseError("provenance must be a string", column="provenance")
-    if version > DATASET_VERSION:
+    if not 1 <= version <= DATASET_VERSION:
         raise DatasetValidationError([f"unsupported dataset version: {version}"])
     if "kernels" not in doc:
         raise ParseError("missing 'kernels' array", column="kernels")

@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from .concurrency import scale_factor
 from .core import AggregateRatios, FootprintWeights, dsa_footprint, fabric_footprint, is_real, require_alpha, require_concurrency, require_scale
@@ -55,18 +55,26 @@ class CdcQuery:
 
 @dataclass(frozen=True)
 class SweepResult:
-    """Sampled CDC curve as parameter and value columns, plus the parameters held fixed.
+    """One CDC-vs-alpha_e2o curve as parameter and value columns.
 
-    The curves of one grid share one ``parameters`` tuple.
+    ``label`` names the series (a scenario, or a grid point ``A=..,E=..``),
+    ``n`` is the concurrency and ``scale`` the fabric scale n' the curve was
+    evaluated at, and ``estimated_kernels`` names the kernels behind it whose
+    utilization is estimated. The curves of one grid share one
+    ``parameters`` tuple.
     """
 
-    axis_name: str
+    label: str
     parameters: tuple[float, ...]
     values: tuple[float, ...]
-    metadata: Mapping[str, object]
+    n: int
+    scale: float
+    estimated_kernels: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
         global _increasing_parameters
+        require_concurrency(self.n)
+        require_scale(self.scale)
         params, values = self.parameters, self.values
         if len(params) != len(values):
             raise InvalidRange(f"sweep has {len(params)} parameters but {len(values)} values")
@@ -180,10 +188,11 @@ def sweep_grid(
             agg = AggregateRatios(area=area, energy=energy, utilization=1.0, kernel_count=1)
             curves.append(
                 SweepResult(
-                    axis_name="alpha_e2o",
+                    label=f"A={area:g},E={energy:g}",
                     parameters=alphas,
                     values=tuple(cdc_curve(alphas, agg, n, scale)),
-                    metadata={"area": area, "energy": energy, "n": n, "scale": scale},
+                    n=n,
+                    scale=scale,
                 )
             )
     return curves

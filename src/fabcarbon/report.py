@@ -42,6 +42,16 @@ class Column:
         return self.kind in ("ratio", "scale", "num")
 
 
+# The long-format columns of sweep curves, one row per sampled point.
+_CURVE_COLUMNS = (
+    Column("series", "series"),
+    Column("alpha_e2o", "alpha_e2o", "num"),
+    Column("cdc", "cdc", "ratio"),
+    Column("n", "n", "int"),
+    Column("n_prime", "scale", "scale"),
+)
+
+
 @dataclass(frozen=True)
 class RenderedReport:
     """Raw values, one tuple per row in column order, plus footnotes.
@@ -144,7 +154,7 @@ def write_curve_csv(sweeps: Sequence[SweepResult], out: IO[str]) -> None:
         if sweep.parameters is not parameters:
             parameters = sweep.parameters
             cells = [f"{p!r}," for p in parameters]
-        label = _csv_field(series_label(sweep)) + ","
+        label = _csv_field(sweep.label) + ","
         out.write("".join([f"{label}{cell}{value!r}\n" for cell, value in zip(cells, sweep.values)]))
 
 
@@ -162,15 +172,6 @@ def _csv_field(text: str) -> str:
     return buf.getvalue()[: -len(",-\n")]
 
 
-def series_label(sweep: SweepResult) -> str:
-    meta = sweep.metadata
-    if "scenario" in meta:
-        return str(meta["scenario"])
-    if "area" in meta and "energy" in meta:
-        return f"A={meta['area']:g},E={meta['energy']:g}"
-    return sweep.axis_name
-
-
 def estimated_inputs_footnote(names: Iterable[str]) -> tuple[str, ...]:
     """The footnote naming kernels whose utilization is estimated; empty when none is."""
     unique = sorted(set(names))
@@ -180,31 +181,15 @@ def estimated_inputs_footnote(names: Iterable[str]) -> tuple[str, ...]:
 
 
 def _curve_footnotes(sweeps: Sequence[SweepResult]) -> tuple[str, ...]:
-    return estimated_inputs_footnote(
-        name for sweep in sweeps for name in sweep.metadata.get("estimated_kernels", ())
-    )
-
-
-def _curve_columns(sweeps: Sequence[SweepResult]) -> tuple[Column, ...]:
-    axis = sweeps[0].axis_name if sweeps else "parameter"
-    return (
-        Column("series", "series"),
-        Column(axis, axis, "num"),
-        Column("cdc", "cdc", "ratio"),
-        Column("n", "n", "int"),
-        Column("n_prime", "scale", "scale"),
-    )
+    return estimated_inputs_footnote(name for sweep in sweeps for name in sweep.estimated_kernels)
 
 
 def sweep_report(sweeps: Sequence[SweepResult]) -> RenderedReport:
     """Long-format report over one or more sweep curves."""
     records = []
     for sweep in sweeps:
-        label = series_label(sweep)
-        n = sweep.metadata.get("n")
-        scale = sweep.metadata.get("scale")
-        records.extend(zip(repeat(label), sweep.parameters, sweep.values, repeat(n), repeat(scale)))
-    return RenderedReport(_curve_columns(sweeps), tuple(records), _curve_footnotes(sweeps))
+        records.extend(zip(repeat(sweep.label), sweep.parameters, sweep.values, repeat(sweep.n), repeat(sweep.scale)))
+    return RenderedReport(_CURVE_COLUMNS, tuple(records), _curve_footnotes(sweeps))
 
 
 def write_curve_table(sweeps: Sequence[SweepResult], out: IO[str]) -> None:
@@ -221,9 +206,8 @@ def write_curve_table(sweeps: Sequence[SweepResult], out: IO[str]) -> None:
     value's cell, since a positive value's fixed-point form never gets
     shorter as the value grows.
     """
-    columns = _curve_columns(sweeps)
-    widths = [len(c.header) for c in columns]
-    curves = []  # (sweep, label cell, n cell, n' cell, parameter cells) per curve with points
+    widths = [len(c.header) for c in _CURVE_COLUMNS]
+    curves = []  # (sweep, n cell, n' cell, parameter cells) per curve with points
     parameters = None
     param_cells: list[str] = []
     for sweep in sweeps:
@@ -233,16 +217,15 @@ def write_curve_table(sweeps: Sequence[SweepResult], out: IO[str]) -> None:
             parameters = sweep.parameters
             param_cells = [_cell(p, "num") for p in parameters]
             widths[1] = max(widths[1], *map(len, param_cells))
-        label = series_label(sweep)
-        n = _cell(sweep.metadata.get("n"), "int")
-        scale = _cell(sweep.metadata.get("scale"), "scale")
-        curves.append((sweep, label, n, scale, param_cells))
-        widths[0] = max(widths[0], len(label))
+        n = _cell(sweep.n, "int")
+        scale = _cell(sweep.scale, "scale")
+        curves.append((sweep, n, scale, param_cells))
+        widths[0] = max(widths[0], len(sweep.label))
         widths[2] = max(widths[2], len(_cell(max(sweep.values), "ratio")))
         widths[3] = max(widths[3], len(n))
         widths[4] = max(widths[4], len(scale))
     body = _curve_table_rows(curves, widths)
-    _write_framed_table(out, [c.header for c in columns], widths, body, _curve_footnotes(sweeps))
+    _write_framed_table(out, [c.header for c in _CURVE_COLUMNS], widths, body, _curve_footnotes(sweeps))
 
 
 def _curve_table_rows(curves: list, widths: Sequence[int]) -> Iterator[str]:
@@ -250,13 +233,13 @@ def _curve_table_rows(curves: list, widths: Sequence[int]) -> Iterator[str]:
     label_w, param_w, cdc_w, n_w, scale_w = widths
     shared = None
     pieces: list[str] = []
-    for sweep, label, n, scale, cells in curves:
+    for sweep, n, scale, cells in curves:
         if cells is not shared:
             shared = cells
             # "%.2f" is the "ratio" display rule; of all cells only a label can hold a "%"
             pieces = [f"{cell:>{param_w}}  %{cdc_w}.2f" for cell in cells]
-        head = f"{label:>{label_w}}  ".replace("%", "%%")
-        # a row ends in the n' cell, which ends in a digit or "-", so `emit_table`'s rstrip is a no-op
+        head = f"{sweep.label:>{label_w}}  ".replace("%", "%%")
+        # a row ends in the n' cell, which ends in a digit, so `emit_table`'s rstrip is a no-op
         tail = f"  {n:>{n_w}}  {scale:>{scale_w}}\n"
         yield (head + (tail + head).join(pieces) + tail) % tuple(sweep.values)
 

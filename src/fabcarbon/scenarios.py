@@ -56,6 +56,7 @@ class ScenarioSpec:
 
     def __post_init__(self) -> None:
         require_concurrency(self.n)
+        ScaleMode(self.scale_mode)  # a value naming neither rule raises ValueError
         if not (is_real(self.dsa_population) and self.n <= self.dsa_population):
             raise ConcurrencyExceedsPopulation(
                 f"concurrency {self.n} exceeds DSA population {self.dsa_population}"
@@ -159,21 +160,12 @@ def evaluate_cdc_table(
     agg = aggregates if aggregates is not None else aggregate(kernels)
     scale = scale_factor(spec.n, spec.scale_mode, kernels=kernels)
     return SweepResult(
-        axis_name="alpha_e2o",
+        label=spec.name,
         parameters=alphas,
         values=tuple(cdc_curve(alphas, agg, spec.n, scale)),
-        metadata={
-            "scenario": spec.name,
-            "excluded": tuple(sorted(spec.excluded_kernels)),
-            "area": agg.area,
-            "energy": agg.energy,
-            "utilization": agg.utilization,
-            "mean_kind": agg.mean_kind.value,
-            "kernel_count": agg.kernel_count,
-            "n": spec.n,
-            "scale": scale,
-            "estimated_kernels": tuple(sorted(k.name for k in kernels if k.estimated)),
-        },
+        n=spec.n,
+        scale=scale,
+        estimated_kernels=tuple(sorted(k.name for k in kernels if k.estimated)),
     )
 
 

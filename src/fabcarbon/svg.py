@@ -11,7 +11,6 @@ from html import escape
 from typing import Sequence
 
 from .engine import SweepResult
-from .report import series_label
 
 _WIDTH = 640
 _HEIGHT = 400
@@ -116,7 +115,6 @@ def line_chart(series: Sequence[SweepResult]) -> str:
         canvas.add(
             f'<text x="{_fmt(x0 - 6)}" y="{_fmt(sy(tick) + 4)}" text-anchor="end">{tick:.3g}</text>'
         )
-    labels = []
     for i, sweep in enumerate(series):
         color = _PALETTE[i % len(_PALETTE)]
         path = "M " + " L ".join(
@@ -125,8 +123,7 @@ def line_chart(series: Sequence[SweepResult]) -> str:
         canvas.add(
             f'<path class="series" d="{path}" fill="none" stroke="{color}" stroke-width="1.5"/>'
         )
-        labels.append(series_label(sweep))
-    _legend(canvas, labels)
+    _legend(canvas, [sweep.label for sweep in series])
     return canvas.finish()
 
 

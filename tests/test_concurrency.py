@@ -6,6 +6,7 @@ from fabcarbon import (
     KernelProfile,
     ScaleMode,
     average_utilization,
+    builtin_case,
     fabric_footprint,
     scale_factor,
 )
@@ -52,6 +53,14 @@ class TestScaleFactor:
 
     def test_mode_value_selects_its_rule(self):
         assert scale_factor(3, "average_utilization", mean_utilization=0.5) == 1.5
+
+    def test_unknown_mode_rejected(self):
+        with pytest.raises(ValueError, match="ScaleMode"):
+            scale_factor(4, "bogus")
+
+    def test_unknown_scenario_mode_rejected(self):
+        with pytest.raises(ValueError, match="ScaleMode"):
+            builtin_case("I", n=4, scale_mode="avg")
 
     def test_monotone_in_n_and_utilization(self):
         mode = ScaleMode.average_utilization()

@@ -115,9 +115,12 @@ class TestDatasetValidation:
 
     def test_future_version_rejected(self, dataset):
         doc = json.loads(dump_dataset(dataset, "json"))
-        doc["version"] = 99
-        with pytest.raises(DatasetValidationError, match="version"):
-            load_dataset(io.StringIO(json.dumps(doc)), "json")
+        for version in (99, 0, -3):
+            doc["version"] = version
+            with pytest.raises(DatasetValidationError, match="version"):
+                load_dataset(io.StringIO(json.dumps(doc)), "json")
+            bad = KernelDataset(dataset.kernels, dataset.fabric, dataset.provenance, version)
+            assert validate_dataset(bad) == [f"unsupported dataset version: {version}"]
 
     def test_malformed_json_is_a_parse_error(self):
         with pytest.raises(ParseError):

@@ -176,6 +176,12 @@ class TestSweeps:
         with pytest.raises(InvalidRange):
             sweep_grid([], [0.3], [0.4])
 
+    def test_equal_curves_hash_equal(self):
+        first, second = (sweep_grid([0.3, 0.6], [0.35], [0.25], n=2)[0] for _ in range(2))
+        assert first == second and hash(first) == hash(second)
+        assert len({first, second}) == 1
+        assert (first.label, first.n, first.scale) == ("A=0.35,E=0.25", 2, 2.0)
+
 
 class TestFitAggregates:
     def test_reference_endpoints(self):

@@ -15,7 +15,6 @@ from fabcarbon.report import (
     emit_curve_table,
     emit_table,
     estimated_inputs_footnote,
-    series_label,
     sweep_report,
 )
 
@@ -106,13 +105,13 @@ class TestCurveCsvShapes:
 def _reference_curve_csv(sweeps):
     """The curve CSV written row by row with csv.writer."""
     buf = io.StringIO()
-    names = [name for s in sweeps for name in s.metadata.get("estimated_kernels", ())]
+    names = [name for s in sweeps for name in s.estimated_kernels]
     for note in estimated_inputs_footnote(names):
         buf.write(f"# {note}\n")
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["series", "parameter", "value"])
     for sweep in sweeps:
-        writer.writerows((series_label(sweep), repr(p), repr(v)) for p, v in sweep.samples)
+        writer.writerows((sweep.label, repr(p), repr(v)) for p, v in sweep.samples)
     return buf.getvalue()
 
 
@@ -123,13 +122,12 @@ class TestCurveCsvMatchesCsvWriter:
         signed = (-0.0, 0.5)
         unsigned = (0.0, 0.5)  # equal to `signed`, but 0.0 is written differently
         curves = [
-            SweepResult("alpha_e2o", shared, (3.0, 2.5, 1.0), {"scenario": "a,b"}),
-            SweepResult("alpha_e2o", shared, (4.0, 3.5, 2.0), {"scenario": 'say "hi"'}),
-            SweepResult("alpha_e2o", equal, (5.0, 4.5, 3.0), {"scenario": "two\nlines"}),
-            SweepResult("alpha_e2o", signed, (1e-300, 1e300), {"scenario": ""}),
-            SweepResult("alpha_e2o", unsigned, (7.0, 6.0), {"scenario": "cr\rlf"}),
-            SweepResult("alpha_e2o", shared, (9.0, 8.0, 0.5),
-                        {"area": 0.35, "energy": 0.25, "estimated_kernels": ("FFT", "KNN")}),
+            SweepResult("a,b", shared, (3.0, 2.5, 1.0), 1, 1.0),
+            SweepResult('say "hi"', shared, (4.0, 3.5, 2.0), 1, 1.0),
+            SweepResult("two\nlines", equal, (5.0, 4.5, 3.0), 1, 1.0),
+            SweepResult("", signed, (1e-300, 1e300), 1, 1.0),
+            SweepResult("cr\rlf", unsigned, (7.0, 6.0), 1, 1.0),
+            SweepResult("A=0.35,E=0.25", shared, (9.0, 8.0, 0.5), 2, 1.28, estimated_kernels=("FFT", "KNN")),
         ]
         assert emit_curve_csv(curves) == _reference_curve_csv(curves)
 
@@ -152,14 +150,14 @@ class TestCurveTableMatchesReport:
         unsigned = (0.0, 0.5)  # equal to `signed`, but 0.0 is printed differently
         tiny = (1.2345678e-05, 0.5, 0.75, 1.0)  # a wider parameter cell, in a later curve
         self.assert_same_table([
-            SweepResult("alpha_e2o", shared, (3.0, 2.5, 1.0), {"scenario": "I", "n": 2, "scale": 2.0}),
-            SweepResult("alpha_e2o", shared, (4.0, 3.5, 2.0), {"scenario": "a much longer label"}),
-            SweepResult("alpha_e2o", equal, (5.0, 4.5, 3.0), {"scenario": "", "n": 1}),
-            SweepResult("alpha_e2o", signed, (1e-300, 1.5), {"scenario": "50% of 100%s"}),
-            SweepResult("alpha_e2o", unsigned, (7.0, 6.0), {"scenario": "zero", "scale": 1.25}),
-            SweepResult("alpha_e2o", (), (), {"scenario": "a label longer than any printed one"}),
-            SweepResult("alpha_e2o", tiny, (1234.5678, 999.995, 9.995, 1.0), {"area": 0.35, "energy": 0.25}),
-            SweepResult("alpha_e2o", (0.5,), (2.0,), {"scenario": "one point", "n": 12345, "scale": 98765.4}),
+            SweepResult("I", shared, (3.0, 2.5, 1.0), 2, 2.0),
+            SweepResult("a much longer label", shared, (4.0, 3.5, 2.0), 3, 1.92),
+            SweepResult("", equal, (5.0, 4.5, 3.0), 1, 1.0),
+            SweepResult("50% of 100%s", signed, (1e-300, 1.5), 4, 2.56),
+            SweepResult("zero", unsigned, (7.0, 6.0), 2, 1.25, estimated_kernels=("FFT",)),
+            SweepResult("a label longer than any printed one", (), (), 1, 1.0, estimated_kernels=("KNN",)),
+            SweepResult("A=0.35,E=0.25", tiny, (1234.5678, 999.995, 9.995, 1.0), 1, 1.0),
+            SweepResult("one point", (0.5,), (2.0,), 12345, 98765.4),
         ])
 
     def test_scenario_curves_with_footnote(self):

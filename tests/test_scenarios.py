@@ -63,7 +63,7 @@ class TestCdcTables:
         from fabcarbon.scenarios import scenario_kernels
 
         agg = aggregate(scenario_kernels(spec))
-        scale = table.metadata["scale"]
+        scale = table.scale
         for alpha, value in table.samples:
             dsa = dsa_footprint(value, spec.n, FootprintWeights(alpha), agg)
             assert dsa == pytest.approx(fabric_footprint(scale), abs=1e-9)
@@ -72,7 +72,7 @@ class TestCdcTables:
         # excluding low-utilization kernels raises the mean, so n' grows
         mode = ScaleMode.average_utilization()
         scales = [
-            evaluate_cdc_table(builtin_case(c, n=3, scale_mode=mode), [0.5]).metadata["scale"]
+            evaluate_cdc_table(builtin_case(c, n=3, scale_mode=mode), [0.5]).scale
             for c in ("I", "II", "III")
         ]
         assert scales[0] < scales[1] < scales[2]

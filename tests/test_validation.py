@@ -149,25 +149,34 @@ def test_curve_rejects_alpha_outside_unit_interval(alpha):
 @pytest.mark.parametrize("value", [0.0, -1.0, math.nan, math.inf])
 def test_sweep_result_values_are_finite_and_positive(value):
     with pytest.raises(DegenerateModel):
-        SweepResult("alpha_e2o", (0.5, 0.6), (2.0, value), {})
+        SweepResult("I", (0.5, 0.6), (2.0, value), 1, 1.0)
+
+
+@pytest.mark.parametrize(
+    "n, scale, error",
+    [(0, 1.0, InvalidConcurrency), (math.nan, 1.0, InvalidConcurrency), (1, 0.5, InvalidScale), (1, math.inf, InvalidScale)],
+)
+def test_sweep_result_rejects_concurrency_and_scale(n, scale, error):
+    with pytest.raises(error):
+        SweepResult("I", (0.5,), (2.0,), n, scale)
 
 
 def test_sweep_result_columns_have_equal_length():
     with pytest.raises(InvalidRange):
-        SweepResult("alpha_e2o", (0.5, 0.6), (2.0,), {})
+        SweepResult("I", (0.5, 0.6), (2.0,), 1, 1.0)
 
 
 def test_sweep_result_checks_each_parameters_column():
     accepted = (0.5, 0.6)
-    SweepResult("alpha_e2o", accepted, (2.0, 1.0), {})
-    SweepResult("alpha_e2o", accepted, (3.0, 2.0), {})  # the same tuple again
+    SweepResult("I", accepted, (2.0, 1.0), 1, 1.0)
+    SweepResult("I", accepted, (3.0, 2.0), 1, 1.0)  # the same tuple again
     with pytest.raises(DegenerateModel):  # values are checked on every curve
-        SweepResult("alpha_e2o", accepted, (3.0, math.nan), {})
+        SweepResult("I", accepted, (3.0, math.nan), 1, 1.0)
     for params in [(0.6, 0.5), (0.5, 0.5)]:  # distinct tuples, checked after `accepted` passed
         with pytest.raises(InvalidRange, match="strictly increasing"):
-            SweepResult("alpha_e2o", params, (2.0, 1.0), {})
+            SweepResult("I", params, (2.0, 1.0), 1, 1.0)
     mutable = [0.5, 0.6]
-    SweepResult("alpha_e2o", mutable, (2.0, 1.0), {})
+    SweepResult("I", mutable, (2.0, 1.0), 1, 1.0)
     mutable.reverse()
     with pytest.raises(InvalidRange, match="strictly increasing"):
-        SweepResult("alpha_e2o", mutable, (2.0, 1.0), {})
+        SweepResult("I", mutable, (2.0, 1.0), 1, 1.0)
