@@ -42,16 +42,13 @@ from .report import (
     RenderedReport,
     emit_table,
     estimated_inputs_footnote,
-    sweep_report,
-    write_curve_csv,
-    write_curve_table,
+    write_curves,
 )
 
 DATASET_ENV_VAR = "FABCARBON_DATASET"
-# Above this many points a sweep is refused before any is computed. Table
-# and CSV rows are written curve by curve, so the curves' values, not their
-# text, set the peak memory; it still grows with the point count, as does
-# the time.
+# Above this many points a sweep is refused before any is computed. Rows
+# are written curve by curve, so the curves' values, not their text, set
+# the peak memory; it still grows with the point count, as does the time.
 MAX_SWEEP_POINTS = 2_000_000
 # `savings --n LO:HI` computes one row per n, about 150 us each on a 2-CPU
 # host, so the cap keeps one call near 15 s.
@@ -445,15 +442,11 @@ _COMMANDS = {
 
 
 def _render(result: RenderedReport | list[SweepResult], format: str, out: IO[str]) -> None:
-    """Write `result` to `out`; table and CSV curves are written curve by curve."""
+    """Write `result` to `out`; curves are written curve by curve."""
     if isinstance(result, RenderedReport):
         out.write(emit_table(result, format))
-    elif format == "csv":
-        write_curve_csv(result, out)
-    elif format == "table":
-        write_curve_table(result, out)
     else:
-        out.write(emit_table(sweep_report(result), format))
+        write_curves(result, format, out)
 
 
 def _render_plot(result: RenderedReport | list[SweepResult], scenario_curves: bool) -> str:

@@ -79,6 +79,8 @@ class SweepResult:
         if len(params) != len(values):
             raise InvalidRange(f"sweep has {len(params)} parameters but {len(values)} values")
         if params is not _increasing_parameters:
+            if not all(map(is_real, params)):
+                raise InvalidRange("sweep parameters must be finite numbers")
             if any(map(operator.le, params[1:], params)):
                 raise InvalidRange("sweep parameters must be strictly increasing")
             if type(params) is tuple:  # immutable, so once it has passed it stays valid

@@ -13,7 +13,7 @@ import io
 import json
 from dataclasses import dataclass
 from itertools import repeat
-from typing import IO, Iterable, Iterator, Sequence
+from typing import IO, Iterable, Sequence
 
 from .engine import SweepResult
 
@@ -81,18 +81,10 @@ def _display_columns(report: RenderedReport) -> list[list[str]]:
     return cells
 
 
-def _write_framed_table(
-    out: IO[str], headers: Sequence[str], widths: Sequence[int], body: Iterable[str], footnotes: Iterable[str]
-) -> None:
-    """Write a table: header line, `---` rule, the body's newline-ended lines, one `note:` line per footnote.
-
-    Each body string is written as soon as `body` yields it.
-    """
+def _table_head(headers: Sequence[str], widths: Sequence[int]) -> str:
+    """A table's header line and `---` rule."""
     head = "  ".join(h.ljust(w) for h, w in zip(headers, widths)).rstrip()
-    rule = "  ".join("-" * w for w in widths)
-    out.write(f"{head}\n{rule}\n")
-    out.writelines(body)
-    out.writelines(f"note: {note}\n" for note in footnotes)
+    return f"{head}\n" + "  ".join("-" * w for w in widths) + "\n"
 
 
 def _raw_cell(value: object) -> str:
@@ -111,9 +103,8 @@ def emit_table(report: RenderedReport, format: str = "table") -> str:
         widths = [max(len(h), max(map(len, col), default=0)) for h, col in zip(headers, cells)]
         row_template = "  ".join(f"{{:>{w}}}" for w in widths)
         rows = [row_template.format(*row).rstrip() + "\n" for row in zip(*cells)]
-        buf = io.StringIO()
-        _write_framed_table(buf, headers, widths, rows, report.footnotes)
-        return buf.getvalue()
+        notes = [f"note: {note}\n" for note in report.footnotes]
+        return _table_head(headers, widths) + "".join(rows + notes)
     if format == "csv":
         exact = [i for i, c in enumerate(report.columns) if c.numeric]
         buf = io.StringIO()
@@ -136,32 +127,10 @@ def emit_table(report: RenderedReport, format: str = "table") -> str:
     raise ValueError(f"unknown report format: {format!r}")
 
 
-def write_curve_csv(sweeps: Sequence[SweepResult], out: IO[str]) -> None:
-    """Write the long-format CSV of sweep curves to `out`: one row per sampled point.
-
-    Each curve's rows are written as one string as soon as they are
-    formatted, so only one curve's text is alive at a time. Only the
-    series label can need CSV quoting, so each label is quoted once.
-    Parameter cells are formatted once per parameters column: the curves
-    of one grid share one tuple. The test is identity, not equality, so
-    that -0.0 never reuses the cell of 0.0.
-    """
-    out.writelines(f"# {note}\n" for note in _curve_footnotes(sweeps))
-    out.write("series,parameter,value\n")
-    parameters = None
-    cells: list[str] = []
-    for sweep in sweeps:
-        if sweep.parameters is not parameters:
-            parameters = sweep.parameters
-            cells = [f"{p!r}," for p in parameters]
-        label = _csv_field(sweep.label) + ","
-        out.write("".join([f"{label}{cell}{value!r}\n" for cell, value in zip(cells, sweep.values)]))
-
-
 def emit_curve_csv(sweeps: Sequence[SweepResult]) -> str:
-    """The text `write_curve_csv` writes, as one string."""
+    """The text `write_curves` writes as CSV, as one string."""
     buf = io.StringIO()
-    write_curve_csv(sweeps, buf)
+    write_curves(sweeps, "csv", buf)
     return buf.getvalue()
 
 
@@ -185,67 +154,99 @@ def _curve_footnotes(sweeps: Sequence[SweepResult]) -> tuple[str, ...]:
 
 
 def sweep_report(sweeps: Sequence[SweepResult]) -> RenderedReport:
-    """Long-format report over one or more sweep curves."""
+    """Long-format report over one or more sweep curves: the per-point reference for `write_curves`."""
     records = []
     for sweep in sweeps:
         records.extend(zip(repeat(sweep.label), sweep.parameters, sweep.values, repeat(sweep.n), repeat(sweep.scale)))
     return RenderedReport(_CURVE_COLUMNS, tuple(records), _curve_footnotes(sweeps))
 
 
-def write_curve_table(sweeps: Sequence[SweepResult], out: IO[str]) -> None:
-    """Write the table of `sweep_report(sweeps)` to `out`, formatting each cell only as often as it is distinct.
+def write_curves(sweeps: Sequence[SweepResult], format: str, out: IO[str]) -> None:
+    """Write sweep curves to `out` as CSV, a table or JSON: one row per sampled point.
 
-    A first pass takes every column width from the curves' values and
-    shared cells; a second writes each curve's rows as one string as soon
-    as they are formatted, so no row string outlives its curve. The
-    label, n and n' cells are formatted once per curve and the parameter
-    cells once per parameters column, tested by identity as in
-    `write_curve_csv`. Only the cdc cell is formatted per point, and only
-    once: each curve's rows are one printf-style template, filled with the
-    curve's values by one `%`. The cdc column is as wide as the largest
-    value's cell, since a positive value's fixed-point form never gets
-    shorter as the value grows.
+    The CSV is long-format (series, parameter, value); the table and the
+    JSON are byte for byte those of `emit_table(sweep_report(sweeps), format)`.
+    A row is a head (the label), a parameter cell, the value slot and a
+    tail (n and n'). Heads and tails are formatted once per curve, and
+    parameter cells once per parameters column: the curves of one grid
+    share one tuple. The test is identity, not equality, so that -0.0
+    never reuses the cell of 0.0. Each curve's rows are one printf-style
+    template, filled with the curve's values by one `%` and written as one
+    string. Only the table needs a first pass, for its column widths; the
+    cdc column is as wide as the largest value's cell, since a positive
+    value's fixed-point form never gets shorter as the value grows.
     """
-    widths = [len(c.header) for c in _CURVE_COLUMNS]
-    curves = []  # (sweep, n cell, n' cell, parameter cells) per curve with points
+    headers = [c.header for c in _CURVE_COLUMNS]
+    footnotes = _curve_footnotes(sweeps)
+    sep = end = ""  # `sep` goes between rows, `end` after the last
+    if format == "csv":
+        out.writelines(f"# {note}\n" for note in footnotes)
+        out.write("series,parameter,value\n")
+
+        def cells(parameters):
+            return [f"{p!r},%r" for p in parameters]
+
+        def ends(sweep):
+            return _csv_field(sweep.label) + ",", "\n"
+
+    elif format == "table":
+        widths = [len(h) for h in headers]
+        shown = {}  # id of each parameters tuple -> its cells; `sweeps` keeps every tuple alive
+        for sweep in sweeps:
+            if not sweep.values:
+                continue  # a curve without points adds no row, so it widens no column
+            if id(sweep.parameters) not in shown:
+                shown[id(sweep.parameters)] = [_cell(p, "num") for p in sweep.parameters]
+                widths[1] = max(widths[1], *map(len, shown[id(sweep.parameters)]))
+            widths[0] = max(widths[0], len(sweep.label))
+            widths[2] = max(widths[2], len(_cell(max(sweep.values), "ratio")))
+            widths[3] = max(widths[3], len(_cell(sweep.n, "int")))
+            widths[4] = max(widths[4], len(_cell(sweep.scale, "scale")))
+        label_w, param_w, cdc_w, n_w, scale_w = widths
+        out.write(_table_head(headers, widths))
+        end = "".join(f"note: {note}\n" for note in footnotes)
+
+        def cells(parameters):
+            # "%.2f" is the "ratio" display rule
+            return [f"{cell:>{param_w}}  %{cdc_w}.2f" for cell in shown[id(parameters)]]
+
+        def ends(sweep):
+            # a row ends in the n' cell, which ends in a digit, so `emit_table`'s rstrip is a no-op
+            n, scale = _cell(sweep.n, "int"), _cell(sweep.scale, "scale")
+            return f"{sweep.label:>{label_w}}  ", f"  {n:>{n_w}}  {scale:>{scale_w}}\n"
+
+    elif format == "json":
+        doc = {"title": "", "columns": headers, "records": [], "footnotes": list(footnotes)}
+        if not any(sweep.values for sweep in sweeps):
+            out.write(json.dumps(doc, indent=2) + "\n")
+            return
+        # the text around the records is the document's own, cut at a null record: nothing before it reads null
+        doc["records"] = [None]
+        start, _, end = json.dumps(doc, indent=2).partition("null")
+        out.write(start)
+        sep, end = ",\n    ", end + "\n"
+
+        def cells(parameters):
+            # a finite float's `%r` is its JSON text
+            return [f'{json.dumps(p)},\n      "cdc": %r' for p in parameters]
+
+        def ends(sweep):
+            label, n, scale = map(json.dumps, (sweep.label, sweep.n, sweep.scale))
+            return f'{{\n      "series": {label},\n      "alpha_e2o": ', f',\n      "n": {n},\n      "scale": {scale}\n    }}'
+
+    else:
+        raise ValueError(f"unknown report format: {format!r}")
     parameters = None
-    param_cells: list[str] = []
+    pieces: list[str] = []
+    between = ""
     for sweep in sweeps:
         if not sweep.values:
-            continue  # a curve without points adds no row, so it widens no column
+            continue
         if sweep.parameters is not parameters:
             parameters = sweep.parameters
-            param_cells = [_cell(p, "num") for p in parameters]
-            widths[1] = max(widths[1], *map(len, param_cells))
-        n = _cell(sweep.n, "int")
-        scale = _cell(sweep.scale, "scale")
-        curves.append((sweep, n, scale, param_cells))
-        widths[0] = max(widths[0], len(sweep.label))
-        widths[2] = max(widths[2], len(_cell(max(sweep.values), "ratio")))
-        widths[3] = max(widths[3], len(n))
-        widths[4] = max(widths[4], len(scale))
-    body = _curve_table_rows(curves, widths)
-    _write_framed_table(out, [c.header for c in _CURVE_COLUMNS], widths, body, _curve_footnotes(sweeps))
-
-
-def _curve_table_rows(curves: list, widths: Sequence[int]) -> Iterator[str]:
-    """Each curve's table rows as one string, formatted only when the writer asks for it."""
-    label_w, param_w, cdc_w, n_w, scale_w = widths
-    shared = None
-    pieces: list[str] = []
-    for sweep, n, scale, cells in curves:
-        if cells is not shared:
-            shared = cells
-            # "%.2f" is the "ratio" display rule; of all cells only a label can hold a "%"
-            pieces = [f"{cell:>{param_w}}  %{cdc_w}.2f" for cell in cells]
-        head = f"{sweep.label:>{label_w}}  ".replace("%", "%%")
-        # a row ends in the n' cell, which ends in a digit, so `emit_table`'s rstrip is a no-op
-        tail = f"  {n:>{n_w}}  {scale:>{scale_w}}\n"
-        yield (head + (tail + head).join(pieces) + tail) % tuple(sweep.values)
-
-
-def emit_curve_table(sweeps: Sequence[SweepResult]) -> str:
-    """The text `write_curve_table` writes, as one string."""
-    buf = io.StringIO()
-    write_curve_table(sweeps, buf)
-    return buf.getvalue()
+            pieces = cells(parameters)
+        # of all cells only a label can hold a "%"
+        head, tail = (text.replace("%", "%%") for text in ends(sweep))
+        out.write((between + head + (tail + sep + head).join(pieces) + tail) % tuple(sweep.values))
+        between = sep
+    out.write(end)

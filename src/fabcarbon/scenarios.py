@@ -14,9 +14,9 @@ from typing import Iterable
 
 from .engine import SweepResult, cdc_curve, fit_aggregates
 from .concurrency import ScaleMode, average_utilization, scale_factor
-from .core import AggregateRatios, FootprintWeights, KernelProfile, aggregate, dsa_footprint, fabric_footprint, is_real, require_alpha, require_concurrency
+from .core import MAX_CONCURRENCY, AggregateRatios, FootprintWeights, KernelProfile, aggregate, dsa_footprint, fabric_footprint, is_real, require_alpha, require_concurrency
 from .dataset import KernelDataset, builtin_dataset
-from .errors import ConcurrencyExceedsPopulation, EmptyKernelSet, NoFabricWorkload, UnknownScenario
+from .errors import ConcurrencyExceedsPopulation, EmptyKernelSet, InvalidValue, NoFabricWorkload, UnknownScenario
 
 # Defaults for savings-style questions: a representative chip integrates
 # 40 DSAs, and alpha 0.7 marks where the embodied share starts dominating.
@@ -57,6 +57,10 @@ class ScenarioSpec:
     def __post_init__(self) -> None:
         require_concurrency(self.n)
         ScaleMode(self.scale_mode)  # a value naming neither rule raises ValueError
+        # `dsa_footprint` multiplies the population as a float, which holds every count only up to 2**53
+        population = self.dsa_population
+        if (is_real(population) or isinstance(population, int)) and population > MAX_CONCURRENCY:
+            raise InvalidValue(f"DSA population must be at most 2**53 = {MAX_CONCURRENCY}")
         if not (is_real(self.dsa_population) and self.n <= self.dsa_population):
             raise ConcurrencyExceedsPopulation(
                 f"concurrency {self.n} exceeds DSA population {self.dsa_population}"

@@ -207,16 +207,17 @@ class TestOutputsAndPlots:
         [
             "sweep --alpha 0.1:0.9:0.2 --areas 0.25,0.45 --energies 0.35 --format table",
             "scenario --case I,II,III --alphas 0.3,0.5,0.7,0.9 --format table",
+            "sweep --alpha 0.1:0.9:0.2 --areas 0.25,0.45 --energies 0.35 --format json",
+            "scenario --case I,II,III --alphas 0.3,0.5,0.7,0.9 --format json",
         ],
     )
     def test_curve_table_builds_no_report(self, monkeypatch, case):
-        """Curve tables render from the curves: no per-point report is built for them."""
+        """Curve tables and JSON render from the curves: no per-point report is built for them."""
 
         def refuse(*args, **kwargs):
-            raise AssertionError("a curve table built a RenderedReport")
+            raise AssertionError("a curve writer built a RenderedReport")
 
         monkeypatch.setattr(fabcarbon.report, "sweep_report", refuse)
-        monkeypatch.setattr(fabcarbon.cli, "sweep_report", refuse)
         monkeypatch.setattr(fabcarbon.report.RenderedReport, "__init__", refuse)
         golden = json.loads(Path(__file__).with_name("golden_outputs.json").read_text(encoding="utf-8"))
         assert invoke(*case.split()) == (0, golden[case], "")
@@ -232,7 +233,7 @@ STREAM_SWEEP = (
 
 
 class TestStreamedOutput:
-    @pytest.mark.parametrize("fmt", ["csv", "table"])
+    @pytest.mark.parametrize("fmt", ["csv", "table", "json"])
     @pytest.mark.parametrize(
         "case",
         [
@@ -247,7 +248,7 @@ class TestStreamedOutput:
         assert invoke(*case.split(), "--format", fmt, "--out", str(target)) == (0, "", "")
         assert target.read_bytes() == printed.encode("utf-8")
 
-    @pytest.mark.parametrize("fmt", ["csv", "table"])
+    @pytest.mark.parametrize("fmt", ["csv", "table", "json"])
     def test_rows_are_written_as_they_are_rendered(self, tmp_path, fmt):
         """Writing the curves adds little memory above the curves themselves.
 
@@ -274,19 +275,19 @@ class TestStreamedOutput:
 
 
 class TestAtomicOutput:
-    @pytest.mark.parametrize("fmt,writer", [("csv", "write_curve_csv"), ("table", "write_curve_table")])
+    @pytest.mark.parametrize("fmt", ["csv", "table", "json"])
     @pytest.mark.parametrize("old", ["old content\n", None])
-    def test_failed_write_leaves_the_old_file(self, tmp_path, monkeypatch, fmt, writer, old):
+    def test_failed_write_leaves_the_old_file(self, tmp_path, monkeypatch, fmt, old):
         target = tmp_path / "curves.out"
         if old is not None:
             target.write_text(old, encoding="utf-8")
-        real = getattr(fabcarbon.cli, writer)
+        real = fabcarbon.cli.write_curves
 
-        def fail_midway(sweeps, out):
-            real(sweeps[:1], out)
+        def fail_midway(sweeps, format, out):
+            real(sweeps[:1], format, out)
             raise OSError("No space left on device")
 
-        monkeypatch.setattr(fabcarbon.cli, writer, fail_midway)
+        monkeypatch.setattr(fabcarbon.cli, "write_curves", fail_midway)
         code, out, err = invoke("sweep", "--alpha", "0.1:0.9:0.2", "--areas", "0.2,0.3",
                                 "--format", fmt, "--out", str(target))
         assert (code, out) == (1, "")
@@ -392,6 +393,8 @@ class TestExitCodes:
             (("sweep", "--alpha", "0.1:0.9:1e-7"), 2),  # 8M points, above the cap
             (CDC_ARGS + ("--n", "9007199254740993"), 2),  # 2**53 + 1 has no exact float
             (("savings", "--dsas", "1000000000", "--n", "1:1000000000"), 2),  # rows above the cap
+            (("savings", "--dsas", str(2**53 + 1)), 2),  # a population a float cannot count exactly
+            (("savings", "--dsas", "1" + "0" * 400), 2),  # and one no float holds at all
             (("hybrid", "--retain", "", "--n", "1"), 2),
             (("hybrid", "--retain", ",", "--n", "1"), 2),
             (CDC_ARGS + ("--dataset", "/no/such/file.csv"), 2),  # a dataset only --util-mode avg reads
@@ -408,6 +411,10 @@ class TestExitCodes:
     def test_point_cap_names_count_and_cap(self):
         _, _, err = invoke("sweep", "--alpha", "0.1:0.9:1e-7", "--areas", "0.3,0.4")
         assert "16000002 points" in err and str(MAX_SWEEP_POINTS) in err
+
+    def test_population_cap_names_the_bound(self):
+        _, _, err = invoke("savings", "--dsas", "1" + "0" * 400)
+        assert "2**53" in err and "exceeds" not in err
 
     def test_savings_cap_names_count_and_cap(self):
         _, _, err = invoke("savings", "--dsas", "1000000000", "--n", "2:1000000000")
@@ -457,6 +464,23 @@ def test_import_loads_no_pathlib():
     )
     assert result.returncode == 0
     assert result.stdout == "False\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("sweep", "--alpha", "0.1:0.9:0.2", "--areas", "0.25,0.45", "--format", "json"), ("savings", "--n", "1:3")],
+)
+def test_bench_trace_shim_runs(tmp_path, argv):
+    """The benchmark's trace shim wraps fabcarbon functions by name; each one it names still exists."""
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    record = tmp_path / "record.json"
+    result = subprocess.run(
+        [sys.executable, str(root / "bench" / "shim.py"), str(record), "trace", *argv],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    assert "cli.run" in [span[2] for span in json.loads(record.read_text())["spans"]]
 
 
 def test_runs_as_a_module():
@@ -525,8 +549,15 @@ ARGV = st.one_of(
 )
 
 
+def _refuse_constant(name):
+    raise AssertionError(f"{name} is not JSON")
+
+
 @settings(max_examples=300, deadline=None)
 @given(argv=ARGV, fmt=st.sampled_from(([], ["--format", "csv"], ["--format", "json"])))
 def test_any_argv_ends_in_an_exit_code(argv, fmt):
-    code = run(argv + fmt, io.StringIO(), io.StringIO())
+    out = io.StringIO()
+    code = run(argv + fmt, out, io.StringIO())
     assert code in (0, 1, 2)
+    if code == 0 and fmt == ["--format", "json"]:
+        json.loads(out.getvalue(), parse_constant=_refuse_constant)  # strict: no NaN or Infinity

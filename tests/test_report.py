@@ -12,11 +12,18 @@ from fabcarbon.report import (
     Column,
     RenderedReport,
     emit_curve_csv,
-    emit_curve_table,
     emit_table,
     estimated_inputs_footnote,
     sweep_report,
+    write_curves,
 )
+
+
+def curve_text(sweeps, fmt):
+    """What `write_curves` writes for `sweeps` in `fmt`."""
+    buf = io.StringIO()
+    write_curves(sweeps, fmt, buf)
+    return buf.getvalue()
 
 
 @pytest.fixture
@@ -127,6 +134,7 @@ class TestCurveCsvMatchesCsvWriter:
             SweepResult("two\nlines", equal, (5.0, 4.5, 3.0), 1, 1.0),
             SweepResult("", signed, (1e-300, 1e300), 1, 1.0),
             SweepResult("cr\rlf", unsigned, (7.0, 6.0), 1, 1.0),
+            SweepResult("50% of 100%s", unsigned, (8.0, 7.0), 1, 1.0),
             SweepResult("A=0.35,E=0.25", shared, (9.0, 8.0, 0.5), 2, 1.28, estimated_kernels=("FFT", "KNN")),
         ]
         assert emit_curve_csv(curves) == _reference_curve_csv(curves)
@@ -137,11 +145,12 @@ class TestCurveCsvMatchesCsvWriter:
 
 
 class TestCurveTableMatchesReport:
-    """`emit_curve_table` prints exactly the table of `sweep_report`."""
+    """`write_curves` writes exactly the table and the JSON of `sweep_report`."""
 
     @staticmethod
     def assert_same_table(curves):
-        assert emit_curve_table(curves) == emit_table(sweep_report(curves), "table")
+        for fmt in ("table", "json"):
+            assert curve_text(curves, fmt) == emit_table(sweep_report(curves), fmt)
 
     def test_labels_parameters_and_widths(self):
         shared = (0.1, 0.25, 0.7)
@@ -158,6 +167,7 @@ class TestCurveTableMatchesReport:
             SweepResult("a label longer than any printed one", (), (), 1, 1.0, estimated_kernels=("KNN",)),
             SweepResult("A=0.35,E=0.25", tiny, (1234.5678, 999.995, 9.995, 1.0), 1, 1.0),
             SweepResult("one point", (0.5,), (2.0,), 12345, 98765.4),
+            SweepResult('say "na\u00efve"\non two lines', shared, (6.0, 5.5, 4.0), 1, 1.0),
         ])
 
     def test_scenario_curves_with_footnote(self):
@@ -166,7 +176,7 @@ class TestCurveTableMatchesReport:
             evaluate_cdc_table(builtin_case(case, **spec), [0.3, 0.5, 0.7, 0.9], dataset=builtin_dataset())
             for case in ("I", "II", "III")
         ]
-        assert "\nnote: estimated inputs: " in emit_curve_table(curves)
+        assert "\nnote: estimated inputs: " in curve_text(curves, "table")
         self.assert_same_table(curves)
 
     def test_grid_curves(self):
@@ -174,6 +184,7 @@ class TestCurveTableMatchesReport:
 
     def test_no_curves(self):
         self.assert_same_table([])
+        self.assert_same_table([SweepResult("no points", (), (), 1, 1.0, estimated_kernels=("KNN",))])
 
 
 class TestSweepReport:

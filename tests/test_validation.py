@@ -58,6 +58,10 @@ def fit(alpha=0.3, value=9.773, **kwargs):
     return fit_aggregates([(alpha, value), (0.9, 4.01)], **kwargs)
 
 
+def curve(parameter=0.2):
+    return SweepResult("x", (0.1, parameter), (1.0, 2.0), 1, 1.0)
+
+
 FLOAT_FIELDS = [
     (kernel, "area_norm", InvalidKernel),
     (kernel, "energy_norm", InvalidKernel),
@@ -75,6 +79,7 @@ FLOAT_FIELDS = [
     (fit, "alpha", InvalidAlpha),
     (fit, "value", InvalidRange),
     (fit, "utilization", InvalidAggregates),
+    (curve, "parameter", InvalidRange),
 ]
 
 
