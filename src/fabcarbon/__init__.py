@@ -28,7 +28,6 @@ from .core import (
     DeviceClass,
     FootprintWeights,
     KernelProfile,
-    MeanKind,
     aggregate,
     alpha_from_breakdown,
     device_preset,
@@ -67,7 +66,6 @@ __all__ = [
     "GridSpec",
     "KernelDataset",
     "KernelProfile",
-    "MeanKind",
     "SavingsResult",
     "ScaleMode",
     "ScenarioSpec",

@@ -24,6 +24,7 @@ from .core import (
     alpha_from_breakdown,
     device_preset,
     require_alpha,
+    weights_for_device,
 )
 from .dataset import KernelDataset, builtin_dataset, load_dataset
 from .engine import (
@@ -235,11 +236,9 @@ def _resolve_dataset(path: str | None) -> KernelDataset:
         raise DatasetError(f"cannot read dataset {path!r}: {exc}") from None
 
 
-def _case_aggregates(spec: scen_mod.ScenarioSpec, ds: KernelDataset, calibrated: bool) -> AggregateRatios:
-    """A scenario's aggregates: fitted to its reference anchors, or the means of its kernels."""
-    if calibrated:
-        return scen_mod.calibrated_aggregates(spec, ds)
-    return aggregate(scen_mod.scenario_kernels(spec, ds))
+def _case_i_aggregates(ds: KernelDataset, calibrated: bool) -> AggregateRatios:
+    """CASE-I's aggregates: fitted to its reference anchors, or the means of every kernel, as CASE-I excludes none."""
+    return scen_mod.calibrated_aggregates("I", ds) if calibrated else aggregate(ds.kernels)
 
 
 def _dataset_footnote(ds: KernelDataset) -> tuple[str, ...]:
@@ -251,7 +250,7 @@ def _cmd_cdc(args: argparse.Namespace) -> RenderedReport:
     scale = args.scale
     if args.util_mode == "avg":
         ds = _resolve_dataset(args.dataset)
-        scale = scale_factor(args.n, ScaleMode.AVERAGE_UTILIZATION, kernels=list(ds.kernels))
+        scale = scale_factor(args.n, ScaleMode.AVERAGE_UTILIZATION, kernels=ds.kernels)
         footnotes = _dataset_footnote(ds)
     elif args.dataset is not None:
         raise UsageError("--dataset applies only with --util-mode avg")
@@ -297,7 +296,7 @@ def _cmd_scenario(args: argparse.Namespace) -> list[SweepResult]:
     sweeps = []
     for case in cases:
         spec = scen_mod.builtin_case(case, n=args.n, scale_mode=mode)
-        agg = _case_aggregates(spec, ds, args.calibrated)
+        agg = scen_mod.calibrated_aggregates(case, ds) if args.calibrated else None
         sweeps.append(scen_mod.evaluate_cdc_table(spec, alphas, dataset=ds, aggregates=agg))
     return sweeps
 
@@ -309,9 +308,7 @@ def _cmd_savings(args: argparse.Namespace) -> RenderedReport:
         raise InvalidRange(f"savings over {rows} values of n exceeds the cap of {MAX_SAVINGS_ROWS} rows")
     ds = _resolve_dataset(args.dataset)
     # every n maps the same kernels, so one aggregate serves all rows
-    agg = _case_aggregates(
-        scen_mod.builtin_case("I", n=n_lo, alpha=args.alpha, dsa_population=args.dsas), ds, args.calibrated
-    )
+    agg = _case_i_aggregates(ds, args.calibrated)
     records = []
     for n in range(n_lo, n_hi + 1):
         spec = scen_mod.builtin_case("I", n=n, alpha=args.alpha, dsa_population=args.dsas)
@@ -344,7 +341,7 @@ def _cmd_hybrid(args: argparse.Namespace) -> RenderedReport:
         scale_mode=ScaleMode.AVERAGE_UTILIZATION,
     )
     # both cover the full kernel list, so one aggregate serves both
-    agg = _case_aggregates(spec, ds, args.calibrated)
+    agg = _case_i_aggregates(ds, args.calibrated)
     improvement = scen_mod.hybrid_retained_savings(spec, retained, dataset=ds, aggregates=agg)
     baseline = scen_mod.savings_factor(spec, dataset=ds, aggregates=agg)
     return RenderedReport(
@@ -370,7 +367,7 @@ def _cmd_alpha(args: argparse.Namespace) -> RenderedReport:
         record = ("breakdown", weights.alpha_e2o, None, None)
     else:
         low, high = device_preset(args.device)
-        record = (args.device, (low + high) / 2.0, low, high)
+        record = (args.device, weights_for_device(args.device).alpha_e2o, low, high)
     return RenderedReport(
         columns=(
             Column("source", "source"),
@@ -403,7 +400,7 @@ def _cmd_dataset(args: argparse.Namespace) -> RenderedReport:
             columns=(Column("dataset", "dataset"), Column("status", "status")),
             records=((ds.provenance or "(unnamed)", "ok"),),
         )
-    agg = aggregate(list(ds.kernels))
+    agg = aggregate(ds.kernels)
     fabric = ds.fabric
     notes = (
         f"fabric: {fabric.grid.rows}x{fabric.grid.cols} PEs, {fabric.memory_banks} banks, "

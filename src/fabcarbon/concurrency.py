@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import statistics
 from enum import Enum
+from typing import Sequence
 
 from .core import KernelProfile, require_concurrency
 from .errors import EmptyKernelSet
@@ -30,7 +31,7 @@ class ScaleMode(str, Enum):
         return cls.AVERAGE_UTILIZATION
 
 
-def average_utilization(kernels: list[KernelProfile]) -> float:
+def average_utilization(kernels: Sequence[KernelProfile]) -> float:
     """Arithmetic mean of per-kernel fabric utilization."""
     if not kernels:
         raise EmptyKernelSet("cannot average utilization over an empty kernel set")
@@ -41,7 +42,7 @@ def average_utilization(kernels: list[KernelProfile]) -> float:
 def scale_factor(
     n: int,
     mode: ScaleMode | None = None,
-    kernels: list[KernelProfile] | None = None,
+    kernels: Sequence[KernelProfile] | None = None,
     mean_utilization: float | None = None,
 ) -> float:
     """Fabric scaling factor n' for n concurrent kernels.

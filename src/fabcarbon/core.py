@@ -14,6 +14,7 @@ import statistics
 import sys
 from dataclasses import dataclass
 from enum import Enum
+from typing import Sequence
 
 from .errors import (
     AlphaPole,
@@ -27,11 +28,6 @@ from .errors import (
     InvalidScale,
     UnknownDeviceClass,
 )
-
-
-class MeanKind(str, Enum):
-    ARITHMETIC = "arithmetic"
-    GEOMETRIC = "geometric"
 
 
 class DeviceClass(str, Enum):
@@ -137,7 +133,6 @@ class AggregateRatios:
     energy: float
     utilization: float
     kernel_count: int
-    mean_kind: MeanKind = MeanKind.ARITHMETIC
 
     def __post_init__(self) -> None:
         if not (is_real(self.kernel_count) and self.kernel_count >= 1):
@@ -184,21 +179,17 @@ class DeviceBreakdown:
             )
 
 
-def aggregate(kernels: list[KernelProfile], mean_kind: MeanKind = MeanKind.ARITHMETIC) -> AggregateRatios:
-    """Mean relative area, energy, and utilization over a kernel set."""
+def aggregate(kernels: Sequence[KernelProfile]) -> AggregateRatios:
+    """Arithmetic mean relative area, energy, and utilization over a kernel set."""
     if not kernels:
         raise EmptyKernelSet("cannot aggregate an empty kernel set")
-    if mean_kind is MeanKind.ARITHMETIC:
-        # exact-rational mean: identical inputs aggregate to themselves, bit for bit
-        mean = statistics.mean
-    else:
-        mean = statistics.geometric_mean
+    # exact-rational mean: identical inputs aggregate to themselves, bit for bit
+    mean = statistics.mean
     return AggregateRatios(
         area=mean([k.area_norm for k in kernels]),
         energy=mean([k.energy_norm for k in kernels]),
         utilization=mean([k.utilization for k in kernels]),
         kernel_count=len(kernels),
-        mean_kind=mean_kind,
     )
 
 

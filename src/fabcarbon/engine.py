@@ -86,8 +86,9 @@ class SweepResult:
             if type(params) is tuple:  # immutable, so once it has passed it stays valid
                 _increasing_parameters = params
         for p, v in zip(params, values):
-            if not 0 < v < math.inf:
-                raise DegenerateModel(f"sweep value at {p!r} is not finite and positive: {v!r}")
+            # exactly float: a bool or a float subclass would not be written as a float
+            if type(v) is not float or not 0 < v < math.inf:
+                raise DegenerateModel(f"sweep value at {p!r} is not a finite positive float: {v!r}")
 
     @property
     def samples(self) -> tuple[tuple[float, float], ...]:

@@ -10,7 +10,7 @@ keeps selected kernels as dedicated blocks next to a smaller fabric.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .engine import SweepResult, cdc_curve, fit_aggregates
 from .concurrency import ScaleMode, average_utilization, scale_factor
@@ -110,41 +110,29 @@ def builtin_case(
     )
 
 
-def _case_key(spec_or_id: ScenarioSpec | str) -> str:
-    if isinstance(spec_or_id, ScenarioSpec):
-        for key, excluded in CASE_EXCLUSIONS.items():
-            if excluded == spec_or_id.excluded_kernels:
-                return key
-        raise UnknownScenario(f"no reference anchors for exclusions {sorted(spec_or_id.excluded_kernels)}")
-    return str(spec_or_id).upper()
-
-
-def calibrated_aggregates(case: ScenarioSpec | str = "I", dataset: KernelDataset | None = None) -> AggregateRatios:
-    """Aggregates fitted to a case's reference CDC anchors.
+def calibrated_aggregates(case: str = "I", dataset: KernelDataset | None = None) -> AggregateRatios:
+    """Aggregates fitted to a case's reference CDC anchors (case "I", "II", or "III").
 
     Area and energy come from the two-point fit. Utilization is the
     reverse-fitted full-set value for CASE-I and the plain kernel mean for
     the other cases, where no savings reference exists to fit against.
     """
-    key = _case_key(case)
+    key = str(case).upper()
     if key not in REFERENCE_CDC_ANCHORS:
         raise UnknownScenario(f"unknown scenario: {key!r} (expected I, II, or III)")
     ds = dataset or builtin_dataset()
     included = ds.without(CASE_EXCLUSIONS[key])
-    if key == "I":
-        utilization = CALIBRATED_UTILIZATION
-    else:
-        utilization = average_utilization(list(included))
+    utilization = CALIBRATED_UTILIZATION if key == "I" else average_utilization(included)
     return fit_aggregates(REFERENCE_CDC_ANCHORS[key], n=1, utilization=utilization, kernel_count=len(included))
 
 
-def scenario_kernels(spec: ScenarioSpec, dataset: KernelDataset | None = None) -> list[KernelProfile]:
+def scenario_kernels(spec: ScenarioSpec, dataset: KernelDataset | None = None) -> Sequence[KernelProfile]:
     """Kernels the scenario actually maps onto the fabric."""
     ds = dataset or builtin_dataset()
     included = ds.without(spec.excluded_kernels)
     if not included:
         raise EmptyKernelSet(f"scenario {spec.name!r} excludes every kernel")
-    return list(included)
+    return included
 
 
 def evaluate_cdc_table(
@@ -157,7 +145,7 @@ def evaluate_cdc_table(
 
     The fabric scale follows the scenario's mode with the mean utilization
     of the included kernels; pass ``aggregates`` to evaluate with calibrated
-    area/energy instead of kernel means.
+    area/energy instead of the kernels' ``aggregate``.
     """
     alphas = tuple(sorted(set(alphas)))
     kernels = scenario_kernels(spec, dataset)
@@ -186,10 +174,7 @@ def savings_factor(
     calibrated triple carries its own reverse-fitted value; when
     ``aggregates`` is given, the kernels are not read at all.
     """
-    if aggregates is not None:
-        agg = aggregates
-    else:
-        agg = aggregate(scenario_kernels(spec, dataset))
+    agg = aggregates if aggregates is not None else aggregate(scenario_kernels(spec, dataset))
     dsa = dsa_footprint(spec.dsa_population, spec.n, spec.weights, agg)
     improvement_cons = dsa / fabric_footprint(float(spec.n))
     if spec.n == 1:
@@ -216,23 +201,28 @@ def hybrid_retained_savings(
 
     Each retained kernel keeps its own DSA (charged its full embodied and
     operational share) and frees one concurrent fabric slot; the fabric is
-    rescaled for the remaining slots using the non-retained kernels' mean
-    utilization. The baseline is the full population at concurrency n.
+    rescaled for the remaining slots using the mean utilization of the
+    scenario's other kernels. The baseline is the full population at
+    concurrency n. A retained kernel the scenario excludes raises ``KeyError``.
     """
     ds = dataset or builtin_dataset()
-    retained_names = sorted(set(retained))
-    retained_kernels = [ds.kernel(name) for name in retained_names]
+    retained_names = set(retained)
+    retained_kernels = [ds.kernel(name) for name in sorted(retained_names)]
+    excluded = spec.excluded_kernels & retained_names
+    if excluded:
+        raise KeyError(f"scenario {spec.name!r} already excludes kernel(s): {sorted(excluded)}")
     if len(retained_names) >= spec.n:
         raise NoFabricWorkload(
             f"retaining {len(retained_names)} kernel(s) leaves no fabric slot at concurrency {spec.n}"
         )
-    included = ds.without(retained_names)
-    full_agg = aggregates if aggregates is not None else aggregate(list(ds.kernels))
-    numerator = dsa_footprint(spec.dsa_population, spec.n, spec.weights, full_agg)
+    kernels = scenario_kernels(spec, ds)
+    agg = aggregates if aggregates is not None else aggregate(kernels)
+    numerator = dsa_footprint(spec.dsa_population, spec.n, spec.weights, agg)
 
     alpha = spec.weights.alpha_e2o
     retained_cost = sum(
         alpha * k.area_norm + (1.0 - alpha) * k.energy_norm for k in retained_kernels
     )
-    sub_scale = scale_factor(spec.n - len(retained_names), spec.scale_mode, kernels=list(included))
+    fabric_kernels = [k for k in kernels if k.name not in retained_names]
+    sub_scale = scale_factor(spec.n - len(retained_names), spec.scale_mode, kernels=fabric_kernels)
     return numerator / (fabric_footprint(sub_scale) + retained_cost)

@@ -15,12 +15,15 @@ import fabcarbon
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 
-def _readme_library_imports() -> set[str]:
+def _readme_library_code() -> str:
     section = README.read_text(encoding="utf-8").split("## Library", 1)[1]
-    code = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    return re.search(r"```python\n(.*?)```", section, re.S).group(1)
+
+
+def _readme_library_imports() -> set[str]:
     return {
         alias.name
-        for node in ast.walk(ast.parse(code))
+        for node in ast.walk(ast.parse(_readme_library_code()))
         if isinstance(node, ast.ImportFrom) and node.module == "fabcarbon"
         for alias in node.names
     }
@@ -45,6 +48,11 @@ def test_readme_library_block_uses_exported_names():
     names = _readme_library_imports()
     assert names
     assert names <= set(fabcarbon.__all__)
+
+
+def test_readme_library_block_runs(capsys):
+    exec(compile(_readme_library_code(), str(README), "exec"), {})
+    assert capsys.readouterr().out
 
 
 # Imports every fabcarbon module, then prints the top-level modules loaded

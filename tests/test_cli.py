@@ -358,6 +358,23 @@ class TestWorkDoneOnce:
         assert invoke(*argv)[0] == 0
         assert len(aggregate_calls) == expected
 
+    @pytest.mark.parametrize(
+        "argv,expected",
+        [
+            (("scenario", "--case", "I,II,III", "--alphas", "0.3,0.9"), 3),
+            (("savings", "--n", "1:5"), 0),
+            (("hybrid", "--retain", "AESEncrypt,Viterbi", "--n", "4"), 1),
+        ],
+    )
+    def test_each_kernel_set_resolved_once(self, monkeypatch, argv, expected):
+        calls = []
+        real = fabcarbon.dataset.KernelDataset.without
+        monkeypatch.setattr(
+            fabcarbon.dataset.KernelDataset, "without", lambda ds, excluded: calls.append(excluded) or real(ds, excluded)
+        )
+        assert invoke(*argv)[0] == 0
+        assert len(calls) == expected
+
     def test_dataset_is_validated_once(self, tmp_path, monkeypatch):
         path = tmp_path / "kernels.csv"
         path.write_text(dump_dataset(builtin_dataset(), "csv"))

@@ -7,7 +7,6 @@ from fabcarbon import (
     DeviceBreakdown,
     FootprintWeights,
     KernelProfile,
-    MeanKind,
     aggregate,
     alpha_from_breakdown,
     device_preset,
@@ -77,14 +76,8 @@ class TestAggregate:
 
     def test_arithmetic_mean_bounded_by_extremes(self):
         kernels = [_kernel(name=f"k{i}", area=a) for i, a in enumerate(AREA_BARS)]
-        agg = aggregate(kernels, MeanKind.ARITHMETIC)
+        agg = aggregate(kernels)
         assert min(AREA_BARS) <= agg.area <= max(AREA_BARS)
-
-    def test_geometric_mean_below_arithmetic(self):
-        kernels = [_kernel(name=f"k{i}", area=a, energy=e) for i, (a, e) in enumerate(zip(AREA_BARS, ENERGY_BARS))]
-        geo = aggregate(kernels, MeanKind.GEOMETRIC)
-        ari = aggregate(kernels, MeanKind.ARITHMETIC)
-        assert geo.area < ari.area and geo.energy < ari.energy
 
     def test_empty_set_rejected(self):
         with pytest.raises(EmptyKernelSet):

@@ -134,6 +134,11 @@ class TestHybrid:
         hybrid = hybrid_retained_savings(spec, [])
         assert hybrid == savings_factor(spec).improvement_avg_util
 
+    @pytest.mark.parametrize("case", ["II", "III"])
+    def test_empty_retained_set_honours_the_case_exclusions(self, case):
+        spec = builtin_case(case, n=3, scale_mode=ScaleMode.average_utilization())
+        assert hybrid_retained_savings(spec, []) == savings_factor(spec).improvement_avg_util
+
     def test_zero_cost_retained_kernel_frees_a_slot(self, dataset):
         # ratios small enough that the retained cost underflows to zero
         ghost = KernelProfile("Ghost", "synthetic", 1e-300, 1e-300, 0.5, 0.0, estimated=True)
@@ -159,5 +164,10 @@ class TestHybrid:
 
     def test_unknown_retained_kernel_rejected(self):
         spec = builtin_case("I", n=4)
-        with pytest.raises(KeyError):
+        with pytest.raises(KeyError, match="no kernel named 'NoSuchKernel'"):
             hybrid_retained_savings(spec, ["NoSuchKernel"])
+
+    def test_retained_kernel_the_case_excludes_rejected(self):
+        spec = builtin_case("III", n=4)
+        with pytest.raises(KeyError, match=r"CASE-III.*\['Viterbi'\]"):
+            hybrid_retained_savings(spec, ["FFT", "Viterbi"])

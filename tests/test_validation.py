@@ -151,7 +151,12 @@ def test_curve_rejects_alpha_outside_unit_interval(alpha):
         cdc_curve([alpha], aggregates(), 1, 1.0)
 
 
-@pytest.mark.parametrize("value", [0.0, -1.0, math.nan, math.inf])
+class _Float(float):
+    def __repr__(self) -> str:
+        return "not a float"
+
+
+@pytest.mark.parametrize("value", [0.0, -1.0, math.nan, math.inf, True, 2, _Float(2.0)])
 def test_sweep_result_values_are_finite_and_positive(value):
     with pytest.raises(DegenerateModel):
         SweepResult("I", (0.5, 0.6), (2.0, value), 1, 1.0)
