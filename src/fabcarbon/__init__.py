@@ -25,7 +25,6 @@ from .concurrency import (
 from .core import (
     AggregateRatios,
     DeviceBreakdown,
-    DeviceClass,
     FootprintWeights,
     KernelProfile,
     aggregate,
@@ -37,7 +36,6 @@ from .core import (
 )
 from .dataset import (
     FabricSpec,
-    GridSpec,
     KernelDataset,
     builtin_dataset,
     dump_dataset,
@@ -60,10 +58,8 @@ __all__ = [
     "AggregateRatios",
     "CdcQuery",
     "DeviceBreakdown",
-    "DeviceClass",
     "FabricSpec",
     "FootprintWeights",
-    "GridSpec",
     "KernelDataset",
     "KernelProfile",
     "SavingsResult",

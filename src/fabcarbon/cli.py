@@ -67,7 +67,6 @@ class UsageError(Exception):
 def _add_output_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--format", choices=("table", "csv", "json"), default="table")
     parser.add_argument("--out", metavar="PATH", help="write data here instead of stdout")
-    parser.add_argument("--plot", metavar="PATH.svg", help="also render an SVG chart")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -140,6 +139,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("path", nargs="?", metavar="PATH")
     _add_output_flags(p)
 
+    # the alpha, calibrate and dataset reports have no curve or ratio column to chart
+    for name in ("cdc", "sweep", "scenario", "savings", "hybrid"):
+        sub.choices[name].add_argument("--plot", metavar="PATH.svg", help="also render an SVG chart")
     return parser
 
 
@@ -209,12 +211,7 @@ def _parse_breakdown(raw: str) -> DeviceBreakdown:
     missing = expected - values.keys()
     if missing:
         raise UsageError(f"--breakdown: missing phase(s): {sorted(missing)}")
-    return DeviceBreakdown(
-        production_pct=values["production"],
-        transport_pct=values["transport"],
-        use_pct=values["use"],
-        eol_pct=values["eol"],
-    )
+    return DeviceBreakdown(**{f"{phase}_pct": value for phase, value in values.items()})
 
 
 def _dataset_format(path: str) -> str:
@@ -403,7 +400,7 @@ def _cmd_dataset(args: argparse.Namespace) -> RenderedReport:
     agg = aggregate(ds.kernels)
     fabric = ds.fabric
     notes = (
-        f"fabric: {fabric.grid.rows}x{fabric.grid.cols} PEs, {fabric.memory_banks} banks, "
+        f"fabric: {fabric.rows}x{fabric.cols} PEs, {fabric.memory_banks} banks, "
         f"{fabric.memory_kb:g} KB, {fabric.clock_mhz:g} MHz",
         f"means: area {agg.area:g}, energy {agg.energy:g}, utilization {agg.utilization:g}",
     )
@@ -466,8 +463,6 @@ def _render_plot(result: RenderedReport | list[SweepResult], scenario_curves: bo
         values = [r[i] for r in result.records]
         if column.kind == "ratio" and None not in values:
             series.append((column.header, [float(v) for v in values]))
-    if not series:
-        raise ModelError("nothing to plot for this report")
     return grouped_bar_chart(groups, series, y_label="improvement (x)", x_label=label_col.header)
 
 

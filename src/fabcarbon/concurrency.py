@@ -23,10 +23,6 @@ class ScaleMode(str, Enum):
     AVERAGE_UTILIZATION = "average_utilization"
 
     @classmethod
-    def conservative(cls) -> ScaleMode:
-        return cls.CONSERVATIVE
-
-    @classmethod
     def average_utilization(cls) -> ScaleMode:
         return cls.AVERAGE_UTILIZATION
 
@@ -41,7 +37,7 @@ def average_utilization(kernels: Sequence[KernelProfile]) -> float:
 
 def scale_factor(
     n: int,
-    mode: ScaleMode | None = None,
+    mode: ScaleMode,
     kernels: Sequence[KernelProfile] | None = None,
     mean_utilization: float | None = None,
 ) -> float:
@@ -50,11 +46,10 @@ def scale_factor(
     Under average utilization the result is clamped to 1: the fabric is
     sized to host the largest kernel in full, so it never shrinks below one.
     ``mean_utilization`` short-circuits the kernel average when the caller
-    already aggregated it. ``None`` means the conservative rule; a value
-    that names neither rule raises ``ValueError``.
+    already aggregated it. A mode that names neither rule raises ``ValueError``.
     """
     require_concurrency(n)
-    if mode is None or ScaleMode(mode) is ScaleMode.CONSERVATIVE:
+    if ScaleMode(mode) is ScaleMode.CONSERVATIVE:
         return float(n)
     if mean_utilization is None:
         if kernels is None:

@@ -13,7 +13,6 @@ import math
 import statistics
 import sys
 from dataclasses import dataclass
-from enum import Enum
 from typing import Sequence
 
 from .errors import (
@@ -30,25 +29,16 @@ from .errors import (
 )
 
 
-class DeviceClass(str, Enum):
-    WATCH = "watch"
-    SMARTPHONE = "smartphone"
-    LAPTOP = "laptop"
-    MEDIUM_DESKTOP = "medium_desktop"
-    HIGH_END_DESKTOP = "high_end_desktop"
-    CONSOLE = "console"
-
-
 # Embodied-footprint share bands per device class, from vendor lifecycle
 # reports: battery-operated devices are embodied-dominated, always-on
-# desktops and consoles operational-dominated.
-DEVICE_ALPHA_BANDS: dict[DeviceClass, tuple[float, float]] = {
-    DeviceClass.WATCH: (0.80, 0.85),
-    DeviceClass.SMARTPHONE: (0.80, 0.85),
-    DeviceClass.LAPTOP: (0.70, 0.75),
-    DeviceClass.MEDIUM_DESKTOP: (0.55, 0.60),
-    DeviceClass.HIGH_END_DESKTOP: (0.20, 0.25),
-    DeviceClass.CONSOLE: (0.20, 0.25),
+# desktops and consoles operational-dominated. The keys are the device classes.
+DEVICE_ALPHA_BANDS: dict[str, tuple[float, float]] = {
+    "watch": (0.80, 0.85),
+    "smartphone": (0.80, 0.85),
+    "laptop": (0.70, 0.75),
+    "medium_desktop": (0.55, 0.60),
+    "high_end_desktop": (0.20, 0.25),
+    "console": (0.20, 0.25),
 }
 
 # Lifecycle percentages may carry report rounding; the sum check absorbs it.
@@ -233,16 +223,15 @@ def alpha_from_breakdown(breakdown: DeviceBreakdown) -> FootprintWeights:
     return FootprintWeights(alpha_e2o=embodied / total)
 
 
-def device_preset(device: DeviceClass | str) -> tuple[float, float]:
+def device_preset(device: str) -> tuple[float, float]:
     """[low, high] embodied-share band for a device class."""
     try:
-        cls = DeviceClass(device)
-    except ValueError:
+        return DEVICE_ALPHA_BANDS[device]
+    except (KeyError, TypeError):  # TypeError: an unhashable value
         raise UnknownDeviceClass(f"unknown device class: {device!r}") from None
-    return DEVICE_ALPHA_BANDS[cls]
 
 
-def weights_for_device(device: DeviceClass | str) -> FootprintWeights:
+def weights_for_device(device: str) -> FootprintWeights:
     """Band midpoint as ready-to-use weights."""
     low, high = device_preset(device)
     return FootprintWeights(alpha_e2o=(low + high) / 2.0)

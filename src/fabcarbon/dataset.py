@@ -13,7 +13,7 @@ import csv
 import io
 import json
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import IO, Iterable, Iterator, Mapping
 
 from .core import KernelProfile, is_real
@@ -33,30 +33,25 @@ def _require_positive(name: str, value: object) -> None:
 
 
 @dataclass(frozen=True)
-class GridSpec:
-    """Processing-element grid of the fabric."""
+class FabricSpec:
+    """Descriptive fabric metadata attached to a dataset: its processing-element grid and memory."""
 
     rows: int
     cols: int
-
-    def __post_init__(self) -> None:
-        _require_count("rows", self.rows)
-        _require_count("cols", self.cols)
-
-
-@dataclass(frozen=True)
-class FabricSpec:
-    """Descriptive fabric metadata attached to a dataset."""
-
-    grid: GridSpec
     memory_banks: int
     memory_kb: float
     clock_mhz: float
 
     def __post_init__(self) -> None:
+        _require_count("rows", self.rows)
+        _require_count("cols", self.cols)
         _require_count("memory_banks", self.memory_banks)
         _require_positive("memory_kb", self.memory_kb)
         _require_positive("clock_mhz", self.clock_mhz)
+
+
+# The JSON `fabric` object's keys, in the order dumps write them.
+_FABRIC_FIELDS = tuple(f.name for f in fields(FabricSpec))
 
 
 @dataclass(frozen=True)
@@ -91,12 +86,7 @@ class KernelDataset:
         return tuple(k for k in self.kernels if k.name not in dropped)
 
 
-_BUILTIN_FABRIC = FabricSpec(
-    grid=GridSpec(rows=8, cols=8),
-    memory_banks=32,
-    memory_kb=256.0,
-    clock_mhz=100.0,
-)
+_BUILTIN_FABRIC = FabricSpec(rows=8, cols=8, memory_banks=32, memory_kb=256.0, clock_mhz=100.0)
 
 # Utilizations: GeMM and FIR occupy the full array; the four kernels known
 # to sit below half and the two unreported ones carry constrained estimates
@@ -242,14 +232,18 @@ def _json_fabric(block: object) -> FabricSpec | None:
     if not isinstance(block, Mapping):
         raise ParseError("fabric must be an object", column="fabric")
     try:
-        return FabricSpec(
-            grid=GridSpec(rows=block["rows"], cols=block["cols"]),
-            memory_banks=block["memory_banks"],
-            memory_kb=block["memory_kb"],
-            clock_mhz=block["clock_mhz"],
-        )
+        return FabricSpec(**{key: block[key] for key in _FABRIC_FIELDS})
     except KeyError as exc:
         raise ParseError(f"malformed fabric block: missing {exc}", column="fabric") from None
+
+
+def _record_fault(record: object) -> str:
+    """Why a JSON kernel record does not fit the keyword arguments of `KernelProfile`."""
+    if not isinstance(record, Mapping):
+        return "not an object"
+    unknown = [key for key in record if key not in KERNEL_COLUMNS]
+    missing = [column for column in KERNEL_COLUMNS if column not in record]  # `estimated`, optional, is last
+    return f"unknown key {unknown[0]!r}" if unknown else f"missing key {missing[0]!r}"
 
 
 def load_dataset(
@@ -279,11 +273,13 @@ def load_dataset(
     kernels = []
     violations = []
     try:
-        for record in records:
+        for position, record in enumerate(records, 1):
             try:
                 kernels.append(KernelProfile(**record))
-            except (TypeError, InvalidKernel) as exc:
+            except InvalidKernel as exc:
                 violations.append(str(exc))
+            except TypeError:  # only a JSON record can lack a column or carry another key
+                violations.append(f"kernel record {position}: {_record_fault(record)}")
     except csv.Error as exc:  # e.g. a field longer than the csv module's limit
         raise ParseError(str(exc)) from None
     if not kernels and not violations:
@@ -294,32 +290,31 @@ def load_dataset(
         provenance=provenance if provenance is not None else (doc.get("provenance") or ""),
         version=doc.get("version", DATASET_VERSION),
     )
-    violations += validate_dataset(ds)
+    if kernels:  # else every record already has its violation
+        violations += validate_dataset(ds)
     if violations:
         raise DatasetValidationError(violations)
     return ds
 
 
 def dump_dataset(ds: KernelDataset, format: str = "json") -> str:
-    """Serialize a dataset; ``load_dataset`` reads the result back unchanged."""
+    """Serialize a dataset; ``load_dataset`` reads the result back unchanged,
+    except blanks around a name or domain, which the CSV loader drops."""
     if format == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
+        # the writer quotes a cell holding the terminator "\n", but a "\r" needs quotes too
+        quoted = csv.writer(buf, lineterminator="\n", quoting=csv.QUOTE_ALL)
         writer.writerow(KERNEL_COLUMNS)
         for k in ds.kernels:
-            writer.writerow([fmt(getattr(k, column)) for column, _, fmt in _SCHEMA])
+            row = [fmt(getattr(k, column)) for column, _, fmt in _SCHEMA]
+            (quoted if "\r" in k.name or "\r" in k.domain else writer).writerow(row)
         return buf.getvalue()
     if format == "json":
         doc = {
             "version": ds.version,
             "provenance": ds.provenance,
-            "fabric": {
-                "rows": ds.fabric.grid.rows,
-                "cols": ds.fabric.grid.cols,
-                "memory_banks": ds.fabric.memory_banks,
-                "memory_kb": ds.fabric.memory_kb,
-                "clock_mhz": ds.fabric.clock_mhz,
-            },
+            "fabric": {key: getattr(ds.fabric, key) for key in _FABRIC_FIELDS},
             "kernels": [{column: getattr(k, column) for column in KERNEL_COLUMNS} for k in ds.kernels],
         }
         return json.dumps(doc, indent=2) + "\n"

@@ -16,7 +16,7 @@ import operator
 from dataclasses import dataclass
 from typing import Sequence
 
-from .concurrency import scale_factor
+from .concurrency import ScaleMode, scale_factor
 from .core import AggregateRatios, FootprintWeights, dsa_footprint, fabric_footprint, is_real, require_alpha, require_concurrency, require_scale
 from .errors import DegenerateModel, InfeasibleFit, InvalidRange, SingularFit
 
@@ -183,7 +183,7 @@ def sweep_grid(
     """One alpha curve per (area, energy) pair of the Cartesian grid, at n' = n."""
     if not areas or not energies:
         raise InvalidRange("grid axes must be non-empty")
-    scale = scale_factor(n)
+    scale = scale_factor(n, ScaleMode.CONSERVATIVE)
     alphas = tuple(alphas)  # one parameters column, shared by every curve
     curves = []
     for area in areas:

@@ -88,6 +88,14 @@ class SavingsResult:
             raise ValueError("improvement must be > 0")
 
 
+def _case_key(case_id: str) -> str:
+    """The key of a built-in case in `CASE_EXCLUSIONS` and `REFERENCE_CDC_ANCHORS`; case ids ignore case."""
+    key = str(case_id).upper()
+    if key not in CASE_EXCLUSIONS:
+        raise UnknownScenario(f"unknown scenario: {case_id!r} (expected I, II, or III)")
+    return key
+
+
 def builtin_case(
     case_id: str,
     *,
@@ -97,9 +105,7 @@ def builtin_case(
     dsa_population: int = DEFAULT_DSA_POPULATION,
 ) -> ScenarioSpec:
     """One of the built-in exclusion scenarios (case "I", "II", or "III")."""
-    key = str(case_id).upper()
-    if key not in CASE_EXCLUSIONS:
-        raise UnknownScenario(f"unknown scenario: {case_id!r} (expected I, II, or III)")
+    key = _case_key(case_id)
     return ScenarioSpec(
         name=f"CASE-{key}",
         excluded_kernels=CASE_EXCLUSIONS[key],
@@ -117,9 +123,7 @@ def calibrated_aggregates(case: str = "I", dataset: KernelDataset | None = None)
     reverse-fitted full-set value for CASE-I and the plain kernel mean for
     the other cases, where no savings reference exists to fit against.
     """
-    key = str(case).upper()
-    if key not in REFERENCE_CDC_ANCHORS:
-        raise UnknownScenario(f"unknown scenario: {key!r} (expected I, II, or III)")
+    key = _case_key(case)
     ds = dataset or builtin_dataset()
     included = ds.without(CASE_EXCLUSIONS[key])
     utilization = CALIBRATED_UTILIZATION if key == "I" else average_utilization(included)

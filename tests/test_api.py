@@ -44,6 +44,12 @@ def test_exports_equal_the_public_names_imported():
     assert len(fabcarbon.__all__) == len(set(fabcarbon.__all__))
 
 
+def test_version_matches_pyproject():
+    # a regex, since Python 3.10 has no tomllib
+    pyproject = README.with_name("pyproject.toml").read_text(encoding="utf-8")
+    assert re.search(r'^version = "([^"]*)"$', pyproject, re.M).group(1) == fabcarbon.__version__
+
+
 def test_readme_library_block_uses_exported_names():
     names = _readme_library_imports()
     assert names

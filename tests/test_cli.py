@@ -89,6 +89,10 @@ class TestUsageErrors:
             ("alpha",),  # one of the two sources required
             ("hybrid", "--retain", "AESEncrypt"),  # missing --n
             ("dataset", "munge"),
+            # reports with no curve or ratio column take no --plot
+            ("alpha", "--device", "laptop", "--plot", "chart.svg"),
+            ("calibrate", "--points", "0.3:9.773,0.9:4.01", "--plot", "chart.svg"),
+            ("dataset", "show", "--plot", "chart.svg"),
         ],
     )
     def test_exit_code_two(self, argv):

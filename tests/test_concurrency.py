@@ -46,17 +46,15 @@ class TestScaleFactor:
 
     def test_conservative_equals_n(self):
         for n in range(1, 6):
-            assert scale_factor(n, ScaleMode.conservative()) == float(n)
-
-    def test_no_mode_is_conservative(self):
-        assert scale_factor(3, None) == 3.0
+            assert scale_factor(n, ScaleMode.CONSERVATIVE) == float(n)
 
     def test_mode_value_selects_its_rule(self):
         assert scale_factor(3, "average_utilization", mean_utilization=0.5) == 1.5
 
     def test_unknown_mode_rejected(self):
-        with pytest.raises(ValueError, match="ScaleMode"):
-            scale_factor(4, "bogus")
+        for mode in ("bogus", None):
+            with pytest.raises(ValueError, match="ScaleMode"):
+                scale_factor(4, mode)
 
     def test_unknown_scenario_mode_rejected(self):
         with pytest.raises(ValueError, match="ScaleMode"):
@@ -74,6 +72,6 @@ class TestScaleFactor:
         kernels = list(dataset.kernels)
         for n in range(1, 6):
             avg = fabric_footprint(scale_factor(n, ScaleMode.average_utilization(), kernels))
-            cons = fabric_footprint(scale_factor(n, ScaleMode.conservative()))
+            cons = fabric_footprint(scale_factor(n, ScaleMode.CONSERVATIVE))
             assert avg <= cons
 

@@ -169,6 +169,7 @@ class TestAlphaEstimation:
         assert weights_for_device("laptop").alpha_e2o == pytest.approx(0.725, abs=1e-12)
 
     def test_unknown_device_class(self):
-        with pytest.raises(UnknownDeviceClass):
-            device_preset("toaster")
+        for device in ("toaster", "LAPTOP", 0.7, None, ["laptop"]):
+            with pytest.raises(UnknownDeviceClass, match=r"^unknown device class: "):
+                device_preset(device)
 

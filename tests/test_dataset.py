@@ -3,19 +3,21 @@ from __future__ import annotations
 import io
 import json
 import math
+import re
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fabcarbon import (
+    KernelProfile,
     aggregate,
     builtin_dataset,
     dump_dataset,
     load_dataset,
     validate_dataset,
 )
-from fabcarbon.dataset import KERNEL_COLUMNS, FabricSpec, GridSpec, KernelDataset
+from fabcarbon.dataset import KERNEL_COLUMNS, FabricSpec, KernelDataset
 from fabcarbon.errors import DatasetError, DatasetValidationError, EmptyInput, ParseError
 
 CSV_HEADER = "name,domain,area_norm,energy_norm,utilization,memory_kb,estimated\n"
@@ -93,7 +95,7 @@ class TestDatasetValidation:
             load_dataset(io.StringIO(text), "csv")
 
     def test_fabric_memory_below_largest_kernel(self, dataset):
-        small_fabric = FabricSpec(GridSpec(8, 8), 32, 100.0, 100.0)
+        small_fabric = FabricSpec(8, 8, 32, 100.0, 100.0)
         broken = KernelDataset(kernels=dataset.kernels, fabric=small_fabric)
         report = validate_dataset(broken)
         assert any("fabric memory below largest kernel" in v for v in report)
@@ -125,6 +127,43 @@ class TestDatasetValidation:
     def test_malformed_json_is_a_parse_error(self):
         with pytest.raises(ParseError):
             load_dataset(io.StringIO("{not json"), "json")
+
+    @pytest.mark.parametrize(
+        "record, violation",
+        [
+            (7, "kernel record 2: not an object"),
+            (["FFT", "signal processing"], "kernel record 2: not an object"),
+            ({"nam": "X", "domain": "d", "area_norm": 0.3, "energy_norm": 0.3, "utilization": 0.5,
+              "memory_kb": 1.0}, "kernel record 2: unknown key 'nam'"),
+            ({"name": "X", "domain": "d", "area_norm": 0.3, "energy_norm": 0.3, "memory_kb": 1.0},
+             "kernel record 2: missing key 'utilization'"),
+            ({}, "kernel record 2: missing key 'name'"),
+        ],
+    )
+    def test_malformed_json_record_names_its_position_and_key(self, dataset, record, violation):
+        doc = json.loads(dump_dataset(dataset, "json"))
+        doc["kernels"][1] = record
+        with pytest.raises(DatasetValidationError) as exc_info:
+            load_dataset(io.StringIO(json.dumps(doc)), "json")
+        assert exc_info.value.violations == [violation]
+        assert not re.search(r"__init__|argument after|positional argument", str(exc_info.value))
+
+    def test_json_estimated_is_optional(self, dataset):
+        doc = json.loads(dump_dataset(dataset, "json"))
+        del doc["kernels"][0]["estimated"]
+        assert load_dataset(io.StringIO(json.dumps(doc)), "json") == dataset
+
+    @pytest.mark.parametrize(
+        "text, fmt, violations",
+        [
+            (CSV_HEADER + "X,test,0,0.3,0.5,10,0\n", "csv", ["kernel 'X': area_norm out of (0, inf): 0.0"]),
+            ('{"kernels": [7, []]}', "json", ["kernel record 1: not an object", "kernel record 2: not an object"]),
+        ],
+    )
+    def test_every_record_rejected_lists_only_their_violations(self, text, fmt, violations):
+        with pytest.raises(DatasetValidationError) as exc_info:
+            load_dataset(io.StringIO(text), fmt)
+        assert exc_info.value.violations == violations
 
 
 
@@ -178,5 +217,46 @@ def test_loader_yields_a_dataset_or_a_dataset_error(document):
     assert validate_dataset(loaded) == []
     assert all(isinstance(k.name, str) and isinstance(k.domain, str) for k in loaded.kernels)
     fabric = loaded.fabric
-    assert all(type(v) is int for v in (fabric.grid.rows, fabric.grid.cols, fabric.memory_banks))
+    assert all(type(v) is int for v in (fabric.rows, fabric.cols, fabric.memory_banks))
     assert math.isfinite(fabric.memory_kb) and math.isfinite(fabric.clock_mhz)
+
+
+# Round-trip property over generated valid datasets. Names and domains carry
+# no surrounding blanks, since the CSV loader strips each cell.
+TEXT = st.text(max_size=8).filter(lambda s: s == s.strip())
+POSITIVE = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+KERNELS = st.builds(
+    KernelProfile,
+    name=TEXT.filter(bool),
+    domain=TEXT,
+    area_norm=POSITIVE,
+    energy_norm=POSITIVE,
+    utilization=st.floats(min_value=0.0, max_value=1.0, exclude_min=True),
+    memory_kb=st.floats(min_value=0.0, allow_infinity=False),
+    estimated=st.booleans(),
+)
+
+
+@st.composite
+def datasets(draw):
+    kernels = draw(st.lists(KERNELS, min_size=1, max_size=5, unique_by=lambda k: k.name))
+    largest = max(k.memory_kb for k in kernels)
+    counts = st.integers(min_value=1, max_value=2**64)
+    fabric = FabricSpec(
+        rows=draw(counts),
+        cols=draw(counts),
+        memory_banks=draw(counts),
+        memory_kb=draw(st.floats(min_value=largest, allow_infinity=False).filter(bool)),
+        clock_mhz=draw(POSITIVE),
+    )
+    return KernelDataset(kernels=tuple(kernels), fabric=fabric, provenance=draw(st.text(max_size=8)))
+
+
+@settings(deadline=None)
+@given(ds=datasets())
+def test_dump_then_load_is_the_identity(ds):
+    text = dump_dataset(ds, "json")
+    assert load_dataset(io.StringIO(text), "json") == ds
+    assert tuple(json.loads(text)["fabric"]) == FABRIC_KEYS
+    text = dump_dataset(ds, "csv")
+    assert load_dataset(io.StringIO(text), "csv", fabric=ds.fabric, provenance=ds.provenance) == ds

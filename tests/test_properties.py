@@ -174,7 +174,7 @@ class TestConcurrencyInvariants:
     @given(n=st.integers(min_value=1, max_value=8), util=utilizations)
     def test_scale_factor_bounds(self, n, util):
         avg = scale_factor(n, ScaleMode.average_utilization(), mean_utilization=util)
-        cons = scale_factor(n, ScaleMode.conservative())
+        cons = scale_factor(n, ScaleMode.CONSERVATIVE)
         assert 1.0 <= avg <= cons == float(n)
 
     @given(utils=st.lists(utilizations, min_size=1, max_size=10))

@@ -26,8 +26,9 @@ class TestBuiltinCases:
         assert builtin_case("III").excluded_kernels == {"AESEncrypt", "Viterbi"}
 
     def test_unknown_case(self):
-        with pytest.raises(UnknownScenario):
-            builtin_case("IV")
+        for resolve in (builtin_case, calibrated_aggregates):
+            with pytest.raises(UnknownScenario, match=r"^unknown scenario: 'iv' \(expected I, II, or III\)$"):
+                resolve("iv")
 
     def test_concurrency_cannot_exceed_population(self):
         with pytest.raises(ValueError):

@@ -12,6 +12,7 @@ from fabcarbon import (
     DeviceBreakdown,
     FootprintWeights,
     KernelProfile,
+    ScaleMode,
     ScenarioSpec,
     SweepResult,
     cdc_curve,
@@ -101,7 +102,7 @@ def test_kernel_rejects_non_numbers(value):
 CONCURRENCY_USERS = {
     "CdcQuery": lambda n: query(n=n),
     "ScenarioSpec": lambda n: ScenarioSpec("s", n=n),
-    "scale_factor": scale_factor,
+    "scale_factor": lambda n: scale_factor(n, ScaleMode.CONSERVATIVE),
     "dsa_footprint": lambda n: dsa_footprint(40, n, FootprintWeights(0.5), aggregates()),
     "fit_aggregates": lambda n: fit(n=n),
 }
