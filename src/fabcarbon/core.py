@@ -13,7 +13,7 @@ import math
 import statistics
 import sys
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .errors import (
     AlphaPole,
@@ -50,6 +50,28 @@ def is_real(value: object) -> bool:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         return False
     return -sys.float_info.max <= value <= sys.float_info.max
+
+
+def _real_in(low: float, high: float, *, low_closed: bool = False) -> Callable[[object], bool]:
+    """A test for an int or float (not a bool) in (low, high], or [low, high] when ``low_closed``."""
+
+    def test(value: object) -> bool:
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            return False
+        return (low <= value if low_closed else low < value) and value <= high
+
+    return test
+
+
+# The domain of each numeric KernelProfile field, all finite: its test and
+# its interval as messages print it. `KernelProfile` checks one value at a
+# time and the dataset loader whole columns, both with these tests.
+KERNEL_BOUNDS: dict[str, tuple[Callable[[object], bool], str]] = {
+    "area_norm": (_real_in(0, sys.float_info.max), "(0, inf)"),
+    "energy_norm": (_real_in(0, sys.float_info.max), "(0, inf)"),
+    "utilization": (_real_in(0, 1), "(0, 1]"),
+    "memory_kb": (_real_in(0, sys.float_info.max, low_closed=True), "[0, inf)"),
+}
 
 
 def require_alpha(alpha: float) -> None:
@@ -99,18 +121,10 @@ class KernelProfile:
             raise InvalidKernel(f"kernel name must be a non-empty string: {self.name!r}")
         if not isinstance(self.domain, str):
             raise InvalidKernel(f"kernel {self.name!r}: domain must be a string: {self.domain!r}")
-        if not (is_real(self.area_norm) and self.area_norm > 0):
-            raise InvalidKernel(f"kernel {self.name!r}: area_norm out of (0, inf): {self.area_norm!r}")
-        if not (is_real(self.energy_norm) and self.energy_norm > 0):
-            raise InvalidKernel(
-                f"kernel {self.name!r}: energy_norm out of (0, inf): {self.energy_norm!r}"
-            )
-        if not (is_real(self.utilization) and 0 < self.utilization <= 1):
-            raise InvalidKernel(
-                f"kernel {self.name!r}: utilization out of (0, 1]: {self.utilization!r}"
-            )
-        if not (is_real(self.memory_kb) and self.memory_kb >= 0):
-            raise InvalidKernel(f"kernel {self.name!r}: memory_kb out of [0, inf): {self.memory_kb!r}")
+        for field, (within, interval) in KERNEL_BOUNDS.items():
+            value = getattr(self, field)
+            if not within(value):
+                raise InvalidKernel(f"kernel {self.name!r}: {field} out of {interval}: {value!r}")
         if not isinstance(self.estimated, bool):
             raise InvalidKernel(f"kernel {self.name!r}: estimated must be boolean: {self.estimated!r}")
 

@@ -14,9 +14,12 @@ import io
 import json
 import os
 from dataclasses import dataclass, fields
-from typing import IO, Iterable, Iterator, Mapping
+from functools import cached_property
+from itertools import compress, islice, repeat
+from operator import attrgetter, itemgetter
+from typing import IO, Callable, Iterable, Iterator, Mapping
 
-from .core import KernelProfile, is_real
+from .core import KERNEL_BOUNDS, KernelProfile, is_real
 from .errors import DatasetValidationError, EmptyInput, InvalidFabric, InvalidKernel, ParseError
 
 DATASET_VERSION = 1
@@ -54,36 +57,116 @@ class FabricSpec:
 _FABRIC_FIELDS = tuple(f.name for f in fields(FabricSpec))
 
 
-@dataclass(frozen=True)
+def _number(raw: str) -> float:
+    try:
+        return float(raw)
+    except ValueError:
+        raise ValueError(f"not a number: {raw!r}") from None
+
+
+_FLAGS = {"0": False, "1": True}
+
+
+def _flag(raw: str) -> bool:
+    if raw not in _FLAGS:
+        raise ValueError(f"flag must be 0 or 1: {raw!r}")
+    return _FLAGS[raw]
+
+
+# Parsers for a slice of raw CSV cells, one field's at a time: each gives a
+# cell the value its cell parser gives it once stripped, and raises (a
+# ValueError or KeyError) where that parser would.
+def _text_cells(cells: Iterable[str]) -> Iterator[str]:
+    return map(str.strip, cells)
+
+
+def _number_cells(cells: Iterable[str]) -> Iterator[float]:
+    return map(float, cells)  # float() drops surrounding blanks itself
+
+
+def _flag_cells(cells: Iterable[str]) -> Iterator[bool]:
+    return map(_FLAGS.__getitem__, map(str.strip, cells))
+
+
+# The kernel record schema, one row per KernelProfile field: the field's
+# column (CSV) or key (JSON), its CSV cell parser, its parser for a slice of
+# cells and its CSV cell formatter. JSON carries typed values, which
+# KernelProfile checks itself.
+_SCHEMA = (
+    ("name", str, _text_cells, str),
+    ("domain", str, _text_cells, str),
+    ("area_norm", _number, _number_cells, repr),
+    ("energy_norm", _number, _number_cells, repr),
+    ("utilization", _number, _number_cells, repr),
+    ("memory_kb", _number, _number_cells, repr),
+    ("estimated", _flag, _flag_cells, lambda flag: "1" if flag else "0"),
+)
+KERNEL_COLUMNS = tuple(column for column, _, _, _ in _SCHEMA)
+
+
+@dataclass(frozen=True, init=False)
 class KernelDataset:
     """A named kernel collection plus the fabric it was normalized against.
 
+    The kernels are held as ``columns``, one tuple per `KERNEL_COLUMNS`
+    field, and ``kernels`` builds their `KernelProfile`s on first access.
     Dataset-level invariants (unique names, fabric memory at least the
     largest kernel's) are enforced by the loaders and reported by
     ``validate_dataset``; direct construction is left unchecked so partial
     or deliberately broken datasets can be assembled for inspection.
     """
 
-    kernels: tuple[KernelProfile, ...]
+    columns: tuple[tuple, ...]
     fabric: FabricSpec
     provenance: str = ""
     version: int = DATASET_VERSION
 
+    def __init__(
+        self,
+        kernels: Iterable[KernelProfile],
+        fabric: FabricSpec,
+        provenance: str = "",
+        version: int = DATASET_VERSION,
+    ) -> None:
+        kernels = tuple(kernels)
+        columns = tuple(tuple(map(attrgetter(column), kernels)) for column in KERNEL_COLUMNS)
+        self.__dict__.update(columns=columns, fabric=fabric, provenance=provenance, version=version)
+        self.__dict__["kernels"] = kernels  # filled, so the cached property is never computed
+
+    @classmethod
+    def _from_columns(
+        cls, columns: tuple[tuple, ...], fabric: FabricSpec, provenance: str, version: int
+    ) -> KernelDataset:
+        """A dataset over columns whose every row is a valid `KernelProfile`."""
+        ds = cls.__new__(cls)
+        ds.__dict__.update(columns=columns, fabric=fabric, provenance=provenance, version=version)
+        return ds
+
+    @cached_property
+    def kernels(self) -> tuple[KernelProfile, ...]:
+        return tuple(map(KernelProfile, *self.columns))
+
+    def column(self, field: str) -> tuple:
+        """One field's values, kernel by kernel."""
+        return self.columns[KERNEL_COLUMNS.index(field)]
+
     def names(self) -> tuple[str, ...]:
-        return tuple(k.name for k in self.kernels)
+        return self.column("name")
 
     def kernel(self, name: str) -> KernelProfile:
-        for k in self.kernels:
-            if k.name == name:
-                return k
-        raise KeyError(f"no kernel named {name!r} in dataset")
+        try:
+            position = self.names().index(name)
+        except ValueError:
+            raise KeyError(f"no kernel named {name!r} in dataset") from None
+        return self.kernels[position]
 
     def without(self, excluded: Iterable[str]) -> tuple[KernelProfile, ...]:
         dropped = set(excluded)
-        unknown = dropped - set(self.names())
+        names = self.names()
+        unknown = dropped.difference(names)
         if unknown:
             raise KeyError(f"unknown kernel name(s): {sorted(unknown)}")
-        return tuple(k for k in self.kernels if k.name not in dropped)
+        return tuple(compress(self.kernels, [name not in dropped for name in names]))
 
 
 _BUILTIN_FABRIC = FabricSpec(rows=8, cols=8, memory_banks=32, memory_kb=256.0, clock_mhz=100.0)
@@ -118,19 +201,21 @@ def builtin_dataset() -> KernelDataset:
 def validate_dataset(ds: KernelDataset) -> list[str]:
     """Dataset-level violations, empty when clean. Never mutates the input."""
     violations: list[str] = []
-    seen: set[str] = set()
-    for k in ds.kernels:
-        if k.name in seen:
-            violations.append(f"duplicate kernel name: {k.name!r}")
-        seen.add(k.name)
-    if not ds.kernels:
+    names, memory = ds.names(), ds.column("memory_kb")
+    if len(set(names)) < len(names):
+        seen: set[str] = set()
+        for name in names:
+            if name in seen:
+                violations.append(f"duplicate kernel name: {name!r}")
+            seen.add(name)
+    if not names:
         violations.append("dataset contains no kernels")
     else:
-        largest = max(ds.kernels, key=lambda k: k.memory_kb)
-        if ds.fabric.memory_kb < largest.memory_kb:
+        largest = memory.index(max(memory))  # the first kernel holding the most memory
+        if ds.fabric.memory_kb < memory[largest]:
             violations.append(
                 "fabric memory below largest kernel: "
-                f"{ds.fabric.memory_kb:g} KB < {largest.name} {largest.memory_kb:g} KB"
+                f"{ds.fabric.memory_kb:g} KB < {names[largest]} {memory[largest]:g} KB"
             )
     if not 1 <= ds.version <= DATASET_VERSION:
         violations.append(f"unsupported dataset version: {ds.version}")
@@ -151,35 +236,13 @@ def _read_text(source: str | os.PathLike | IO) -> str:
     return data
 
 
-def _number(raw: str) -> float:
-    try:
-        return float(raw)
-    except ValueError:
-        raise ValueError(f"not a number: {raw!r}") from None
+# CSV rows parsed into columns at a time: each slice's cell strings are freed
+# before the next slice is read.
+_SLICE_ROWS = 4096
 
 
-def _flag(raw: str) -> bool:
-    if raw not in ("0", "1"):
-        raise ValueError(f"flag must be 0 or 1: {raw!r}")
-    return raw == "1"
-
-
-# The kernel record schema, one row per KernelProfile field: the field's
-# column (CSV) or key (JSON), its CSV cell parser and its CSV cell formatter.
-# JSON carries typed values, which KernelProfile checks itself.
-_SCHEMA = (
-    ("name", str, str),
-    ("domain", str, str),
-    ("area_norm", _number, repr),
-    ("energy_norm", _number, repr),
-    ("utilization", _number, repr),
-    ("memory_kb", _number, repr),
-    ("estimated", _flag, lambda flag: "1" if flag else "0"),
-)
-KERNEL_COLUMNS = tuple(column for column, _, _ in _SCHEMA)
-
-
-def _csv_records(text: str) -> Iterator[dict[str, object]]:
+def _csv_body(text: str) -> Iterator[list[str]]:
+    """A csv reader past the header row, which must name `KERNEL_COLUMNS`."""
     reader = csv.reader(io.StringIO(text))
     header = next(reader, None)
     if header is None:
@@ -189,18 +252,43 @@ def _csv_records(text: str) -> Iterator[dict[str, object]]:
         raise ParseError(
             f"expected header {','.join(KERNEL_COLUMNS)!r}, got {','.join(header)!r}", line=1
         )
+    return reader
+
+
+def _csv_records(text: str) -> Iterator[dict[str, object]]:
+    reader = _csv_body(text)
     for row in reader:
         if not row or all(not cell.strip() for cell in row):
             continue
         if len(row) != len(_SCHEMA):
             raise ParseError(f"expected {len(_SCHEMA)} fields, got {len(row)}", line=reader.line_num)
         record = {}
-        for (column, parse, _), cell in zip(_SCHEMA, row):
+        for (column, parse, _, _), cell in zip(_SCHEMA, row):
             try:
                 record[column] = parse(cell.strip())
             except ValueError as exc:
                 raise ParseError(str(exc), line=reader.line_num, column=column) from None
         yield record
+
+
+def _csv_columns(text: str) -> tuple[tuple, ...] | None:
+    """Each field's column, or None when the header, a row or a cell would not parse."""
+    columns: tuple[list, ...] = tuple([] for _ in _SCHEMA)
+    try:
+        reader = _csv_body(text)
+        while rows := list(islice(reader, _SLICE_ROWS)):
+            if set(map(len, rows)) != {len(_SCHEMA)}:  # a blank row or a wrong field count
+                return None
+            for column, (_, _, parse_cells, _), cells in zip(columns, _SCHEMA, zip(*rows)):
+                column.extend(parse_cells(cells))
+    except (csv.Error, ValueError, KeyError):  # ParseError and EmptyInput are ValueErrors
+        return None
+    del reader  # frees the reader's copy of the text before the columns are copied
+    return tuple(map(tuple, columns))
+
+
+# The keys a JSON document may hold.
+_DOCUMENT_KEYS = ("version", "provenance", "fabric", "kernels")
 
 
 def _json_document(text: str) -> Mapping:
@@ -212,6 +300,9 @@ def _json_document(text: str) -> Mapping:
         raise ParseError(f"invalid JSON: {exc}") from None
     if not isinstance(doc, Mapping):
         raise ParseError("top-level JSON value must be an object")
+    for key in doc:
+        if key not in _DOCUMENT_KEYS:
+            raise ParseError(f"unknown key {key!r}")
     version = doc.get("version", DATASET_VERSION)
     if not isinstance(version, int) or isinstance(version, bool):
         raise ParseError("version must be an integer", column="version")
@@ -231,6 +322,9 @@ def _json_fabric(block: object) -> FabricSpec | None:
         return None
     if not isinstance(block, Mapping):
         raise ParseError("fabric must be an object", column="fabric")
+    for key in block:
+        if key not in _FABRIC_FIELDS:
+            raise ParseError(f"malformed fabric block: unknown key {key!r}", column="fabric")
     try:
         return FabricSpec(**{key: block[key] for key in _FABRIC_FIELDS})
     except KeyError as exc:
@@ -246,30 +340,57 @@ def _record_fault(record: object) -> str:
     return f"unknown key {unknown[0]!r}" if unknown else f"missing key {missing[0]!r}"
 
 
-def load_dataset(
-    source: str | os.PathLike | IO,
-    format: str = "json",
-    *,
-    fabric: FabricSpec | None = None,
-    provenance: str | None = None,
-) -> KernelDataset:
-    """Parse and validate a kernel dataset.
+_KERNEL_KEYS = frozenset(KERNEL_COLUMNS)
 
-    CSV documents carry kernels only; ``fabric`` and ``provenance`` fill in
-    the rest (defaulting to the bundled fabric). JSON documents carry
-    everything, and the keyword arguments override.
+
+def _json_columns(records: list) -> tuple[tuple, ...] | None:
+    """Each field's column, or None when a record is not an object holding
+    every key but the optional `estimated` and no other."""
+    if set(map(type, records)) != {dict} or not all(map(_KERNEL_KEYS.issuperset, records)):
+        return None
+    try:
+        columns = [tuple(map(itemgetter(column), records)) for column in KERNEL_COLUMNS[:-1]]
+    except KeyError:
+        return None
+    return (*columns, tuple(map(dict.get, records, repeat("estimated"), repeat(False))))
+
+
+def _columns_valid(columns: tuple[tuple, ...]) -> bool:
+    """Whether `columns` hold at least one row and a `KernelProfile` made of
+    each row passes its checks: names are non-empty strings, domains
+    strings, flags bools, and each number passes its `KERNEL_BOUNDS` test."""
+    names, domains, *_, flags = columns
+    return (
+        bool(names)
+        and all(names)
+        and set(map(type, names)) <= {str}
+        and set(map(type, domains)) <= {str}
+        and set(map(type, flags)) <= {bool}
+        and all(
+            _numbers_within(values, KERNEL_BOUNDS[field][0])
+            for field, values in zip(KERNEL_COLUMNS, columns)
+            if field in KERNEL_BOUNDS
+        )
+    )
+
+
+def _numbers_within(values: tuple, within: Callable[[object], bool]) -> bool:
+    """Whether every value is an int or float passing `within`, an interval test.
+
+    Without a NaN the values are totally ordered, so the least and the
+    greatest decide; a NaN would make their sum NaN.
     """
-    text = _read_text(source)
-    if format == "csv":
-        doc: Mapping = {}
-        records: Iterable = _csv_records(text)
-    elif format == "json":
-        doc = _json_document(text)
-        records = doc["kernels"]
-    else:
-        raise ValueError(f"unknown dataset format: {format!r}")
-    loaded_fabric = _json_fabric(doc.get("fabric"))
+    if not set(map(type, values)) <= {int, float}:
+        return False
+    try:
+        total = sum(values)
+    except OverflowError:  # an int too large for a float, which no interval admits
+        return False
+    return total == total and within(min(values)) and within(max(values))
 
+
+def _record_kernels(records: Iterable) -> tuple[list[KernelProfile], list[str]]:
+    """Build a `KernelProfile` from each record, collecting what each violates."""
     kernels = []
     violations = []
     try:
@@ -284,13 +405,52 @@ def load_dataset(
         raise ParseError(str(exc)) from None
     if not kernels and not violations:
         raise EmptyInput("input document contains no records")
-    ds = KernelDataset(
-        kernels=tuple(kernels),
-        fabric=fabric or loaded_fabric or _BUILTIN_FABRIC,
-        provenance=provenance if provenance is not None else (doc.get("provenance") or ""),
-        version=doc.get("version", DATASET_VERSION),
-    )
-    if kernels:  # else every record already has its violation
+    return kernels, violations
+
+
+def load_dataset(
+    source: str | os.PathLike | IO,
+    format: str = "json",
+    *,
+    fabric: FabricSpec | None = None,
+    provenance: str | None = None,
+) -> KernelDataset:
+    """Parse and validate a kernel dataset.
+
+    CSV documents carry kernels only; ``fabric`` and ``provenance`` fill in
+    the rest (defaulting to the bundled fabric). JSON documents carry
+    everything, and the keyword arguments override.
+
+    Each field is read into one column (CSV a slice of rows at a time), and
+    each column is checked whole against the checks `KernelProfile` makes,
+    so no `KernelProfile` is built until the dataset's ``kernels`` are read.
+    When a column fails its check, or a row or record is malformed, the
+    document is read again record by record, building each `KernelProfile`,
+    and every violation is reported with the message, line and column that
+    record's own checks give.
+    """
+    text = _read_text(source)
+    if format == "csv":
+        doc: Mapping = {}
+        records: Iterable = _csv_records(text)
+    elif format == "json":
+        doc = _json_document(text)
+        records = doc["kernels"]
+    else:
+        raise ValueError(f"unknown dataset format: {format!r}")
+    loaded_fabric = _json_fabric(doc.get("fabric"))
+    fabric = fabric or loaded_fabric or _BUILTIN_FABRIC
+    provenance = provenance if provenance is not None else (doc.get("provenance") or "")
+    version = doc.get("version", DATASET_VERSION)
+
+    columns = _csv_columns(text) if format == "csv" else _json_columns(records)
+    if columns is not None and _columns_valid(columns):
+        ds = KernelDataset._from_columns(columns, fabric, provenance, version)
+        violations = []
+    else:
+        kernels, violations = _record_kernels(records)
+        ds = KernelDataset(kernels, fabric, provenance, version)
+    if ds.columns[0]:  # else every record already has its violation
         violations += validate_dataset(ds)
     if violations:
         raise DatasetValidationError(violations)
@@ -306,16 +466,17 @@ def dump_dataset(ds: KernelDataset, format: str = "json") -> str:
         # the writer quotes a cell holding the terminator "\n", but a "\r" needs quotes too
         quoted = csv.writer(buf, lineterminator="\n", quoting=csv.QUOTE_ALL)
         writer.writerow(KERNEL_COLUMNS)
-        for k in ds.kernels:
-            row = [fmt(getattr(k, column)) for column, _, fmt in _SCHEMA]
-            (quoted if "\r" in k.name or "\r" in k.domain else writer).writerow(row)
+        for row in zip(*ds.columns):
+            name, domain = row[:2]
+            cells = [fmt(value) for (_, _, _, fmt), value in zip(_SCHEMA, row)]
+            (quoted if "\r" in name or "\r" in domain else writer).writerow(cells)
         return buf.getvalue()
     if format == "json":
         doc = {
             "version": ds.version,
             "provenance": ds.provenance,
             "fabric": {key: getattr(ds.fabric, key) for key in _FABRIC_FIELDS},
-            "kernels": [{column: getattr(k, column) for column in KERNEL_COLUMNS} for k in ds.kernels],
+            "kernels": [dict(zip(KERNEL_COLUMNS, row)) for row in zip(*ds.columns)],
         }
         return json.dumps(doc, indent=2) + "\n"
     raise ValueError(f"unknown dataset format: {format!r}")

@@ -389,6 +389,33 @@ class TestWorkDoneOnce:
         assert invoke("dataset", "validate", str(path))[0] == 0
         assert len(calls) == 1
 
+    @pytest.fixture
+    def kernels_built(self, monkeypatch):
+        """The `KernelProfile`s constructed, counted through their checks."""
+        calls = []
+        real = fabcarbon.core.KernelProfile.__post_init__
+        monkeypatch.setattr(fabcarbon.core.KernelProfile, "__post_init__", lambda k: calls.append(k) or real(k))
+        return calls
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize(
+        "argv,built",
+        [
+            (("dataset", "validate", "PATH"), 0),
+            (("dataset", "show", "PATH"), 48),
+            (("scenario", "--case", "I,II,III", "--alphas", "0.3,0.9", "--util-mode", "avg", "--dataset", "PATH"), 48),
+            (("hybrid", "--retain", "AESEncrypt,Viterbi", "--n", "4", "--dataset", "PATH"), 48),
+        ],
+    )
+    def test_kernels_built_only_when_read(self, tmp_path, kernels_built, fmt, argv, built):
+        ds = builtin_dataset()
+        extra = [fabcarbon.KernelProfile(f"K{i}", "test", 0.3, 0.4, 0.5, 16.0, bool(i % 2)) for i in range(40)]
+        path = tmp_path / f"kernels.{fmt}"
+        path.write_text(dump_dataset(fabcarbon.KernelDataset([*ds.kernels, *extra], ds.fabric, ds.provenance), fmt))
+        kernels_built.clear()
+        assert invoke(*(str(path) if arg == "PATH" else arg for arg in argv))[0] == 0
+        assert len(kernels_built) == built
+
 
 CDC_ARGS = ("cdc", "--alpha", "0.8", "--area", "0.35", "--energy", "0.35")
 

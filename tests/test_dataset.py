@@ -4,6 +4,7 @@ import io
 import json
 import math
 import re
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -17,6 +18,7 @@ from fabcarbon import (
     load_dataset,
     validate_dataset,
 )
+import fabcarbon.dataset
 from fabcarbon.dataset import KERNEL_COLUMNS, FabricSpec, KernelDataset
 from fabcarbon.errors import DatasetError, DatasetValidationError, EmptyInput, ParseError
 
@@ -153,6 +155,21 @@ class TestDatasetValidation:
         del doc["kernels"][0]["estimated"]
         assert load_dataset(io.StringIO(json.dumps(doc)), "json") == dataset
 
+    def test_unknown_document_key_is_a_parse_error(self, dataset):
+        doc = json.loads(dump_dataset(dataset, "json"))
+        doc["fabrik"] = doc.pop("fabric")
+        with pytest.raises(ParseError) as exc_info:
+            load_dataset(io.StringIO(json.dumps(doc)), "json")
+        assert str(exc_info.value) == "unknown key 'fabrik'"
+
+    def test_unknown_fabric_key_is_a_parse_error(self, dataset):
+        doc = json.loads(dump_dataset(dataset, "json"))
+        doc["fabric"]["clock_ghz"] = 0.1
+        with pytest.raises(ParseError) as exc_info:
+            load_dataset(io.StringIO(json.dumps(doc)), "json")
+        assert exc_info.value.column == "fabric"
+        assert "unknown key 'clock_ghz'" in str(exc_info.value)
+
     @pytest.mark.parametrize(
         "text, fmt, violations",
         [
@@ -260,3 +277,57 @@ def test_dump_then_load_is_the_identity(ds):
     assert tuple(json.loads(text)["fabric"]) == FABRIC_KEYS
     text = dump_dataset(ds, "csv")
     assert load_dataset(io.StringIO(text), "csv", fabric=ds.fabric, provenance=ds.provenance) == ds
+
+
+# Parity property: the column path (whole-column checks) and the
+# per-record path it falls back to give the same dataset or the same error.
+def _outcome(text, fmt):
+    try:
+        return load_dataset(io.StringIO(text), fmt)
+    except Exception as exc:  # compared, whatever it is
+        return exc
+
+
+def _per_record_outcome(text, fmt):
+    # every column check reports a failure, so each record builds its own KernelProfile
+    with mock.patch.object(fabcarbon.dataset, "_columns_valid", return_value=False):
+        return _outcome(text, fmt)
+
+
+def _both_formats(ds):
+    return st.sampled_from(((dump_dataset(ds, "json"), "json"), (dump_dataset(ds, "csv"), "csv")))
+
+
+ROW = "X,d,0.3,0.3,0.5,10,0\n"
+DOC = '{"kernels": [{"name": "X", "domain": "d", "area_norm": 0.3, "energy_norm": 0.3, "utilization": %s, "memory_kb": %s%s}]}'
+
+
+@settings(deadline=None)
+@given(document=st.one_of(
+    JSON_DOCS.map(lambda d: (d, "json")), CSV_DOCS.map(lambda d: (d, "csv")), datasets().flatmap(_both_formats)
+))
+@example(document=(CSV_HEADER + ROW + ",,,,,,\n" + ROW.replace("X", "Y"), "csv"))  # an all-blank row
+@example(document=(CSV_HEADER + " X , d , 0.3 ,0.3, 0.5 ,10 , 1 \n", "csv"))  # blanks around cells
+@example(document=(CSV_HEADER + "X,d,0.3,0.3,0.5,10, 1\n", "csv"))
+@example(document=(DOC % ("1", "10", ', "estimated": true'), "json"))  # JSON integers
+@example(document=(DOC % ("0.5", "10", ""), "json"))  # no `estimated`
+@example(document=(DOC % ("0.5", "10", ', "estimated": 1'), "json"))  # a number, not a flag
+@example(document=(CSV_HEADER + "X,d,nan,0.3,0.5,10,0\nY,d,0.3,0.3,0.5,1e400,0\n", "csv"))
+@example(document=(DOC % ("NaN", "1e400", ""), "json"))
+@example(document=(CSV_HEADER + ROW + ROW, "csv"))  # duplicate names
+@example(document=(CSV_HEADER + ROW.replace(",10,", ",300,"), "csv"))  # above the fabric's 256 KB
+@example(document=(CSV_HEADER + ROW.replace("X", ""), "csv"))  # an empty name
+@example(document=(DOC.replace('"X"', '""') % ("0.5", "10", ""), "json"))
+def test_column_path_matches_per_record_path(document):
+    text, fmt = document
+    got, expected = _outcome(text, fmt), _per_record_outcome(text, fmt)
+    assert type(got) is type(expected)
+    if isinstance(expected, KernelDataset):
+        assert got == expected and got.kernels == expected.kernels
+        assert [list(map(type, column)) for column in got.columns] == [
+            list(map(type, column)) for column in expected.columns
+        ]
+    else:
+        assert str(got) == str(expected)
+        for attribute in ("violations", "line", "column"):
+            assert getattr(got, attribute, None) == getattr(expected, attribute, None)

@@ -18,7 +18,8 @@ from pathlib import Path
 
 import pytest
 
-from fabcarbon.cli import run
+from fabcarbon import builtin_dataset, dump_dataset
+from fabcarbon.cli import DATASET_ENV_VAR, run
 
 GOLDEN = Path(__file__).with_name("golden_outputs.json")
 
@@ -73,6 +74,21 @@ def test_every_case_is_recorded(golden):
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_output_matches_recording(case, golden, tmp_path):
     assert render(case, tmp_path) == golden[case]
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_output_matches_recording_from_a_loaded_file(case, fmt, golden, tmp_path, monkeypatch):
+    """The bundled set dumped to a file and loaded prints the same bytes,
+    except `dataset validate` on a CSV file, which carries no provenance."""
+    path = tmp_path / f"kernels.{fmt}"
+    path.write_text(dump_dataset(builtin_dataset(), fmt), encoding="utf-8")
+    monkeypatch.setenv(DATASET_ENV_VAR, str(path))
+    got = render(case, tmp_path)
+    if fmt == "csv" and case.startswith("dataset validate"):
+        assert "(unnamed)" in got and "(unnamed)" not in golden[case]
+    else:
+        assert got == golden[case]
 
 
 if __name__ == "__main__":
