@@ -12,6 +12,7 @@ import argparse
 import contextlib
 import os
 import sys
+from itertools import compress
 from typing import IO, Callable, Sequence
 
 from . import scenarios as scen_mod
@@ -235,11 +236,11 @@ def _resolve_dataset(path: str | None) -> KernelDataset:
 
 def _case_i_aggregates(ds: KernelDataset, calibrated: bool) -> AggregateRatios:
     """CASE-I's aggregates: fitted to its reference anchors, or the means of every kernel, as CASE-I excludes none."""
-    return scen_mod.calibrated_aggregates("I", ds) if calibrated else aggregate(ds.kernels)
+    return scen_mod.calibrated_aggregates("I", ds) if calibrated else aggregate(ds)
 
 
 def _dataset_footnote(ds: KernelDataset) -> tuple[str, ...]:
-    return estimated_inputs_footnote(k.name for k in ds.kernels if k.estimated)
+    return estimated_inputs_footnote(compress(ds.names(), ds.column("estimated")))
 
 
 def _cmd_cdc(args: argparse.Namespace) -> RenderedReport:
@@ -247,7 +248,7 @@ def _cmd_cdc(args: argparse.Namespace) -> RenderedReport:
     scale = args.scale
     if args.util_mode == "avg":
         ds = _resolve_dataset(args.dataset)
-        scale = scale_factor(args.n, ScaleMode.AVERAGE_UTILIZATION, kernels=ds.kernels)
+        scale = scale_factor(args.n, ScaleMode.AVERAGE_UTILIZATION, kernels=ds)
         footnotes = _dataset_footnote(ds)
     elif args.dataset is not None:
         raise UsageError("--dataset applies only with --util-mode avg")
@@ -397,7 +398,7 @@ def _cmd_dataset(args: argparse.Namespace) -> RenderedReport:
             columns=(Column("dataset", "dataset"), Column("status", "status")),
             records=((ds.provenance or "(unnamed)", "ok"),),
         )
-    agg = aggregate(ds.kernels)
+    agg = aggregate(ds)
     fabric = ds.fabric
     notes = (
         f"fabric: {fabric.rows}x{fabric.cols} PEs, {fabric.memory_banks} banks, "
@@ -414,11 +415,8 @@ def _cmd_dataset(args: argparse.Namespace) -> RenderedReport:
             Column("memory_kb", "memory_kb", "num"),
             Column("estimated", "estimated"),
         ),
-        records=tuple(
-            (k.name, k.domain, k.area_norm, k.energy_norm, k.utilization, k.memory_kb,
-             "yes" if k.estimated else "no")
-            for k in ds.kernels
-        ),
+        # one row per kernel in KERNEL_COLUMNS order, `estimated` last
+        records=tuple((*row[:-1], "yes" if row[-1] else "no") for row in zip(*ds.columns)),
         footnotes=notes + _dataset_footnote(ds),
     )
 

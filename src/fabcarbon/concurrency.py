@@ -8,12 +8,14 @@ occupy (n' = n * mean utilization, never below one full fabric).
 
 from __future__ import annotations
 
-import statistics
 from enum import Enum
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
-from .core import KernelProfile, require_concurrency
+from .core import KernelProfile, _column, mean, require_concurrency
 from .errors import EmptyKernelSet
+
+if TYPE_CHECKING:
+    from .dataset import KernelDataset
 
 
 class ScaleMode(str, Enum):
@@ -27,18 +29,17 @@ class ScaleMode(str, Enum):
         return cls.AVERAGE_UTILIZATION
 
 
-def average_utilization(kernels: Sequence[KernelProfile]) -> float:
-    """Arithmetic mean of per-kernel fabric utilization."""
+def average_utilization(kernels: KernelDataset | Sequence[KernelProfile]) -> float:
+    """Arithmetic mean of per-kernel fabric utilization, as `aggregate` takes it."""
     if not kernels:
         raise EmptyKernelSet("cannot average utilization over an empty kernel set")
-    # statistics.mean, not fmean: must stay bit-identical to aggregate()
-    return statistics.mean([k.utilization for k in kernels])
+    return mean(_column(kernels, "utilization"))
 
 
 def scale_factor(
     n: int,
     mode: ScaleMode,
-    kernels: Sequence[KernelProfile] | None = None,
+    kernels: KernelDataset | Sequence[KernelProfile] | None = None,
     mean_utilization: float | None = None,
 ) -> float:
     """Fabric scaling factor n' for n concurrent kernels.

@@ -10,10 +10,9 @@ the operational share (energy proxy) with ``alpha_e2o`` in [0, 1].
 from __future__ import annotations
 
 import math
-import statistics
 import sys
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 from .errors import (
     AlphaPole,
@@ -27,6 +26,9 @@ from .errors import (
     InvalidScale,
     UnknownDeviceClass,
 )
+
+if TYPE_CHECKING:
+    from .dataset import KernelDataset
 
 
 # Embodied-footprint share bands per device class, from vendor lifecycle
@@ -183,16 +185,69 @@ class DeviceBreakdown:
             )
 
 
-def aggregate(kernels: Sequence[KernelProfile]) -> AggregateRatios:
-    """Arithmetic mean relative area, energy, and utilization over a kernel set."""
+def _fixed(x: float) -> int:
+    """`x` in units of 2**-1074, the least subnormal: an exact integer for every finite float."""
+    p, q = x.as_integer_ratio()  # q is a power of two, at most 2**1074
+    return p << (1075 - q.bit_length())
+
+
+def _exact_mean(values: Sequence[float]) -> float:
+    """The correctly rounded mean of ints and floats, in integer arithmetic:
+    each value is shifted onto the finest denominator among them, a power of two."""
+    ratios = [value.as_integer_ratio() for value in values]
+    bits = max(q for _, q in ratios).bit_length()
+    total = sum(p << (bits - q.bit_length()) for p, q in ratios)
+    n = len(ratios)
+    if bits == 1 and set(map(type, values)) <= {int} and total % n == 0:
+        return total // n  # as `statistics.mean`, an int when every value is one and the mean whole
+    return total / (n << (bits - 1))  # int / int rounds correctly
+
+
+def mean(values: Sequence[float]) -> float:
+    """The arithmetic mean of a non-empty sequence of finite ints and floats, correctly rounded.
+
+    It gives the value and type `statistics.mean` gives. For floats, `math.fsum`
+    rounds the exact sum S to s, and a second `fsum` rounds the residual S - s
+    to r. When r is 0, s / n is the mean. Otherwise S lies within an ulp of
+    r around s + r, and when both ends of that interval, divided by n, round
+    to the same float in integer arithmetic, so does S / n. Any other list,
+    and one whose `fsum` overflows, takes the exact integer mean.
+    """
+    n = len(values)
+    if set(map(type, values)) == {float}:
+        try:
+            s = math.fsum(values)
+        except OverflowError:  # the float sum overflows, though the mean cannot
+            return _exact_mean(values)
+        r = math.fsum([*values, -s])
+        if not r:
+            return s / n if s else 0.0  # fsum may sign an exact zero; the exact mean is +0
+        # fsum rounds S - s to within half an ulp; a whole ulp also covers a double-rounding build
+        centre, margin, scale = _fixed(s) + _fixed(r), _fixed(math.ulp(r)), n << 1074
+        low = (centre - margin) / scale
+        if low == (centre + margin) / scale:  # |r| < |s|, so both ends share the sign of S
+            return low
+    return _exact_mean(values)
+
+
+def _column(kernels: KernelDataset | Sequence[KernelProfile], field: str) -> Sequence:
+    """One field's values over a kernel set: a dataset's own column, or each profile's attribute."""
+    column = getattr(kernels, "column", None)
+    return column(field) if column is not None else [getattr(k, field) for k in kernels]
+
+
+def aggregate(kernels: KernelDataset | Sequence[KernelProfile]) -> AggregateRatios:
+    """Arithmetic mean relative area, energy, and utilization over a kernel set.
+
+    A dataset is read column by column; a sequence of profiles field by field.
+    """
     if not kernels:
         raise EmptyKernelSet("cannot aggregate an empty kernel set")
-    # exact-rational mean: identical inputs aggregate to themselves, bit for bit
-    mean = statistics.mean
+    # exact mean: identical inputs aggregate to themselves, bit for bit
     return AggregateRatios(
-        area=mean([k.area_norm for k in kernels]),
-        energy=mean([k.energy_norm for k in kernels]),
-        utilization=mean([k.utilization for k in kernels]),
+        area=mean(_column(kernels, "area_norm")),
+        energy=mean(_column(kernels, "energy_norm")),
+        utilization=mean(_column(kernels, "utilization")),
         kernel_count=len(kernels),
     )
 

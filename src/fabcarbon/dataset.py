@@ -146,6 +146,9 @@ class KernelDataset:
     def kernels(self) -> tuple[KernelProfile, ...]:
         return tuple(map(KernelProfile, *self.columns))
 
+    def __len__(self) -> int:
+        return len(self.columns[0])
+
     def column(self, field: str) -> tuple:
         """One field's values, kernel by kernel."""
         return self.columns[KERNEL_COLUMNS.index(field)]
@@ -154,19 +157,29 @@ class KernelDataset:
         return self.column("name")
 
     def kernel(self, name: str) -> KernelProfile:
+        """The named kernel's profile, built from its row unless ``kernels`` already holds it."""
         try:
             position = self.names().index(name)
         except ValueError:
             raise KeyError(f"no kernel named {name!r} in dataset") from None
-        return self.kernels[position]
+        if "kernels" in self.__dict__:
+            return self.kernels[position]
+        return KernelProfile(*(column[position] for column in self.columns))
 
-    def without(self, excluded: Iterable[str]) -> tuple[KernelProfile, ...]:
+    def compress(self, selectors: Iterable[object]) -> KernelDataset:
+        """The dataset of the kernels whose selector is true, in order, on the same fabric."""
+        selectors = tuple(selectors)
+        columns = tuple(tuple(compress(column, selectors)) for column in self.columns)
+        return KernelDataset._from_columns(columns, self.fabric, self.provenance, self.version)
+
+    def without(self, excluded: Iterable[str]) -> KernelDataset:
+        """The dataset of every kernel but the ``excluded`` names, each of which it must hold."""
         dropped = set(excluded)
         names = self.names()
         unknown = dropped.difference(names)
         if unknown:
             raise KeyError(f"unknown kernel name(s): {sorted(unknown)}")
-        return tuple(compress(self.kernels, [name not in dropped for name in names]))
+        return self.compress(name not in dropped for name in names)
 
 
 _BUILTIN_FABRIC = FabricSpec(rows=8, cols=8, memory_banks=32, memory_kb=256.0, clock_mhz=100.0)
@@ -450,7 +463,7 @@ def load_dataset(
     else:
         kernels, violations = _record_kernels(records)
         ds = KernelDataset(kernels, fabric, provenance, version)
-    if ds.columns[0]:  # else every record already has its violation
+    if ds:  # else every record already has its violation
         violations += validate_dataset(ds)
     if violations:
         raise DatasetValidationError(violations)

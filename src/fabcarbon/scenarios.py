@@ -10,11 +10,12 @@ keeps selected kernels as dedicated blocks next to a smaller fabric.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from itertools import compress
+from typing import Iterable
 
 from .engine import SweepResult, cdc_curve, fit_aggregates
 from .concurrency import ScaleMode, average_utilization, scale_factor
-from .core import MAX_CONCURRENCY, AggregateRatios, FootprintWeights, KernelProfile, aggregate, dsa_footprint, fabric_footprint, is_real, require_alpha, require_concurrency
+from .core import MAX_CONCURRENCY, AggregateRatios, FootprintWeights, aggregate, dsa_footprint, fabric_footprint, is_real, require_alpha, require_concurrency
 from .dataset import KernelDataset, builtin_dataset
 from .errors import ConcurrencyExceedsPopulation, EmptyKernelSet, InvalidValue, NoFabricWorkload, UnknownScenario
 
@@ -124,15 +125,15 @@ def calibrated_aggregates(case: str = "I", dataset: KernelDataset | None = None)
     the other cases, where no savings reference exists to fit against.
     """
     key = _case_key(case)
-    ds = dataset or builtin_dataset()
+    ds = dataset if dataset is not None else builtin_dataset()
     included = ds.without(CASE_EXCLUSIONS[key])
     utilization = CALIBRATED_UTILIZATION if key == "I" else average_utilization(included)
     return fit_aggregates(REFERENCE_CDC_ANCHORS[key], n=1, utilization=utilization, kernel_count=len(included))
 
 
-def scenario_kernels(spec: ScenarioSpec, dataset: KernelDataset | None = None) -> Sequence[KernelProfile]:
-    """Kernels the scenario actually maps onto the fabric."""
-    ds = dataset or builtin_dataset()
+def scenario_kernels(spec: ScenarioSpec, dataset: KernelDataset | None = None) -> KernelDataset:
+    """The dataset of the kernels the scenario actually maps onto the fabric."""
+    ds = dataset if dataset is not None else builtin_dataset()
     included = ds.without(spec.excluded_kernels)
     if not included:
         raise EmptyKernelSet(f"scenario {spec.name!r} excludes every kernel")
@@ -161,7 +162,7 @@ def evaluate_cdc_table(
         values=tuple(cdc_curve(alphas, agg, spec.n, scale)),
         n=spec.n,
         scale=scale,
-        estimated_kernels=tuple(sorted(k.name for k in kernels if k.estimated)),
+        estimated_kernels=tuple(sorted(compress(kernels.names(), kernels.column("estimated")))),
     )
 
 
@@ -209,7 +210,7 @@ def hybrid_retained_savings(
     scenario's other kernels. The baseline is the full population at
     concurrency n. A retained kernel the scenario excludes raises ``KeyError``.
     """
-    ds = dataset or builtin_dataset()
+    ds = dataset if dataset is not None else builtin_dataset()
     retained_names = set(retained)
     retained_kernels = [ds.kernel(name) for name in sorted(retained_names)]
     excluded = spec.excluded_kernels & retained_names
@@ -227,6 +228,6 @@ def hybrid_retained_savings(
     retained_cost = sum(
         alpha * k.area_norm + (1.0 - alpha) * k.energy_norm for k in retained_kernels
     )
-    fabric_kernels = [k for k in kernels if k.name not in retained_names]
+    fabric_kernels = kernels.compress(name not in retained_names for name in kernels.names())
     sub_scale = scale_factor(spec.n - len(retained_names), spec.scale_mode, kernels=fabric_kernels)
     return numerator / (fabric_footprint(sub_scale) + retained_cost)

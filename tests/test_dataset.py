@@ -331,3 +331,27 @@ def test_column_path_matches_per_record_path(document):
         assert str(got) == str(expected)
         for attribute in ("violations", "line", "column"):
             assert getattr(got, attribute, None) == getattr(expected, attribute, None)
+
+
+class TestKernelSubsets:
+    def test_without_is_a_dataset_of_the_kept_rows(self, dataset):
+        kept = dataset.without({"AESEncrypt", "Viterbi"})
+        assert isinstance(kept, KernelDataset) and len(kept) == 6
+        assert kept.names() == tuple(n for n in dataset.names() if n not in {"AESEncrypt", "Viterbi"})
+        assert (kept.fabric, kept.provenance, kept.version) == (dataset.fabric, dataset.provenance, dataset.version)
+        assert kept.kernels == tuple(k for k in dataset.kernels if k.name in kept.names())
+
+    def test_aggregate_reads_a_dataset_as_its_kernels(self, dataset):
+        kept = dataset.without({"AESEncrypt"})
+        assert aggregate(kept) == aggregate(list(kept.kernels))
+
+    def test_empty_dataset_has_length_zero(self, dataset):
+        assert len(KernelDataset([], dataset.fabric)) == 0
+
+    def test_kernel_builds_only_its_own_row(self, dataset, monkeypatch):
+        loaded = load_dataset(io.StringIO(dump_dataset(dataset, "csv")), "csv")
+        built = []
+        real = KernelProfile.__post_init__
+        monkeypatch.setattr(KernelProfile, "__post_init__", lambda k: built.append(k) or real(k))
+        assert loaded.kernel("Viterbi") == dataset.kernel("Viterbi")
+        assert built == [dataset.kernel("Viterbi")]

@@ -3,7 +3,10 @@
 from __future__ import annotations
 
 import math
+import statistics
+import sys
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -25,7 +28,8 @@ from fabcarbon import (
     savings_factor,
     scale_factor,
 )
-from fabcarbon.core import DeviceBreakdown
+import fabcarbon.core
+from fabcarbon.core import DeviceBreakdown, mean
 
 # Ratios below one keep the threshold at or above the concurrency level,
 # which is the regime the model is about (DSAs leaner than the fabric).
@@ -192,3 +196,54 @@ class TestSavingsInvariants:
         result = savings_factor(builtin_case("I", n=n, alpha=alpha))
         ratio = result.improvement_avg_util / result.improvement_conservative
         assert math.isclose(ratio, n / result.scale_avg_util, rel_tol=5e-16)
+
+
+FLOAT_MAX = sys.float_info.max
+FLOAT_MIN_NORMAL = sys.float_info.min
+finite = st.floats(allow_nan=False, allow_infinity=False)
+subnormal = st.floats(min_value=-FLOAT_MIN_NORMAL, max_value=FLOAT_MIN_NORMAL, allow_subnormal=True)
+near_max = st.floats(min_value=FLOAT_MAX / 4, max_value=FLOAT_MAX)  # a few of these overflow fsum
+# ints past 2**53 have no exact float, so they take the exact path too
+numbers = st.one_of(finite, st.integers(min_value=-(2**70), max_value=2**70))
+
+
+def _bits(value):
+    """What tells two means apart: their type and their repr, which gives a float's every bit and sign."""
+    return type(value), repr(value)
+
+
+class TestMean:
+    @given(values=st.one_of(
+        st.lists(finite, min_size=1, max_size=40),
+        st.lists(subnormal, min_size=1, max_size=40),
+        st.lists(near_max, min_size=1, max_size=40),
+        st.lists(st.one_of(near_max, near_max.map(float.__neg__)), min_size=1, max_size=40),
+        st.lists(numbers, min_size=1, max_size=40),
+    ))
+    @example(values=[1.0, 2.0**-53])  # S / 2 is a tie: the interval test cannot decide it
+    @example(values=[2.0000000000000018, 2.0000000000000004, 1.0])  # the mean is not fsum(values) / 3
+    @example(values=[FLOAT_MAX, FLOAT_MAX])  # fsum overflows
+    @example(values=[-0.0, -0.0])
+    @example(values=[-5e-324, 0.0, 0.0])  # rounds to -0.0
+    @example(values=[1, 2])
+    @example(values=[1, 3])
+    @example(values=[1, 2.0])
+    def test_equals_statistics_mean_bit_for_bit(self, values):
+        assert _bits(mean(values)) == _bits(statistics.mean(values))
+
+    @pytest.mark.parametrize(
+        "values,exact",
+        [
+            ([0.1, 0.2, 0.3], False),
+            ([1.0, 2.0**-53], True),
+            ([2.0000000000000018, 2.0000000000000004, 1.0], False),  # not fsum(values) / 3, yet decided
+            ([FLOAT_MAX, FLOAT_MAX], True),
+            ([1, 2], True),
+        ],
+    )
+    def test_exact_path_taken_only_where_fsum_cannot_decide(self, monkeypatch, values, exact):
+        calls = []
+        real = fabcarbon.core._exact_mean
+        monkeypatch.setattr(fabcarbon.core, "_exact_mean", lambda xs: calls.append(xs) or real(xs))
+        assert _bits(mean(values)) == _bits(statistics.mean(values))
+        assert len(calls) == exact

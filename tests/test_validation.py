@@ -132,6 +132,10 @@ class TestScenarioSpec:
         with pytest.raises(EmptyKernelSet):
             scenario_kernels(spec, solo)
 
+    def test_empty_dataset_is_not_swapped_for_the_bundled_one(self):
+        with pytest.raises(EmptyKernelSet):
+            scenario_kernels(ScenarioSpec("s"), KernelDataset([], builtin_dataset().fabric))
+
 
 ALPHA_USERS = {
     "CdcQuery": lambda a: CdcQuery(FootprintWeights(a), aggregates()),
