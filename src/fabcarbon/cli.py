@@ -18,6 +18,7 @@ from typing import IO, Callable, Sequence
 from . import scenarios as scen_mod
 from .concurrency import ScaleMode, scale_factor
 from .core import (
+    KERNEL_BOUNDS,
     AggregateRatios,
     DeviceBreakdown,
     FootprintWeights,
@@ -27,7 +28,7 @@ from .core import (
     require_alpha,
     weights_for_device,
 )
-from .dataset import KernelDataset, builtin_dataset, load_dataset
+from .dataset import KERNEL_COLUMNS, KernelDataset, builtin_dataset, load_dataset
 from .engine import (
     CdcQuery,
     SweepResult,
@@ -52,8 +53,8 @@ DATASET_ENV_VAR = "FABCARBON_DATASET"
 # are written curve by curve, so the curves' values, not their text, set
 # the peak memory; it still grows with the point count, as does the time.
 MAX_SWEEP_POINTS = 2_000_000
-# `savings --n LO:HI` computes one row per n, about 150 us each on a 2-CPU
-# host, so the cap keeps one call near 15 s.
+# `savings --n LO:HI` computes one row per n, about 25 us each on a 2-CPU
+# host, so the cap keeps one call near 2.5 s.
 MAX_SAVINGS_ROWS = 100_000
 
 EXIT_OK = 0
@@ -406,14 +407,8 @@ def _cmd_dataset(args: argparse.Namespace) -> RenderedReport:
         f"means: area {agg.area:g}, energy {agg.energy:g}, utilization {agg.utilization:g}",
     )
     return RenderedReport(
-        columns=(
-            Column("name", "name"),
-            Column("domain", "domain"),
-            Column("area_norm", "area_norm", "num"),
-            Column("energy_norm", "energy_norm", "num"),
-            Column("utilization", "utilization", "num"),
-            Column("memory_kb", "memory_kb", "num"),
-            Column("estimated", "estimated"),
+        columns=tuple(
+            Column(field, field, "num" if field in KERNEL_BOUNDS else "plain") for field in KERNEL_COLUMNS
         ),
         # one row per kernel in KERNEL_COLUMNS order, `estimated` last
         records=tuple((*row[:-1], "yes" if row[-1] else "no") for row in zip(*ds.columns)),

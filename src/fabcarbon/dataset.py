@@ -13,6 +13,7 @@ import csv
 import io
 import json
 import os
+import re
 from dataclasses import dataclass, fields
 from functools import cached_property
 from itertools import compress, islice, repeat
@@ -57,49 +58,32 @@ class FabricSpec:
 _FABRIC_FIELDS = tuple(f.name for f in fields(FabricSpec))
 
 
-def _number(raw: str) -> float:
-    try:
-        return float(raw)
-    except ValueError:
-        raise ValueError(f"not a number: {raw!r}") from None
-
-
 _FLAGS = {"0": False, "1": True}
 
 
-def _flag(raw: str) -> bool:
-    if raw not in _FLAGS:
-        raise ValueError(f"flag must be 0 or 1: {raw!r}")
-    return _FLAGS[raw]
+def _flag(cell: str) -> bool:
+    return _FLAGS[cell.strip()]
 
 
-# Parsers for a slice of raw CSV cells, one field's at a time: each gives a
-# cell the value its cell parser gives it once stripped, and raises (a
-# ValueError or KeyError) where that parser would.
-def _text_cells(cells: Iterable[str]) -> Iterator[str]:
-    return map(str.strip, cells)
-
-
-def _number_cells(cells: Iterable[str]) -> Iterator[float]:
-    return map(float, cells)  # float() drops surrounding blanks itself
-
-
-def _flag_cells(cells: Iterable[str]) -> Iterator[bool]:
-    return map(_FLAGS.__getitem__, map(str.strip, cells))
+def _dump_number(value: float) -> str:
+    """A number's CSV cell: the repr of its base type, so a float or int subclass reads back as a number."""
+    return (float.__repr__ if isinstance(value, float) else int.__repr__)(value)
 
 
 # The kernel record schema, one row per KernelProfile field: the field's
-# column (CSV) or key (JSON), its CSV cell parser, its parser for a slice of
-# cells and its CSV cell formatter. JSON carries typed values, which
-# KernelProfile checks itself.
+# column (CSV) or key (JSON), its CSV cell parser, the fault reported for a
+# cell the parser refuses (ValueError or KeyError) and its CSV cell formatter.
+# JSON carries typed values, which KernelProfile checks itself. The per-record
+# path parses stripped cells, the column path raw ones: `float` refuses the
+# separators U+001C-U+001F around a number, so such a column falls back.
 _SCHEMA = (
-    ("name", str, _text_cells, str),
-    ("domain", str, _text_cells, str),
-    ("area_norm", _number, _number_cells, repr),
-    ("energy_norm", _number, _number_cells, repr),
-    ("utilization", _number, _number_cells, repr),
-    ("memory_kb", _number, _number_cells, repr),
-    ("estimated", _flag, _flag_cells, lambda flag: "1" if flag else "0"),
+    ("name", str.strip, "", str),
+    ("domain", str.strip, "", str),
+    ("area_norm", float, "not a number", _dump_number),
+    ("energy_norm", float, "not a number", _dump_number),
+    ("utilization", float, "not a number", _dump_number),
+    ("memory_kb", float, "not a number", _dump_number),
+    ("estimated", _flag, "flag must be 0 or 1", lambda flag: "1" if flag else "0"),
 )
 KERNEL_COLUMNS = tuple(column for column, _, _, _ in _SCHEMA)
 
@@ -131,7 +115,6 @@ class KernelDataset:
         kernels = tuple(kernels)
         columns = tuple(tuple(map(attrgetter(column), kernels)) for column in KERNEL_COLUMNS)
         self.__dict__.update(columns=columns, fabric=fabric, provenance=provenance, version=version)
-        self.__dict__["kernels"] = kernels  # filled, so the cached property is never computed
 
     @classmethod
     def _from_columns(
@@ -157,13 +140,11 @@ class KernelDataset:
         return self.column("name")
 
     def kernel(self, name: str) -> KernelProfile:
-        """The named kernel's profile, built from its row unless ``kernels`` already holds it."""
+        """The named kernel's profile, built from its row alone."""
         try:
             position = self.names().index(name)
         except ValueError:
             raise KeyError(f"no kernel named {name!r} in dataset") from None
-        if "kernels" in self.__dict__:
-            return self.kernels[position]
         return KernelProfile(*(column[position] for column in self.columns))
 
     def compress(self, selectors: Iterable[object]) -> KernelDataset:
@@ -256,7 +237,8 @@ _SLICE_ROWS = 4096
 
 def _csv_body(text: str) -> Iterator[list[str]]:
     """A csv reader past the header row, which must name `KERNEL_COLUMNS`."""
-    reader = csv.reader(io.StringIO(text))
+    # the lines, each with its "\n", that io.StringIO(text) gives, without its copy of the text
+    reader = csv.reader(map(re.Match.group, re.finditer(r".*\n|.+", text)))
     header = next(reader, None)
     if header is None:
         raise EmptyInput("input document is empty")
@@ -276,11 +258,12 @@ def _csv_records(text: str) -> Iterator[dict[str, object]]:
         if len(row) != len(_SCHEMA):
             raise ParseError(f"expected {len(_SCHEMA)} fields, got {len(row)}", line=reader.line_num)
         record = {}
-        for (column, parse, _, _), cell in zip(_SCHEMA, row):
+        for (column, parse, fault, _), cell in zip(_SCHEMA, row):
+            cell = cell.strip()
             try:
-                record[column] = parse(cell.strip())
-            except ValueError as exc:
-                raise ParseError(str(exc), line=reader.line_num, column=column) from None
+                record[column] = parse(cell)
+            except (ValueError, KeyError):
+                raise ParseError(f"{fault}: {cell!r}", line=reader.line_num, column=column) from None
         yield record
 
 
@@ -292,11 +275,10 @@ def _csv_columns(text: str) -> tuple[tuple, ...] | None:
         while rows := list(islice(reader, _SLICE_ROWS)):
             if set(map(len, rows)) != {len(_SCHEMA)}:  # a blank row or a wrong field count
                 return None
-            for column, (_, _, parse_cells, _), cells in zip(columns, _SCHEMA, zip(*rows)):
-                column.extend(parse_cells(cells))
+            for column, (_, parse, _, _), cells in zip(columns, _SCHEMA, zip(*rows)):
+                column.extend(map(parse, cells))
     except (csv.Error, ValueError, KeyError):  # ParseError and EmptyInput are ValueErrors
         return None
-    del reader  # frees the reader's copy of the text before the columns are copied
     return tuple(map(tuple, columns))
 
 

@@ -75,6 +75,23 @@ class TestRoundTrips:
         loaded = load_dataset(io.StringIO(dump_dataset(dataset, "csv")), "csv")
         assert loaded.kernels == dataset.kernels
 
+    @pytest.mark.parametrize("value", [0.3, 7], ids=["float", "int"])
+    def test_csv_writes_a_number_subclass_as_a_plain_number(self, dataset, value):
+        class Tagged(type(value)):
+            def __repr__(self):
+                return f"Tagged({super().__repr__()})"
+
+        kernel = KernelProfile("X", "d", Tagged(value), 0.3, 0.5, Tagged(value))
+        ds = KernelDataset([kernel], dataset.fabric)
+        text = dump_dataset(ds, "csv")
+        assert text == CSV_HEADER + f"X,d,{value!r},0.3,0.5,{value!r},0\n"
+        assert load_dataset(io.StringIO(text), "csv") == ds
+
+    def test_crlf_line_ends_load_like_lf(self, dataset):
+        text = dump_dataset(dataset, "csv")
+        crlf = text.replace("\n", "\r\n")
+        assert load_dataset(io.StringIO(crlf), "csv") == load_dataset(io.StringIO(text), "csv")
+
     def test_bytes_input_accepted(self, dataset):
         raw = dump_dataset(dataset, "json").encode("utf-8")
         assert load_dataset(io.BytesIO(raw), "json") == dataset
@@ -108,6 +125,27 @@ class TestDatasetValidation:
             load_dataset(io.StringIO(text), "csv")
         assert exc_info.value.line == 2
         assert exc_info.value.column == "area_norm"
+
+    @pytest.mark.parametrize(
+        "row, message, column",
+        [
+            ("Z,d,oops,0.3,0.5,10,0", "not a number: 'oops' (line 5001, column 'area_norm')", "area_norm"),
+            ("Z,d,0.3,0.3,0.5,10, 2 ", "flag must be 0 or 1: '2' (line 5001, column 'estimated')", "estimated"),
+            ("Z,d,0.3,0.3,0.5,10", "expected 7 fields, got 6 (line 5001)", ""),
+        ],
+        ids=["number", "flag", "field-count"],
+    )
+    def test_fault_past_the_first_slice_names_its_line(self, row, message, column):
+        rows = "".join(f"K{i},d,0.3,0.3,0.5,10,0\n" for i in range(4999))  # lines 2-5000
+        with pytest.raises(ParseError) as exc_info:
+            load_dataset(io.StringIO(CSV_HEADER + rows + row + "\n"), "csv")
+        assert str(exc_info.value) == message
+        assert exc_info.value.line == 5001
+        assert exc_info.value.column == column
+
+    def test_separator_around_a_number_is_dropped(self):
+        loaded = load_dataset(io.StringIO(CSV_HEADER + "X,d,\x1c0.3\x1f,0.3,0.5,10,0\n"), "csv")
+        assert loaded.column("area_norm") == (0.3,)
 
     def test_wrong_header_rejected(self):
         with pytest.raises(ParseError, match="header"):
@@ -350,8 +388,9 @@ class TestKernelSubsets:
 
     def test_kernel_builds_only_its_own_row(self, dataset, monkeypatch):
         loaded = load_dataset(io.StringIO(dump_dataset(dataset, "csv")), "csv")
+        expected = dataset.kernel("Viterbi")
         built = []
         real = KernelProfile.__post_init__
         monkeypatch.setattr(KernelProfile, "__post_init__", lambda k: built.append(k) or real(k))
-        assert loaded.kernel("Viterbi") == dataset.kernel("Viterbi")
-        assert built == [dataset.kernel("Viterbi")]
+        assert loaded.kernel("Viterbi") == expected
+        assert built == [expected]
