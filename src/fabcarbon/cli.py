@@ -12,8 +12,8 @@ import argparse
 import contextlib
 import os
 import sys
+from collections.abc import Callable, Sequence
 from itertools import compress
-from typing import IO, Callable, Sequence
 
 from . import scenarios as scen_mod
 from .concurrency import ScaleMode, scale_factor
@@ -47,6 +47,10 @@ from .report import (
     estimated_inputs_footnote,
     write_curves,
 )
+
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from typing import IO
 
 DATASET_ENV_VAR = "FABCARBON_DATASET"
 # Above this many points a sweep is refused before any is computed. Rows

@@ -8,12 +8,13 @@ occupy (n' = n * mean utilization, never below one full fabric).
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from enum import Enum
-from typing import TYPE_CHECKING, Sequence
 
 from .core import KernelProfile, _column, mean, require_concurrency
 from .errors import EmptyKernelSet
 
+TYPE_CHECKING = False
 if TYPE_CHECKING:
     from .dataset import KernelDataset
 

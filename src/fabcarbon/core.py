@@ -11,8 +11,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Sequence
+from collections.abc import Callable, Sequence
 
 from .errors import (
     AlphaPole,
@@ -27,6 +26,7 @@ from .errors import (
     UnknownDeviceClass,
 )
 
+TYPE_CHECKING = False
 if TYPE_CHECKING:
     from .dataset import KernelDataset
 
@@ -101,8 +101,49 @@ def require_scale(scale: float) -> None:
         raise InvalidScale(f"fabric scale must be finite and >= 1: {scale!r}")
 
 
-@dataclass(frozen=True)
-class KernelProfile:
+class FrozenRecordError(AttributeError):
+    """An assignment to, or a deletion of, an attribute of a frozen record."""
+
+
+class Record:
+    """A frozen record. Its fields are its base record's, if any, then its
+    class's annotations, in order; a class attribute is that field's
+    default. Unless the class defines its own, ``__init__`` is built from one
+    template when the class is created and ends with the class's
+    ``__post_init__`` check, if it has one. Records compare and hash by
+    field, only with records of their own class."""
+
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls) -> None:
+        cls._fields = fields = cls._fields + tuple(cls.__annotations__)
+        if cls.__annotations__ and "__init__" not in vars(cls):
+            params = ", ".join(f"{f}=cls.{f}" if hasattr(cls, f) else f for f in fields)
+            body = "".join(f"; d[{f!r}] = {f}" for f in fields)
+            check = "; self.__post_init__()" if hasattr(cls, "__post_init__") else ""
+            exec(f"def __init__(self, {params}):\n    d = self.__dict__{body}{check}", namespace := {"cls": cls})
+            cls.__init__ = namespace["__init__"]
+            cls.__init__.__qualname__ = f"{cls.__qualname__}.__init__"
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, f) for f in self._fields])
+
+    def __eq__(self, other: object) -> bool:
+        return self._values() == other._values() if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        return f"{type(self).__qualname__}({', '.join(f'{f}={getattr(self, f)!r}' for f in self._fields)})"
+
+    def __setattr__(self, name: str, value: object = None) -> None:
+        raise FrozenRecordError(f"{type(self).__qualname__} is frozen: cannot set or delete {name!r}")
+
+    __delattr__ = __setattr__
+
+
+class KernelProfile(Record):
     """One accelerated kernel, normalized against the fabric.
 
     ``utilization`` is the fraction of fabric compute resources the kernel
@@ -131,8 +172,7 @@ class KernelProfile:
             raise InvalidKernel(f"kernel {self.name!r}: estimated must be boolean: {self.estimated!r}")
 
 
-@dataclass(frozen=True)
-class AggregateRatios:
+class AggregateRatios(Record):
     """Scenario-level mean relative area, energy, and utilization."""
 
     area: float
@@ -151,8 +191,7 @@ class AggregateRatios:
             raise InvalidAggregates(f"aggregate utilization out of (0, 1]: {self.utilization!r}")
 
 
-@dataclass(frozen=True)
-class FootprintWeights:
+class FootprintWeights(Record):
     """Embodied-to-operational weight: the embodied share of the footprint."""
 
     alpha_e2o: float
@@ -162,8 +201,7 @@ class FootprintWeights:
             raise InvalidAlpha(f"alpha_e2o out of [0, 1]: {self.alpha_e2o!r}")
 
 
-@dataclass(frozen=True)
-class DeviceBreakdown:
+class DeviceBreakdown(Record):
     """Lifecycle footprint percentages for one device, summing to 100."""
 
     production_pct: float

@@ -14,14 +14,17 @@ import io
 import json
 import os
 import re
-from dataclasses import dataclass, fields
+from collections.abc import Callable, Iterable, Iterator, Mapping
 from functools import cached_property
 from itertools import compress, islice, repeat
 from operator import attrgetter, itemgetter
-from typing import IO, Callable, Iterable, Iterator, Mapping
 
-from .core import KERNEL_BOUNDS, KernelProfile, is_real
+from .core import KERNEL_BOUNDS, KernelProfile, Record, is_real
 from .errors import DatasetValidationError, EmptyInput, InvalidFabric, InvalidKernel, ParseError
+
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from typing import IO
 
 DATASET_VERSION = 1
 
@@ -36,8 +39,7 @@ def _require_positive(name: str, value: object) -> None:
         raise InvalidFabric(f"fabric {name} must be finite and > 0: {value!r}")
 
 
-@dataclass(frozen=True)
-class FabricSpec:
+class FabricSpec(Record):
     """Descriptive fabric metadata attached to a dataset: its processing-element grid and memory."""
 
     rows: int
@@ -55,7 +57,7 @@ class FabricSpec:
 
 
 # The JSON `fabric` object's keys, in the order dumps write them.
-_FABRIC_FIELDS = tuple(f.name for f in fields(FabricSpec))
+_FABRIC_FIELDS = FabricSpec._fields
 
 
 _FLAGS = {"0": False, "1": True}
@@ -88,8 +90,7 @@ _SCHEMA = (
 KERNEL_COLUMNS = tuple(column for column, _, _, _ in _SCHEMA)
 
 
-@dataclass(frozen=True, init=False)
-class KernelDataset:
+class KernelDataset(Record):
     """A named kernel collection plus the fabric it was normalized against.
 
     The kernels are held as ``columns``, one tuple per `KERNEL_COLUMNS`

@@ -13,11 +13,10 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
-from typing import Sequence
+from collections.abc import Sequence
 
 from .concurrency import ScaleMode, scale_factor
-from .core import AggregateRatios, FootprintWeights, dsa_footprint, fabric_footprint, is_real, require_alpha, require_concurrency, require_scale
+from .core import AggregateRatios, FootprintWeights, Record, dsa_footprint, fabric_footprint, is_real, require_alpha, require_concurrency, require_scale
 from .errors import DegenerateModel, InfeasibleFit, InvalidRange, SingularFit
 
 # Tolerance for inclusive endpoints when stepping a float range.
@@ -29,8 +28,7 @@ _RANGE_EPS = 1e-9
 _increasing_parameters: tuple[float, ...] | None = None
 
 
-@dataclass(frozen=True)
-class CdcQuery:
+class CdcQuery(Record):
     """One point in the model's parameter space.
 
     ``scale`` is the fabric scaling factor n'; ``None`` means the
@@ -53,8 +51,7 @@ class CdcQuery:
         return float(self.n) if self.scale is None else self.scale
 
 
-@dataclass(frozen=True)
-class SweepResult:
+class SweepResult(Record):
     """One CDC-vs-alpha_e2o curve as parameter and value columns.
 
     ``label`` names the series (a scenario, or a grid point ``A=..,E=..``),

@@ -11,11 +11,15 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass
+from collections.abc import Iterable, Sequence
 from itertools import repeat
-from typing import IO, Iterable, Sequence
 
+from .core import Record
 from .engine import SweepResult
+
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from typing import IO
 
 # Column kinds map to display formatting; raw values are emitted as-is.
 _FORMATS = {
@@ -29,8 +33,7 @@ _FORMATS = {
 MISSING_CELL = "-"
 
 
-@dataclass(frozen=True)
-class Column:
+class Column(Record):
     """One report column: its display header, its JSON field name and its display kind."""
 
     header: str
@@ -52,8 +55,7 @@ _CURVE_COLUMNS = (
 )
 
 
-@dataclass(frozen=True)
-class RenderedReport:
+class RenderedReport(Record):
     """Raw values, one tuple per row in column order, plus footnotes.
 
     Rendering formats them; nothing here is rounded.

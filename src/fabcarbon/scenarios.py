@@ -9,13 +9,12 @@ keeps selected kernels as dedicated blocks next to a smaller fabric.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Iterable
 from itertools import compress
-from typing import Iterable
 
 from .engine import SweepResult, cdc_curve, fit_aggregates
 from .concurrency import ScaleMode, average_utilization, scale_factor
-from .core import MAX_CONCURRENCY, AggregateRatios, FootprintWeights, aggregate, dsa_footprint, fabric_footprint, is_real, require_alpha, require_concurrency
+from .core import MAX_CONCURRENCY, AggregateRatios, FootprintWeights, Record, aggregate, dsa_footprint, fabric_footprint, is_real, require_alpha, require_concurrency
 from .dataset import KernelDataset, builtin_dataset
 from .errors import ConcurrencyExceedsPopulation, EmptyKernelSet, InvalidValue, NoFabricWorkload, UnknownScenario
 
@@ -44,8 +43,7 @@ REFERENCE_CDC_ANCHORS: dict[str, tuple[tuple[float, float], tuple[float, float]]
 CALIBRATED_UTILIZATION = 0.63
 
 
-@dataclass(frozen=True)
-class ScenarioSpec:
+class ScenarioSpec(Record):
     """Which kernels to replace, at what concurrency, on which device."""
 
     name: str
@@ -53,7 +51,7 @@ class ScenarioSpec:
     n: int = 1
     scale_mode: ScaleMode = ScaleMode.CONSERVATIVE
     dsa_population: int = DEFAULT_DSA_POPULATION
-    weights: FootprintWeights = field(default_factory=lambda: FootprintWeights(DEFAULT_ALPHA))
+    weights: FootprintWeights = FootprintWeights(DEFAULT_ALPHA)  # frozen, so one shared default is safe
 
     def __post_init__(self) -> None:
         require_concurrency(self.n)
@@ -69,8 +67,7 @@ class ScenarioSpec:
         require_alpha(self.weights.alpha_e2o)
 
 
-@dataclass(frozen=True)
-class SavingsResult:
+class SavingsResult(Record):
     """Footprint improvement from replacing the DSA population with a fabric.
 
     The average-utilization column is omitted at n = 1, where it coincides

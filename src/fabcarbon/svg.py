@@ -7,8 +7,8 @@ decimals to keep the files stable across platforms.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from html import escape
-from typing import Sequence
 
 from .engine import SweepResult
 

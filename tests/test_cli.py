@@ -508,7 +508,10 @@ def test_import_loads_no_svg_or_xml():
 def test_import_loads_no_pathlib():
     # -S skips `site`, whose .pth hooks may load pathlib before any import of ours
     env = dict(os.environ, PYTHONPATH=str(Path(fabcarbon.__file__).resolve().parents[1]))
-    modules = ("pathlib", "statistics", "fractions", "decimal", "random")
+    modules = (
+        "pathlib", "statistics", "fractions", "decimal", "random",
+        "dataclasses", "inspect", "ast", "dis", "tokenize", "typing",
+    )
     probe = f"import sys, fabcarbon.cli; print([m for m in {modules!r} if m in sys.modules])"
     result = subprocess.run(
         [sys.executable, "-S", "-c", probe], capture_output=True, text=True, env=env, timeout=60
