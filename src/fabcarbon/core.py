@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import sys
-from collections.abc import Callable, Sequence
+from collections.abc import Callable, Sequence, Set
 
 from .errors import (
     AlphaPole,
@@ -65,12 +65,27 @@ def _real_in(low: float, high: float, *, low_closed: bool = False) -> Callable[[
     return test
 
 
+def numbers_within(values: Sequence, within: Callable[[object], bool], types: Set[type] | None = frozenset({int, float})) -> bool:
+    """Whether every value has one of `types` (any, if None) and passes `within`, an interval
+    test, in C: with no NaN, which makes the sum NaN, the least and the greatest value decide.
+    False may also mean an int too large for a float; a caller naming the bad value tests each."""
+    if types is not None and not set(map(type, values)) <= types:
+        return False
+    try:
+        total = sum(values)
+    except OverflowError:  # an int too large for a float, which no interval admits
+        return False
+    return total == total and (not values or within(min(values)) and within(max(values)))
+
+
+is_positive_real = _real_in(0, sys.float_info.max)
+
 # The domain of each numeric KernelProfile field, all finite: its test and
 # its interval as messages print it. `KernelProfile` checks one value at a
 # time and the dataset loader whole columns, both with these tests.
 KERNEL_BOUNDS: dict[str, tuple[Callable[[object], bool], str]] = {
-    "area_norm": (_real_in(0, sys.float_info.max), "(0, inf)"),
-    "energy_norm": (_real_in(0, sys.float_info.max), "(0, inf)"),
+    "area_norm": (is_positive_real, "(0, inf)"),
+    "energy_norm": (is_positive_real, "(0, inf)"),
     "utilization": (_real_in(0, 1), "(0, 1]"),
     "memory_kb": (_real_in(0, sys.float_info.max, low_closed=True), "[0, inf)"),
 }

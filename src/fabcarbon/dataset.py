@@ -14,12 +14,12 @@ import io
 import json
 import os
 import re
-from collections.abc import Callable, Iterable, Iterator, Mapping
+from collections.abc import Iterable, Iterator, Mapping
 from functools import cached_property
 from itertools import compress, islice, repeat
 from operator import attrgetter, itemgetter
 
-from .core import KERNEL_BOUNDS, KernelProfile, Record, is_real
+from .core import KERNEL_BOUNDS, KernelProfile, Record, is_real, numbers_within
 from .errors import DatasetValidationError, EmptyInput, InvalidFabric, InvalidKernel, ParseError
 
 TYPE_CHECKING = False
@@ -363,26 +363,11 @@ def _columns_valid(columns: tuple[tuple, ...]) -> bool:
         and set(map(type, domains)) <= {str}
         and set(map(type, flags)) <= {bool}
         and all(
-            _numbers_within(values, KERNEL_BOUNDS[field][0])
+            numbers_within(values, KERNEL_BOUNDS[field][0])
             for field, values in zip(KERNEL_COLUMNS, columns)
             if field in KERNEL_BOUNDS
         )
     )
-
-
-def _numbers_within(values: tuple, within: Callable[[object], bool]) -> bool:
-    """Whether every value is an int or float passing `within`, an interval test.
-
-    Without a NaN the values are totally ordered, so the least and the
-    greatest decide; a NaN would make their sum NaN.
-    """
-    if not set(map(type, values)) <= {int, float}:
-        return False
-    try:
-        total = sum(values)
-    except OverflowError:  # an int too large for a float, which no interval admits
-        return False
-    return total == total and within(min(values)) and within(max(values))
 
 
 def _record_kernels(records: Iterable) -> tuple[list[KernelProfile], list[str]]:

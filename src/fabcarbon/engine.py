@@ -14,17 +14,18 @@ from __future__ import annotations
 import math
 import operator
 from collections.abc import Sequence
+from contextlib import suppress
 
 from .concurrency import ScaleMode, scale_factor
-from .core import AggregateRatios, FootprintWeights, Record, dsa_footprint, fabric_footprint, is_real, require_alpha, require_concurrency, require_scale
+from .core import AggregateRatios, FootprintWeights, Record, dsa_footprint, fabric_footprint, is_positive_real, is_real, numbers_within, require_alpha, require_concurrency, require_scale
 from .errors import DegenerateModel, InfeasibleFit, InvalidRange, SingularFit
 
 # Tolerance for inclusive endpoints when stepping a float range.
 _RANGE_EPS = 1e-9
 
-# The last parameters tuple found strictly increasing. The curves of one grid
-# share one tuple, so it is checked once, not once per curve; holding it keeps
-# its identity from being reused by another object.
+# The last parameters tuple found strictly increasing, so its ends are its least
+# and greatest values. The curves of one grid share one tuple, so it is checked
+# once, not once per curve; holding it keeps its identity from being reused.
 _increasing_parameters: tuple[float, ...] | None = None
 
 
@@ -76,16 +77,16 @@ class SweepResult(Record):
         if len(params) != len(values):
             raise InvalidRange(f"sweep has {len(params)} parameters but {len(values)} values")
         if params is not _increasing_parameters:
-            if not all(map(is_real, params)):
+            if not (numbers_within(params, is_real) or all(map(is_real, params))):
                 raise InvalidRange("sweep parameters must be finite numbers")
             if any(map(operator.le, params[1:], params)):
                 raise InvalidRange("sweep parameters must be strictly increasing")
             if type(params) is tuple:  # immutable, so once it has passed it stays valid
                 _increasing_parameters = params
-        for p, v in zip(params, values):
-            # exactly float: a bool or a float subclass would not be written as a float
-            if type(v) is not float or not 0 < v < math.inf:
-                raise DegenerateModel(f"sweep value at {p!r} is not a finite positive float: {v!r}")
+        if not numbers_within(values, is_positive_real, {float}):  # exactly float: a bool or float subclass is not written as one
+            for p, v in zip(params, values):
+                if type(v) is not float or not 0 < v < math.inf:
+                    raise DegenerateModel(f"sweep value at {p!r} is not a finite positive float: {v!r}")
 
     @property
     def samples(self) -> tuple[tuple[float, float], ...]:
@@ -111,7 +112,12 @@ def cdc_curve(
     require_scale(scale)
     if not alphas:
         raise InvalidRange("no alpha values supplied")
-    area, energy = agg.area, agg.energy
+    area, energy, nf = agg.area, agg.energy, float(n)  # exact up to 2**53, as in `float * int`; float products are faster
+    with suppress(ArithmeticError, TypeError):  # the whole column, checked in C; a fault reruns it point by point
+        values = [(scale - (1.0 - alpha) * nf * energy) / (alpha * area) for alpha in alphas]
+        low, high = (alphas[0], alphas[-1]) if alphas is _increasing_parameters else (min(alphas), max(alphas))
+        if 0.0 < low and high <= 1.0 and numbers_within(values, is_positive_real, None):
+            return values
     values = []
     for alpha in alphas:
         if not 0.0 < alpha <= 1.0:  # inline fast path; require_alpha raises the typed error

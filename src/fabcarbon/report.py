@@ -33,12 +33,20 @@ _FORMATS = {
 MISSING_CELL = "-"
 
 
+class InvalidColumn(ValueError):
+    """A report column names a display kind that no formatter renders."""
+
+
 class Column(Record):
     """One report column: its display header, its JSON field name and its display kind."""
 
     header: str
     key: str
     kind: str = "plain"
+
+    def __post_init__(self) -> None:
+        if self.kind not in _FORMATS:
+            raise InvalidColumn(f"column {self.header!r}: unknown kind {self.kind!r} (expected one of {', '.join(_FORMATS)})")
 
     @property
     def numeric(self) -> bool:

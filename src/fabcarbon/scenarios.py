@@ -14,9 +14,9 @@ from itertools import compress
 
 from .engine import SweepResult, cdc_curve, fit_aggregates
 from .concurrency import ScaleMode, average_utilization, scale_factor
-from .core import MAX_CONCURRENCY, AggregateRatios, FootprintWeights, Record, aggregate, dsa_footprint, fabric_footprint, is_real, require_alpha, require_concurrency
+from .core import MAX_CONCURRENCY, AggregateRatios, FootprintWeights, Record, aggregate, dsa_footprint, fabric_footprint, is_positive_real, is_real, require_alpha, require_concurrency, require_scale
 from .dataset import KernelDataset, builtin_dataset
-from .errors import ConcurrencyExceedsPopulation, EmptyKernelSet, InvalidValue, NoFabricWorkload, UnknownScenario
+from .errors import ConcurrencyExceedsPopulation, DegenerateModel, EmptyKernelSet, InvalidValue, NoFabricWorkload, UnknownScenario
 
 # Defaults for savings-style questions: a representative chip integrates
 # 40 DSAs, and alpha 0.7 marks where the embodied share starts dominating.
@@ -80,10 +80,11 @@ class SavingsResult(Record):
     scale_avg_util: float | None
 
     def __post_init__(self) -> None:
-        if self.improvement_conservative <= 0:
-            raise ValueError("improvement must be > 0")
-        if self.improvement_avg_util is not None and self.improvement_avg_util <= 0:
-            raise ValueError("improvement must be > 0")
+        conservative, avg_util = self.improvement_conservative, self.improvement_avg_util
+        if not (is_positive_real(conservative) and (avg_util is None or is_positive_real(avg_util))):
+            raise DegenerateModel(f"improvements out of (0, inf): {conservative!r}, {avg_util!r}")
+        if self.scale_avg_util is not None:
+            require_scale(self.scale_avg_util)
 
 
 def _case_key(case_id: str) -> str:

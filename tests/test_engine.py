@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -8,6 +9,7 @@ from fabcarbon import (
     AggregateRatios,
     CdcQuery,
     FootprintWeights,
+    SweepResult,
     cdc,
     cdc_curve,
     dsa_footprint,
@@ -18,11 +20,13 @@ from fabcarbon import (
     min_dsas_to_replace,
     sweep_grid,
 )
+from fabcarbon.core import require_alpha, require_concurrency, require_scale
 from fabcarbon.engine import float_steps
 from fabcarbon.errors import (
     AlphaPole,
     DegenerateModel,
     InfeasibleFit,
+    InvalidAlpha,
     InvalidRange,
     InvalidValue,
     SingularFit,
@@ -35,6 +39,46 @@ def _agg(area, energy):
 
 def _query(alpha, area, energy, n=1, scale=None):
     return CdcQuery(FootprintWeights(alpha), _agg(area, energy), n=n, scale=scale)
+
+
+def point_by_point_cdc_curve(alphas, agg, n, scale):
+    """Oracle: `cdc_curve` one alpha at a time, each point checked before the next is evaluated."""
+    require_concurrency(n)
+    require_scale(scale)
+    if not alphas:
+        raise InvalidRange("no alpha values supplied")
+    area, energy = agg.area, agg.energy
+    values = []
+    for alpha in alphas:
+        if not 0.0 < alpha <= 1.0:
+            require_alpha(alpha)
+        numerator = scale - (1.0 - alpha) * n * energy
+        if numerator <= 0:
+            raise DegenerateModel(
+                "fabric is never greener: operational term "
+                f"{(1.0 - alpha) * n * energy:.6g} >= fabric budget {scale:.6g}"
+            )
+        denominator = alpha * area
+        value = numerator / denominator if denominator else math.inf
+        if value == math.inf:
+            raise DegenerateModel(f"threshold is not finite at alpha_e2o = {alpha!r}")
+        values.append(value)
+    return values
+
+
+def check_sweep_values_point_by_point(parameters, values):
+    """Oracle: `SweepResult`'s value check, one (parameter, value) pair at a time."""
+    for p, v in zip(parameters, values):
+        if type(v) is not float or not 0 < v < math.inf:
+            raise DegenerateModel(f"sweep value at {p!r} is not a finite positive float: {v!r}")
+
+
+def outcome(evaluate, *args):
+    """What a call gives, comparable bit for bit: each float's hex form, or the error's class and message."""
+    try:
+        return [float.hex(v) for v in evaluate(*args)]
+    except (ArithmeticError, TypeError, ValueError) as exc:
+        return type(exc), str(exc)
 
 
 def bisect_cdc(alpha, area, energy, n=1, scale=None):
@@ -241,3 +285,105 @@ class TestFitScale:
     def test_no_points_rejected(self):
         with pytest.raises(InvalidRange):
             fit_scale([], 2, _agg(0.3, 0.3))
+
+
+class FloatSubclass(float):
+    pass
+
+
+# 40 valid alphas, increasing; each case below puts one point at a position of them.
+_GOOD_ALPHAS = float_steps(0.2, 0.98, 0.02)
+_POSITIONS = [0, 1, 20, len(_GOOD_ALPHAS)]
+
+
+class TestColumnEvaluation:
+    """`cdc_curve` evaluates a whole column and tests it in C; any fault reruns the
+    point-by-point loop, so results and errors are the oracle's, bit for bit."""
+
+    @pytest.mark.parametrize(
+        "bad,area,energy,error",
+        [
+            (math.nan, 0.35, 0.35, InvalidAlpha),
+            (0.0, 0.35, 0.35, AlphaPole),
+            (-0.5, 0.35, 0.35, InvalidAlpha),
+            (-0.5, 0.35, 0.9, InvalidAlpha),  # numerator and denominator both < 0: the value is 2.0
+            (1.5, 0.35, 0.35, InvalidAlpha),
+            (math.inf, 0.35, 0.35, InvalidAlpha),
+            (-math.inf, 0.35, 0.35, InvalidAlpha),
+            (10**400, 0.35, 0.35, InvalidAlpha),  # `1.0 - alpha` overflows
+            (5e-324, 0.35, 0.35, DegenerateModel),  # `alpha * area` underflows to 0
+            (1e-300, 1e-10, 0.35, DegenerateModel),  # the value overflows to inf
+            (0.1, 0.35, 1.2, DegenerateModel),  # numerator <= 0: (1 - 0.1) * 1.2 >= 1
+        ],
+        ids=["nan", "zero", "negative", "negative-positive-value", "above-one", "inf", "-inf", "huge-int", "denominator-underflow",
+             "value-overflow", "numerator-nonpositive"],
+    )
+    @pytest.mark.parametrize("position", _POSITIONS)
+    def test_one_bad_point_raises_the_oracles_error(self, bad, area, energy, error, position):
+        alphas = [*_GOOD_ALPHAS[:position], bad, *_GOOD_ALPHAS[position:]]
+        expected = outcome(point_by_point_cdc_curve, alphas, _agg(area, energy), 1, 1.0)
+        assert expected[0] is error
+        assert outcome(cdc_curve, alphas, _agg(area, energy), 1, 1.0) == expected
+
+    @pytest.mark.parametrize("position", [0, 1, 10, 20])
+    def test_value_underflowing_to_zero_is_returned_as_the_oracle_returns_it(self, position):
+        # at alpha 0.5 a numerator of one ulp below 1.0 over a denominator near 1e308
+        # underflows: the loop keeps the 0.0, and `SweepResult` rejects it
+        good = float_steps(0.6, 0.98, 0.02)
+        alphas = [*good[:position], 0.5, *good[position:]]
+        agg = _agg(1.5e308, 1.9999999999999998)
+        values = cdc_curve(alphas, agg, 1, 1.0)
+        assert values[position] == 0.0
+        assert outcome(cdc_curve, alphas, agg, 1, 1.0) == outcome(point_by_point_cdc_curve, alphas, agg, 1, 1.0)
+
+    @pytest.mark.parametrize("alphas", [_GOOD_ALPHAS, [True, 0.5], [1, 0.25], [Fraction(1, 3), 0.5], (0.7,)])
+    @pytest.mark.parametrize("n,scale", [(1, 1.0), (3, 3), (2**53, 2.0**53), (7, 2.5)])
+    def test_valid_columns_match_the_oracle_bit_for_bit(self, alphas, n, scale):
+        agg = _agg(0.26868, 0.30322)
+        assert outcome(cdc_curve, alphas, agg, n, scale) == outcome(point_by_point_cdc_curve, alphas, agg, n, scale)
+
+    @pytest.mark.parametrize(
+        "column,error", [((0.5, 1.5), InvalidAlpha), ((-0.5, 0.5), InvalidAlpha), ((0.0, 0.5), AlphaPole)]
+    )
+    def test_a_column_known_increasing_is_bounded_by_its_ends(self, column, error):
+        # a `SweepResult` records the tuple as strictly increasing; `cdc_curve` then reads
+        # its least and greatest alpha from its ends. At -0.5 the value is positive (2.0).
+        SweepResult("x", column, (2.0, 1.0), 1, 1.0)
+        agg = _agg(0.35, 0.9)
+        expected = outcome(point_by_point_cdc_curve, column, agg, 1, 1.0)
+        assert expected[0] is error
+        assert outcome(cdc_curve, column, agg, 1, 1.0) == expected
+
+    def test_uncomparable_alpha_raises_the_oracles_type_error(self):
+        alphas = [0.5, "0.7"]
+        expected = outcome(point_by_point_cdc_curve, alphas, _agg(0.35, 0.35), 1, 1.0)
+        assert expected[0] is TypeError
+        assert outcome(cdc_curve, alphas, _agg(0.35, 0.35), 1, 1.0) == expected
+
+
+class TestSweepResultColumns:
+    @pytest.mark.parametrize(
+        "bad",
+        [math.nan, 0.0, -0.0, -1.0, math.inf, True, 3, FloatSubclass(2.0), 5e-324 * 0],
+        ids=["nan", "zero", "negative-zero", "negative", "inf", "bool", "int", "float-subclass", "product-zero"],
+    )
+    @pytest.mark.parametrize("position", [0, 1, 20, 39])
+    def test_one_bad_value_raises_the_oracles_error(self, bad, position):
+        parameters = tuple(_GOOD_ALPHAS)
+        values = [2.0] * len(parameters)
+        values[position] = bad
+        with pytest.raises(DegenerateModel) as expected:
+            check_sweep_values_point_by_point(parameters, values)
+        with pytest.raises(DegenerateModel) as raised:
+            SweepResult("x", parameters, tuple(values), 1, 1.0)
+        assert str(raised.value) == str(expected.value)
+
+    def test_empty_curve_is_accepted(self):
+        assert SweepResult("x", (), (), 1, 1.0).values == ()
+
+    def test_float_subclass_parameters_pass_and_bools_fail_as_before(self):
+        assert SweepResult("x", (FloatSubclass(0.5), 0.7), (2.0, 1.5), 1, 1.0).parameters == (0.5, 0.7)
+        with pytest.raises(InvalidRange, match="finite numbers"):
+            SweepResult("x", (0.5, True), (2.0, 1.5), 1, 1.0)
+        with pytest.raises(InvalidRange, match="finite numbers"):
+            SweepResult("x", (0.5, 10**400), (2.0, 1.5), 1, 1.0)

@@ -20,6 +20,7 @@ from fabcarbon import (
     alpha_from_breakdown,
     builtin_case,
     cdc,
+    cdc_curve,
     dsa_footprint,
     fabric_footprint,
     fit_aggregates,
@@ -30,6 +31,7 @@ from fabcarbon import (
 )
 import fabcarbon.core
 from fabcarbon.core import DeviceBreakdown, mean
+from test_engine import outcome, point_by_point_cdc_curve
 
 # Ratios below one keep the threshold at or above the concurrency level,
 # which is the regime the model is about (DSAs leaner than the fabric).
@@ -247,3 +249,41 @@ class TestMean:
         monkeypatch.setattr(fabcarbon.core, "_exact_mean", lambda xs: calls.append(xs) or real(xs))
         assert _bits(mean(values)) == _bits(statistics.mean(values))
         assert len(calls) == exact
+
+
+valid_alpha = st.floats(min_value=0.0, max_value=1.0, exclude_min=True)
+any_alpha = st.one_of(
+    st.floats(), st.integers(min_value=-2, max_value=2), st.just(10**400), st.just(5e-324), st.booleans()
+)
+# (area, energy, n, scale): the model's own regime, where most curves are finite, or anything in the domain
+model_regime = st.tuples(
+    st.floats(min_value=0.01, max_value=10.0),
+    st.floats(min_value=0.01, max_value=0.99),
+    st.integers(min_value=1, max_value=8),
+    st.floats(min_value=1.0, max_value=1.5),
+).map(lambda t: (t[0], t[1], t[2], t[2] * t[3]))
+any_regime = st.tuples(
+    st.floats(min_value=5e-324, max_value=FLOAT_MAX),
+    st.floats(min_value=5e-324, max_value=FLOAT_MAX),
+    st.integers(min_value=1, max_value=2**53),
+    st.floats(min_value=1.0, max_value=FLOAT_MAX),
+)
+
+
+class TestCurveColumn:
+    """The column evaluation of `cdc_curve` against the point-by-point oracle."""
+
+    @given(
+        alphas=st.one_of(
+            st.lists(valid_alpha, min_size=1, max_size=30),
+            st.lists(st.one_of(valid_alpha, valid_alpha, valid_alpha, any_alpha), min_size=1, max_size=30),
+        ),
+        regime=st.one_of(model_regime, model_regime, any_regime),
+    )
+    @example(alphas=[0.5, math.nan], regime=(0.35, 0.35, 1, 1.0))  # min and max skip a later NaN
+    @example(alphas=[0.3, 5e-324], regime=(0.35, 0.35, 1, 1.0))  # alpha * area underflows
+    @example(alphas=[0.3, 0.7], regime=(0.35, 0.35, 2**53, 2.0**53))
+    def test_equals_point_by_point_oracle_bit_for_bit(self, alphas, regime):
+        area, energy, n, scale = regime
+        agg = AggregateRatios(area=area, energy=energy, utilization=1.0, kernel_count=1)
+        assert outcome(cdc_curve, alphas, agg, n, scale) == outcome(point_by_point_cdc_curve, alphas, agg, n, scale)

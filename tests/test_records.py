@@ -36,7 +36,7 @@ from fabcarbon.errors import (
     InvalidKernel,
     InvalidRange,
 )
-from fabcarbon.report import Column, RenderedReport
+from fabcarbon.report import Column, InvalidColumn, RenderedReport
 from fabcarbon.scenarios import DEFAULT_ALPHA
 
 _AGG = AggregateRatios(0.3, 0.4, 0.64, 8)
@@ -70,6 +70,7 @@ INVALID = [
     (SweepResult, ("x", (0.5, 0.9), (3.0,), 1, 1.0), InvalidRange),
     (ScenarioSpec, ("CASE", frozenset(), 50, ScaleMode.CONSERVATIVE, 40), ConcurrencyExceedsPopulation),
     (SavingsResult, (4, 0.0, None, None), ValueError),
+    (Column, ("cdc", "cdc", "percent"), InvalidColumn),
 ]
 
 TYPES = list(SAMPLES)

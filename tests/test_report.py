@@ -10,6 +10,7 @@ from fabcarbon import ScaleMode, SweepResult, builtin_case, builtin_dataset, eva
 from fabcarbon.engine import float_steps
 from fabcarbon.report import (
     Column,
+    InvalidColumn,
     RenderedReport,
     emit_curve_csv,
     emit_table,
@@ -54,6 +55,14 @@ class TestDisplayRounding:
 
     def test_footnote_rendered(self, sample_report):
         assert "note: estimated inputs: example" in emit_table(sample_report, "table")
+
+
+class TestColumnKinds:
+    @pytest.mark.parametrize("kind", ["percent", "Ratio", "", None])
+    def test_unknown_kind_raises_a_value_error_naming_it(self, kind):
+        with pytest.raises(InvalidColumn, match=rf"^column 'x': unknown kind {kind!r} \(expected one of ratio, "):
+            Column("x", "x", kind)
+        assert issubclass(InvalidColumn, ValueError)
 
 
 class TestLosslessPayloads:

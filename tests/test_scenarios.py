@@ -1,10 +1,13 @@
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from fabcarbon import (
     FootprintWeights,
     KernelProfile,
+    SavingsResult,
     ScaleMode,
     builtin_case,
     dsa_footprint,
@@ -13,7 +16,7 @@ from fabcarbon import (
     savings_factor,
 )
 from fabcarbon.dataset import KernelDataset
-from fabcarbon.errors import NoFabricWorkload, UnknownScenario
+from fabcarbon.errors import DegenerateModel, InvalidScale, NoFabricWorkload, UnknownScenario
 from fabcarbon.scenarios import calibrated_aggregates
 
 ALPHAS = [0.3, 0.5, 0.7, 0.9]
@@ -114,6 +117,22 @@ class TestSavings:
             assert r.improvement_avg_util * r.scale_avg_util == pytest.approx(
                 r.improvement_conservative * n, rel=1e-12
             )
+
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf, -math.inf, True, "2.0"])
+    def test_result_rejects_an_improvement_not_finite_and_positive(self, bad):
+        for args in ((4, bad, 2.0, 3.0), (4, 2.5, bad, 3.0)):
+            with pytest.raises(DegenerateModel, match=r"^improvements out of \(0, inf\): "):
+                SavingsResult(*args)
+
+    def test_result_needs_a_conservative_improvement(self):
+        with pytest.raises(DegenerateModel, match=r"^improvements out of \(0, inf\): None, None$"):
+            SavingsResult(1, None, None, None)
+
+    @pytest.mark.parametrize("bad", [0.5, 0.0, math.nan, math.inf])
+    def test_result_rejects_a_fabric_scale_below_one_or_not_finite(self, bad):
+        with pytest.raises(InvalidScale):
+            SavingsResult(4, 2.5, 2.0, bad)
 
 
 class TestHybrid:
