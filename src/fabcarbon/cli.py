@@ -35,14 +35,15 @@ from .engine import (
     cdc as compute_cdc,
     fit_aggregates,
     float_steps,
+    grid_curves,
     min_dsas_to_replace,
     step_count,
-    sweep_grid,
 )
 from .errors import DatasetError, InvalidRange, InvalidValue, ModelError
 from .report import (
     Column,
     RenderedReport,
+    curve_footnotes,
     emit_table,
     estimated_inputs_footnote,
     write_curves,
@@ -50,12 +51,17 @@ from .report import (
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:
+    from collections.abc import Iterable
     from typing import IO
 
+    # a command's curves, drawn as they are written, and the report's footnotes
+    Curves = tuple[Iterable[SweepResult], tuple[str, ...]]
+
 DATASET_ENV_VAR = "FABCARBON_DATASET"
-# Above this many points a sweep is refused before any is computed. Rows
-# are written curve by curve, so the curves' values, not their text, set
-# the peak memory; it still grows with the point count, as does the time.
+# Above this many points a sweep is refused before any is computed. CSV and
+# JSON are written from one curve at a time, in slices of rows, so memory
+# grows with the longest curve, not with the grid; the table holds every
+# curve for its column widths. Time grows with the point count in all three.
 MAX_SWEEP_POINTS = 2_000_000
 # `savings --n LO:HI` computes one row per n, about 25 us each on a 2-CPU
 # host, so the cap keeps one call near 2.5 s.
@@ -86,12 +92,12 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("cdc", help="critical DSA count for explicit parameters")
-    p.add_argument("--alpha", type=float, required=True)
-    p.add_argument("--area", type=float, required=True)
-    p.add_argument("--energy", type=float, required=True)
-    p.add_argument("--n", type=int, default=1)
+    p.add_argument("--alpha", type=_number, required=True)
+    p.add_argument("--area", type=_number, required=True)
+    p.add_argument("--energy", type=_number, required=True)
+    p.add_argument("--n", type=_count, default=1)
     group = p.add_mutually_exclusive_group()
-    group.add_argument("--scale", type=float, help="explicit fabric scaling factor n'")
+    group.add_argument("--scale", type=_number, help="explicit fabric scaling factor n'")
     group.add_argument("--util-mode", choices=("avg", "conservative"), default="conservative")
     p.add_argument("--dataset", metavar="PATH", help="kernel dataset for --util-mode avg")
     _add_output_flags(p)
@@ -100,21 +106,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", metavar="LO:HI:STEP", required=True)
     p.add_argument("--areas", metavar="LIST", default="0.35")
     p.add_argument("--energies", metavar="LIST", default="0.35")
-    p.add_argument("--n", type=int, default=1)
+    p.add_argument("--n", type=_count, default=1)
     _add_output_flags(p)
 
     p = sub.add_parser("scenario", help="CDC table for the built-in cases")
     p.add_argument("--case", metavar="I|II|III", default="I", help="one case or a comma list")
     p.add_argument("--dataset", metavar="PATH")
     p.add_argument("--alphas", metavar="LIST", required=True)
-    p.add_argument("--n", type=int, default=1)
+    p.add_argument("--n", type=_count, default=1)
     p.add_argument("--calibrated", action="store_true", help="use curve-fitted aggregates")
     p.add_argument("--util-mode", choices=("avg", "conservative"), default="conservative")
     _add_output_flags(p)
 
     p = sub.add_parser("savings", help="footprint improvement over a DSA population")
-    p.add_argument("--dsas", type=int, default=scen_mod.DEFAULT_DSA_POPULATION)
-    p.add_argument("--alpha", type=float, default=scen_mod.DEFAULT_ALPHA)
+    p.add_argument("--dsas", type=_count, default=scen_mod.DEFAULT_DSA_POPULATION)
+    p.add_argument("--alpha", type=_number, default=scen_mod.DEFAULT_ALPHA)
     p.add_argument("--n", metavar="LO:HI", default="1:5")
     p.add_argument("--dataset", metavar="PATH")
     p.add_argument("--calibrated", action="store_true")
@@ -122,9 +128,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("hybrid", help="savings when some kernels stay dedicated")
     p.add_argument("--retain", metavar="NAMES", required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--dsas", type=int, default=scen_mod.DEFAULT_DSA_POPULATION)
-    p.add_argument("--alpha", type=float, default=scen_mod.DEFAULT_ALPHA)
+    p.add_argument("--n", type=_count, required=True)
+    p.add_argument("--dsas", type=_count, default=scen_mod.DEFAULT_DSA_POPULATION)
+    p.add_argument("--alpha", type=_number, default=scen_mod.DEFAULT_ALPHA)
     p.add_argument("--dataset", metavar="PATH")
     p.add_argument("--calibrated", action="store_true")
     _add_output_flags(p)
@@ -137,7 +143,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("calibrate", help="fit aggregates to two (alpha, CDC) points")
     p.add_argument("--points", metavar="A1:C1,A2:C2", required=True)
-    p.add_argument("--n", type=int, default=1)
+    p.add_argument("--n", type=_count, default=1)
     _add_output_flags(p)
 
     p = sub.add_parser("dataset", help="inspect or validate a kernel dataset")
@@ -151,11 +157,30 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _plain(parse: Callable[[str], float], text: str, what: str) -> float:
+    """`parse(text)` over ASCII text without `_`: Python's `float` and `int` also
+    read `1_0` as 10 and non-ASCII digits, such as a full-width `４`, as digits."""
+    if "_" not in text and text.isascii():
+        with contextlib.suppress(ValueError):
+            return parse(text)
+    raise argparse.ArgumentTypeError(f"expected {what}, got {text!r}")
+
+
+def _number(text: str) -> float:
+    """One argv number, in Python's float grammar less `_` and non-ASCII text."""
+    return _plain(float, text, "a number")
+
+
+def _count(text: str) -> int:
+    """One argv integer, in Python's int grammar less `_` and non-ASCII text."""
+    return _plain(int, text, "an integer")
+
+
 def _parse_float_list(raw: str, flag: str) -> list[float]:
     try:
-        values = [float(part) for part in raw.split(",") if part.strip()]
-    except ValueError:
-        raise UsageError(f"{flag}: expected a comma-separated number list, got {raw!r}") from None
+        values = [_number(part) for part in raw.split(",") if part.strip()]
+    except argparse.ArgumentTypeError as exc:
+        raise UsageError(f"{flag}: {exc}") from None
     if not values:
         raise UsageError(f"{flag}: empty list")
     return values
@@ -166,9 +191,9 @@ def _parse_span(raw: str, flag: str) -> tuple[float, float, float]:
     if len(parts) != 3:
         raise UsageError(f"{flag}: expected LO:HI:STEP, got {raw!r}")
     try:
-        lo, hi, step = (float(p) for p in parts)
-    except ValueError:
-        raise UsageError(f"{flag}: expected numbers in LO:HI:STEP, got {raw!r}") from None
+        lo, hi, step = (_number(p) for p in parts)
+    except argparse.ArgumentTypeError as exc:
+        raise UsageError(f"{flag}: {exc}") from None
     return lo, hi, step
 
 
@@ -179,9 +204,9 @@ def _parse_int_span(raw: str, flag: str) -> tuple[int, int]:
     if len(parts) != 2:
         raise UsageError(f"{flag}: expected LO:HI, got {raw!r}")
     try:
-        lo, hi = int(parts[0]), int(parts[1])
-    except ValueError:
-        raise UsageError(f"{flag}: expected integers in LO:HI, got {raw!r}") from None
+        lo, hi = _count(parts[0]), _count(parts[1])
+    except argparse.ArgumentTypeError as exc:
+        raise UsageError(f"{flag}: {exc}") from None
     if hi < lo:
         raise UsageError(f"{flag}: need LO <= HI, got {raw!r}")
     return lo, hi
@@ -194,9 +219,9 @@ def _parse_points(raw: str) -> list[tuple[float, float]]:
         if len(parts) != 2:
             raise UsageError(f"--points: expected ALPHA:CDC pairs, got {chunk!r}")
         try:
-            points.append((float(parts[0]), float(parts[1])))
-        except ValueError:
-            raise UsageError(f"--points: expected numbers in {chunk!r}") from None
+            points.append((_number(parts[0]), _number(parts[1])))
+        except argparse.ArgumentTypeError as exc:
+            raise UsageError(f"--points: {exc}") from None
     return points
 
 
@@ -211,9 +236,9 @@ def _parse_breakdown(raw: str) -> DeviceBreakdown:
         if key not in expected:
             raise UsageError(f"--breakdown: unknown phase {key!r} (expected {sorted(expected)})")
         try:
-            values[key] = float(value)
-        except ValueError:
-            raise UsageError(f"--breakdown: {key} is not a number: {value!r}") from None
+            values[key] = _number(value)
+        except argparse.ArgumentTypeError as exc:
+            raise UsageError(f"--breakdown: {key}: {exc}") from None
     missing = expected - values.keys()
     if missing:
         raise UsageError(f"--breakdown: missing phase(s): {sorted(missing)}")
@@ -277,7 +302,7 @@ def _cmd_cdc(args: argparse.Namespace) -> RenderedReport:
     )
 
 
-def _cmd_sweep(args: argparse.Namespace) -> list[SweepResult]:
+def _cmd_sweep(args: argparse.Namespace) -> Curves:
     lo, hi, step = _parse_span(args.alpha, "--alpha")
     require_alpha(lo)
     require_alpha(hi)
@@ -286,10 +311,10 @@ def _cmd_sweep(args: argparse.Namespace) -> list[SweepResult]:
     points = step_count(lo, hi, step) * len(areas) * len(energies)
     if points > MAX_SWEEP_POINTS:
         raise InvalidRange(f"sweep of {points} points exceeds the cap of {MAX_SWEEP_POINTS} points")
-    return sweep_grid(float_steps(lo, hi, step), areas, energies, n=args.n)
+    return grid_curves(float_steps(lo, hi, step), areas, energies, n=args.n), ()  # a grid estimates nothing
 
 
-def _cmd_scenario(args: argparse.Namespace) -> list[SweepResult]:
+def _cmd_scenario(args: argparse.Namespace) -> Curves:
     alphas = _parse_float_list(args.alphas, "--alphas")
     cases = [c.strip() for c in args.case.split(",") if c.strip()]
     if not cases:
@@ -301,7 +326,7 @@ def _cmd_scenario(args: argparse.Namespace) -> list[SweepResult]:
         spec = scen_mod.builtin_case(case, n=args.n, scale_mode=mode)
         agg = scen_mod.calibrated_aggregates(case, ds) if args.calibrated else None
         sweeps.append(scen_mod.evaluate_cdc_table(spec, alphas, dataset=ds, aggregates=agg))
-    return sweeps
+    return sweeps, curve_footnotes(sweeps)
 
 
 def _cmd_savings(args: argparse.Namespace) -> RenderedReport:
@@ -432,27 +457,29 @@ _COMMANDS = {
 }
 
 
-def _render(result: RenderedReport | list[SweepResult], format: str, out: IO[str]) -> None:
-    """Write `result` to `out`; curves are written curve by curve."""
+def _render(result: RenderedReport | Curves, format: str, out: IO[str]) -> None:
+    """Write `result` to `out`; curves are written as they are drawn."""
     if isinstance(result, RenderedReport):
         out.write(emit_table(result, format))
     else:
-        write_curves(result, format, out)
+        curves, footnotes = result
+        write_curves(curves, format, out, footnotes)
 
 
-def _render_plot(result: RenderedReport | list[SweepResult], scenario_curves: bool) -> str:
+def _render_plot(result: RenderedReport | Curves, scenario_curves: bool) -> str:
     """The SVG chart of `result`: grouped bars for several scenario curves, else lines or the report's ratios."""
     from .svg import grouped_bar_chart, line_chart
 
     if not isinstance(result, RenderedReport):
-        if scenario_curves and len(result) > 1:
-            groups = [s.label for s in result]
+        curves = result[0]
+        if scenario_curves and len(curves) > 1:
+            groups = [s.label for s in curves]
             series = [
-                (f"alpha={alpha:g}", [s.values[i] for s in result])
-                for i, alpha in enumerate(result[0].parameters)
+                (f"alpha={alpha:g}", [s.values[i] for s in curves])
+                for i, alpha in enumerate(curves[0].parameters)
             ]
             return grouped_bar_chart(groups, series)
-        return line_chart(result)
+        return line_chart(curves)
     label_col = result.columns[0]
     groups = [result.cell(r[0], label_col) for r in result.records]
     series = []
@@ -507,6 +534,8 @@ def run(argv: Sequence[str], stdout: IO[str] | None = None, stderr: IO[str] | No
     try:
         result = _COMMANDS[args.command](args)
         if getattr(args, "plot", None):
+            if not isinstance(result, RenderedReport):  # the chart reads every curve before the data is written
+                result = list(result[0]), result[1]
             chart = _render_plot(result, scenario_curves=args.command == "scenario")
             _write_file(args.plot, lambda fh: fh.write(chart))
         if getattr(args, "out", None):

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 import operator
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 from contextlib import suppress
 
 from .concurrency import ScaleMode, scale_factor
@@ -177,6 +177,76 @@ def float_steps(lo: float, hi: float, step: float) -> list[float]:
     return [lo + i * step for i in range(step_count(lo, hi, step))]
 
 
+def _grid_cleared(alphas: tuple, areas: tuple, energies: tuple, n: int, scale: float) -> bool:
+    """Whether no curve of the grid can fault, proved from the ends of `alphas` in O(1) a curve.
+
+    `cdc_curve` computes v(a) = fl(num(a) / den(a)) with num(a) =
+    fl(scale - fl(fl(fl(1.0 - a) * nf) * E)) and den(a) = fl(a * A), where fl
+    rounds to nearest. Rounding is monotone (x <= y gives fl(x) <= fl(y),
+    overflow to +-inf included), and so is each step: fl(1.0 - a) falls as a
+    grows, a product with nf > 0 or E > 0 keeps that order, and the
+    subtraction from `scale` reverses it, so num rises with a; den rises with
+    a, since A > 0. With `alphas` a strictly increasing float tuple in (0, 1],
+    every alpha lies between lo = alphas[0] and hi = alphas[-1], so num(lo) <=
+    num(a) <= num(hi) and den(lo) <= den(a) <= den(hi). Then num(lo) > 0 and
+    den(lo) > 0 make every num(a) and den(a) positive, and finite, since
+    num(a) <= scale and den(a) <= A. For positive operands fl(x / y) rises with
+    x and falls with y, so fl(num(lo) / den(hi)) <= v(a) <= fl(num(hi) /
+    den(lo)), and the last two conditions below put every v(a) in (0, inf):
+    `cdc_curve` raises nothing and `SweepResult` takes every value. Each area
+    and energy must be a plain int or float that `AggregateRatios` accepts.
+    """
+    if not alphas or not numbers_within(alphas, lambda a: 0.0 < a <= 1.0, {float}):
+        return False
+    if any(map(operator.le, alphas[1:], alphas)) or not numbers_within((*areas, *energies), is_positive_real):
+        return False
+    nf = float(n)
+    lo, hi = alphas[0], alphas[-1]
+    nums = [(scale - (1.0 - lo) * nf * energy, scale - (1.0 - hi) * nf * energy) for energy in energies]
+    dens = [(lo * area, hi * area) for area in areas]
+    return all(
+        num_lo > 0.0 and den_lo > 0.0 and num_hi / den_lo < math.inf and num_lo / den_hi > 0.0
+        for num_lo, num_hi in nums
+        for den_lo, den_hi in dens
+    )
+
+
+def _grid(alphas: tuple, areas: tuple, energies: tuple, n: int, scale: float) -> Iterator[SweepResult]:
+    for area in areas:
+        for energy in energies:
+            agg = AggregateRatios(area=area, energy=energy, utilization=1.0, kernel_count=1)
+            yield SweepResult(
+                label=f"A={area:g},E={energy:g}",
+                parameters=alphas,
+                values=tuple(cdc_curve(alphas, agg, n, scale)),
+                n=n,
+                scale=scale,
+            )
+
+
+def grid_curves(
+    alphas: Sequence[float],
+    areas: Sequence[float],
+    energies: Sequence[float],
+    n: int = 1,
+) -> Iterator[SweepResult]:
+    """One alpha curve per (area, energy) pair of the Cartesian grid, at n' = n, in grid order.
+
+    Every fault is raised by this call, never by the iterator it returns.
+    When `_grid_cleared` proves that no curve can fault, each curve is
+    computed as it is drawn, so a caller that drops each curve holds one at
+    a time. Otherwise the whole grid is computed here, and its first fault
+    in grid order is raised.
+    """
+    if not areas or not energies:
+        raise InvalidRange("grid axes must be non-empty")
+    scale = scale_factor(n, ScaleMode.CONSERVATIVE)
+    alphas = tuple(alphas)  # one parameters column, shared by every curve
+    areas, energies = tuple(areas), tuple(energies)  # the axes the proof read
+    curves = _grid(alphas, areas, energies, n, scale)
+    return curves if _grid_cleared(alphas, areas, energies, n, scale) else iter(list(curves))
+
+
 def sweep_grid(
     alphas: Sequence[float],
     areas: Sequence[float],
@@ -184,24 +254,7 @@ def sweep_grid(
     n: int = 1,
 ) -> list[SweepResult]:
     """One alpha curve per (area, energy) pair of the Cartesian grid, at n' = n."""
-    if not areas or not energies:
-        raise InvalidRange("grid axes must be non-empty")
-    scale = scale_factor(n, ScaleMode.CONSERVATIVE)
-    alphas = tuple(alphas)  # one parameters column, shared by every curve
-    curves = []
-    for area in areas:
-        for energy in energies:
-            agg = AggregateRatios(area=area, energy=energy, utilization=1.0, kernel_count=1)
-            curves.append(
-                SweepResult(
-                    label=f"A={area:g},E={energy:g}",
-                    parameters=alphas,
-                    values=tuple(cdc_curve(alphas, agg, n, scale)),
-                    n=n,
-                    scale=scale,
-                )
-            )
-    return curves
+    return list(grid_curves(alphas, areas, energies, n))
 
 
 def fit_aggregates(

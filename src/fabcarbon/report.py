@@ -32,6 +32,10 @@ _FORMATS = {
 
 MISSING_CELL = "-"
 
+# Rows of one curve filled and written at a time: a long curve's text is
+# held one slice at a time, never whole.
+_SLICE_ROWS = 4096
+
 
 class InvalidColumn(ValueError):
     """A report column names a display kind that no formatter renders."""
@@ -159,7 +163,8 @@ def estimated_inputs_footnote(names: Iterable[str]) -> tuple[str, ...]:
     return ("estimated inputs: utilization values for " + ", ".join(unique) + " are constrained estimates",)
 
 
-def _curve_footnotes(sweeps: Sequence[SweepResult]) -> tuple[str, ...]:
+def curve_footnotes(sweeps: Iterable[SweepResult]) -> tuple[str, ...]:
+    """The footnotes of a report over `sweeps`: the estimated kernels behind any of them."""
     return estimated_inputs_footnote(name for sweep in sweeps for name in sweep.estimated_kernels)
 
 
@@ -168,27 +173,41 @@ def sweep_report(sweeps: Sequence[SweepResult]) -> RenderedReport:
     records = []
     for sweep in sweeps:
         records.extend(zip(repeat(sweep.label), sweep.parameters, sweep.values, repeat(sweep.n), repeat(sweep.scale)))
-    return RenderedReport(_CURVE_COLUMNS, tuple(records), _curve_footnotes(sweeps))
+    return RenderedReport(_CURVE_COLUMNS, tuple(records), curve_footnotes(sweeps))
 
 
-def write_curves(sweeps: Sequence[SweepResult], format: str, out: IO[str]) -> None:
+def write_curves(
+    sweeps: Iterable[SweepResult],
+    format: str,
+    out: IO[str],
+    footnotes: Sequence[str] | None = None,
+) -> None:
     """Write sweep curves to `out` as CSV, a table or JSON: one row per sampled point.
 
     The CSV is long-format (series, parameter, value); the table and the
     JSON are byte for byte those of `emit_table(sweep_report(sweeps), format)`.
+    `footnotes` default to `curve_footnotes(sweeps)`, which reads every
+    curve before the first row; a caller that passes them, () for none, has
+    CSV and JSON written from `sweeps` as it is drawn, one curve at a time.
+    The table needs its column widths first, so it holds every curve.
+
     A row is a head (the label), a parameter cell, the value slot and a
     tail (n and n'). Heads and tails are formatted once per curve, and
     parameter cells once per parameters column: the curves of one grid
     share one tuple. The test is identity, not equality, so that -0.0
-    never reuses the cell of 0.0. Each curve's rows are one printf-style
-    template, filled with the curve's values by one `%` and written as one
-    string. Only the table needs a first pass, for its column widths; the
-    cdc column is as wide as the largest value's cell, since a positive
-    value's fixed-point form never gets shorter as the value grows.
+    never reuses the cell of 0.0. A curve's rows are filled from one
+    printf-style template by one `%` per slice of `_SLICE_ROWS` rows, and
+    each slice is written as one string, so no more than one slice's text
+    is held. The cdc column is as wide as the largest value's cell, since
+    a positive value's fixed-point form never gets shorter as the value grows.
     """
     headers = [c.header for c in _CURVE_COLUMNS]
-    footnotes = _curve_footnotes(sweeps)
-    sep = end = ""  # `sep` goes between rows, `end` after the last
+    if footnotes is None or format == "table":
+        sweeps = list(sweeps)
+    if footnotes is None:
+        footnotes = curve_footnotes(sweeps)
+    # `first` goes before the first row, `sep` between rows, `end` after the last, `empty` in its place if none
+    first = sep = end = empty = ""
     if format == "csv":
         out.writelines(f"# {note}\n" for note in footnotes)
         out.write("series,parameter,value\n")
@@ -214,7 +233,7 @@ def write_curves(sweeps: Sequence[SweepResult], format: str, out: IO[str]) -> No
             widths[4] = max(widths[4], len(_cell(sweep.scale, "scale")))
         label_w, param_w, cdc_w, n_w, scale_w = widths
         out.write(_table_head(headers, widths))
-        end = "".join(f"note: {note}\n" for note in footnotes)
+        end = empty = "".join(f"note: {note}\n" for note in footnotes)
 
         def cells(parameters):
             # "%.2f" is the "ratio" display rule
@@ -227,13 +246,10 @@ def write_curves(sweeps: Sequence[SweepResult], format: str, out: IO[str]) -> No
 
     elif format == "json":
         doc = {"title": "", "columns": headers, "records": [], "footnotes": list(footnotes)}
-        if not any(sweep.values for sweep in sweeps):
-            out.write(json.dumps(doc, indent=2) + "\n")
-            return
+        empty = json.dumps(doc, indent=2) + "\n"
         # the text around the records is the document's own, cut at a null record: nothing before it reads null
         doc["records"] = [None]
-        start, _, end = json.dumps(doc, indent=2).partition("null")
-        out.write(start)
+        first, _, end = json.dumps(doc, indent=2).partition("null")
         sep, end = ",\n    ", end + "\n"
 
         def cells(parameters):
@@ -248,15 +264,20 @@ def write_curves(sweeps: Sequence[SweepResult], format: str, out: IO[str]) -> No
         raise ValueError(f"unknown report format: {format!r}")
     parameters = None
     pieces: list[str] = []
-    between = ""
+    rows = False
     for sweep in sweeps:
-        if not sweep.values:
+        values = sweep.values
+        if not values:
             continue
         if sweep.parameters is not parameters:
             parameters = sweep.parameters
             pieces = cells(parameters)
         # of all cells only a label can hold a "%"
         head, tail = (text.replace("%", "%%") for text in ends(sweep))
-        out.write((between + head + (tail + sep + head).join(pieces) + tail) % tuple(sweep.values))
-        between = sep
-    out.write(end)
+        joint = tail + sep + head
+        for start in range(0, len(values), _SLICE_ROWS):
+            stop = start + _SLICE_ROWS
+            # one expression: a template held across the next curve's evaluation fragments the heap
+            out.write(((sep if rows else first) + head + joint.join(pieces[start:stop]) + tail) % tuple(values[start:stop]))
+            rows = True
+    out.write(end if rows else empty)

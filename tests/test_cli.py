@@ -9,6 +9,7 @@ import stat
 import subprocess
 import sys
 import tracemalloc
+from itertools import islice
 from pathlib import Path
 
 import pytest
@@ -24,6 +25,9 @@ import fabcarbon.scenarios
 from fabcarbon import builtin_dataset, dump_dataset
 from fabcarbon.cli import DATASET_ENV_VAR, MAX_SAVINGS_ROWS, MAX_SWEEP_POINTS, run
 from fabcarbon.engine import float_steps, sweep_grid
+from fabcarbon.errors import InvalidValue, ModelError
+from fabcarbon.report import write_curves
+from test_engine import eager_sweep_grid
 
 CSV_HEADER = "name,domain,area_norm,energy_norm,utilization,memory_kb,estimated\n"
 
@@ -276,6 +280,8 @@ class TestStreamedOutput:
         size = target.stat().st_size
         assert size > 4_000_000
         assert run_peak - curves_peak < size / 4
+        if fmt != "table":  # CSV and JSON hold one curve at a time; the table holds them all for its widths
+            assert run_peak < curves_peak / 4
 
 
 class TestAtomicOutput:
@@ -287,8 +293,8 @@ class TestAtomicOutput:
             target.write_text(old, encoding="utf-8")
         real = fabcarbon.cli.write_curves
 
-        def fail_midway(sweeps, format, out):
-            real(sweeps[:1], format, out)
+        def fail_midway(sweeps, format, out, footnotes):
+            real(islice(sweeps, 1), format, out, footnotes)
             raise OSError("No space left on device")
 
         monkeypatch.setattr(fabcarbon.cli, "write_curves", fail_midway)
@@ -325,6 +331,62 @@ class TestAtomicOutput:
         assert link.is_symlink()
         assert real.read_text().endswith("</svg>\n")
         assert sorted(p.name for p in tmp_path.iterdir()) == ["link.svg", "real.svg"]
+
+
+class TestNoPartialOutput:
+    """A sweep either writes every curve or exits with the eager grid's first fault and writes nothing."""
+
+    @pytest.mark.parametrize("fmt", ["csv", "table", "json"])
+    @pytest.mark.parametrize(
+        "flags,message",
+        [
+            (("0.1:0.9:0.2", "--energies", "0.35,2"), "never greener"),
+            (("0.1:0.9:0.2", "--areas", "0.3,1e-320"), "threshold is not finite"),
+            (("0.1:0.9:0.2", "--areas", "0.3,nan", "--energies", "2"), "never greener"),  # the first fault in grid order
+            (("0.5:0.5:0.1", "--areas", "1.7e308", "--energies", "1.9999999999999998"),
+             "not a finite positive float: 0.0"),  # a value that underflows
+        ],
+    )
+    def test_a_fault_in_a_later_curve_writes_nothing(self, fmt, flags, message):
+        code, out, err = invoke("sweep", "--alpha", *flags, "--format", fmt)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and message in err and err.count("\n") == 1
+
+
+def _sweep_oracle(lo, hi, step, areas, energies, n, fmt):
+    """What `sweep` prints and exits with, from the eager grid: its text, or its first fault."""
+    try:
+        curves = eager_sweep_grid(float_steps(lo, hi, step), areas, energies, n)
+    except InvalidValue as exc:
+        return 2, "", f"usage error: {exc}\n"
+    except ModelError as exc:
+        return 1, "", f"error: {exc}\n"
+    assert sweep_grid(float_steps(lo, hi, step), areas, energies, n) == curves
+    buf = io.StringIO()
+    write_curves(curves, fmt, buf)
+    return 0, buf.getvalue(), ""
+
+
+GRID_AXIS = st.sampled_from((0.35, 0.3, 0.01, 1.0, 1.5, 2.0, 1e-320, 5e-324, 1.7e308))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    data=st.data(),
+    lo=st.one_of(st.sampled_from((5e-324, 1e-300, 1e-10)), st.floats(min_value=1e-6, max_value=1.0)),
+    steps=st.integers(min_value=0, max_value=12),
+    areas=st.lists(GRID_AXIS, min_size=1, max_size=3),
+    energies=st.lists(GRID_AXIS, min_size=1, max_size=3),
+    n=st.sampled_from((1, 3, 2**53)),
+    fmt=st.sampled_from(("csv", "table", "json")),
+)
+def test_sweep_writes_the_whole_grid_or_nothing(data, lo, steps, areas, energies, n, fmt):
+    hi = data.draw(st.floats(min_value=lo, max_value=1.0))
+    step = (hi - lo) / steps if steps and hi > lo else 0.5
+    assume(step > 0)
+    argv = ["sweep", "--alpha", f"{lo!r}:{hi!r}:{step!r}", "--areas", ",".join(map(repr, areas)),
+            "--energies", ",".join(map(repr, energies)), "--n", str(n), "--format", fmt]
+    assert invoke(*argv) == _sweep_oracle(lo, hi, step, areas, energies, n, fmt)
 
 
 class TestHybridCommand:
@@ -537,6 +599,41 @@ def test_bench_trace_shim_runs(tmp_path, argv):
     assert "cli.run" in [span[2] for span in json.loads(record.read_text())["spans"]]
 
 
+# Spawns each run and reports its exit code and `ru_maxrss` from `os.wait4`. A
+# spawned child's `ru_maxrss` starts at its parent's high-water mark, so the
+# runs come from this bare interpreter, not from pytest. Runs are split by `--`.
+PEAK_PROBE = """
+import os, sys
+runs = [[]]
+for arg in sys.argv[1:]:
+    runs.append([]) if arg == "--" else runs[-1].append(arg)
+for argv in runs:
+    quiet = [(os.POSIX_SPAWN_OPEN, 1, os.devnull, os.O_WRONLY, 0)]
+    pid = os.posix_spawn(sys.executable, [sys.executable, "-m", "fabcarbon.cli", *argv], os.environ, file_actions=quiet)
+    _, status, usage = os.wait4(pid, 0)
+    print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss is in KiB on Linux only")
+def test_csv_sweep_memory_stays_near_a_trivial_run(tmp_path):
+    """A 900k-point CSV sweep holds one curve at a time, so it peaks within 10 MB of a `cdc`."""
+    axis = ",".join(f"{0.02 * i:.2f}" for i in range(1, 31))
+    target = tmp_path / "sweep.csv"
+    sweep = ["sweep", "--alpha", "0.0005:0.9995:0.001", "--areas", axis, "--energies", axis,
+             "--format", "csv", "--out", str(target)]
+    env = dict(os.environ, PYTHONPATH=str(Path(fabcarbon.__file__).resolve().parents[1]))
+    result = subprocess.run(
+        [sys.executable, "-c", PEAK_PROBE, *sweep, "--", *CDC_ARGS],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    (sweep_code, sweep_kib), (cdc_code, cdc_kib) = (map(int, line.split()) for line in result.stdout.splitlines())
+    assert (sweep_code, cdc_code) == (0, 0)
+    assert target.stat().st_size > 30_000_000  # 900k rows were written
+    assert sweep_kib - cdc_kib < 10 * 1024
+
+
 def test_runs_as_a_module():
     env = dict(os.environ, PYTHONPATH=str(Path(fabcarbon.__file__).resolve().parents[1]))
     result = subprocess.run(
@@ -615,3 +712,28 @@ def test_any_argv_ends_in_an_exit_code(argv, fmt):
     assert code in (0, 1, 2)
     if code == 0 and fmt == ["--format", "json"]:
         json.loads(out.getvalue(), parse_constant=_refuse_constant)  # strict: no NaN or Infinity
+
+
+def _misspelt(token, at, form):
+    """`token` with the digit at `at` written in a non-ASCII script, or followed by `_` and the next digit."""
+    if form == "_":
+        return token[: at + 1] + "_" + token[at + 1 :]
+    return token[:at] + chr(int(token[at]) + form) + token[at + 1 :]
+
+
+@settings(max_examples=300, deadline=None)
+@given(argv=ARGV, data=st.data())
+def test_a_number_with_underscore_or_non_ascii_digit_is_a_usage_error(argv, data):
+    """`float` and `int` read `1_0` as 10 and a full-width `４` as 4; argv numbers refuse both."""
+    numbers = [i for i, token in enumerate(argv) if any(c.isdigit() for c in token)]
+    assume(numbers)
+    i = data.draw(st.sampled_from(numbers))
+    token = argv[i]
+    form = data.draw(st.sampled_from(("_", 0xFF10, 0x0660)))  # `_`, full-width digits, Arabic-Indic digits
+    digits = [j for j, c in enumerate(token) if c.isdigit() and (form != "_" or token[j + 1 : j + 2].isdigit())]
+    assume(digits)
+    misspelt = [*argv[:i], _misspelt(token, data.draw(st.sampled_from(digits)), form), *argv[i + 1 :]]
+    code, out, err = invoke(*misspelt)
+    assert (code, out) == (2, "")
+    if invoke(*argv)[0] == 0:  # nothing else in the argv is refused
+        assert "expected a" in err

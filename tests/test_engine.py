@@ -20,8 +20,9 @@ from fabcarbon import (
     min_dsas_to_replace,
     sweep_grid,
 )
+import fabcarbon.engine
 from fabcarbon.core import require_alpha, require_concurrency, require_scale
-from fabcarbon.engine import float_steps
+from fabcarbon.engine import float_steps, grid_curves
 from fabcarbon.errors import (
     AlphaPole,
     DegenerateModel,
@@ -71,6 +72,20 @@ def check_sweep_values_point_by_point(parameters, values):
     for p, v in zip(parameters, values):
         if type(v) is not float or not 0 < v < math.inf:
             raise DegenerateModel(f"sweep value at {p!r} is not a finite positive float: {v!r}")
+
+
+def eager_sweep_grid(alphas, areas, energies, n=1):
+    """Oracle: every curve of the grid computed in grid order before any is returned."""
+    if not areas or not energies:
+        raise InvalidRange("grid axes must be non-empty")
+    require_concurrency(n)
+    alphas = tuple(alphas)
+    curves = []
+    for area in areas:
+        for energy in energies:
+            values = cdc_curve(alphas, _agg(area, energy), n, float(n))
+            curves.append(SweepResult(f"A={area:g},E={energy:g}", alphas, tuple(values), n, float(n)))
+    return curves
 
 
 def outcome(evaluate, *args):
@@ -225,6 +240,64 @@ class TestSweeps:
         assert first == second and hash(first) == hash(second)
         assert len({first, second}) == 1
         assert (first.label, first.n, first.scale) == ("A=0.35,E=0.25", 2, 2.0)
+
+
+class TestGridCurves:
+    def test_cleared_grid_computes_each_curve_as_it_is_drawn(self, monkeypatch):
+        calls = []
+        real = fabcarbon.engine.cdc_curve
+        monkeypatch.setattr(fabcarbon.engine, "cdc_curve", lambda *args: calls.append(args) or real(*args))
+        curves = grid_curves([0.3, 0.6], [0.25, 0.45], [0.35])
+        assert calls == []
+        assert next(curves) == sweep_grid([0.3, 0.6], [0.25], [0.35])[0]
+        assert len(calls) == 2  # the drawn curve, then the one `sweep_grid` computed
+        assert list(curves) == sweep_grid([0.3, 0.6], [0.45], [0.35])
+
+    @pytest.mark.parametrize(
+        "areas,energies,message",
+        [
+            ([0.35], [0.35, 2.0], "never greener"),
+            ([0.3, 1e-320], [0.35], "threshold is not finite"),
+            ([0.3, math.nan], [2.0], "never greener"),  # the first fault in grid order, not the NaN area
+            ([1.7e308], [2 - 2**-52], "not a finite positive float: 0.0"),  # a value that underflows
+        ],
+    )
+    def test_a_fault_anywhere_in_the_grid_raises_from_the_call(self, areas, energies, message):
+        alphas = float_steps(0.1, 0.9, 0.2) if areas != [1.7e308] else [0.5]
+        with pytest.raises(ValueError, match=message) as caught:
+            grid_curves(alphas, areas, energies)
+        with pytest.raises(type(caught.value), match=message):
+            eager_sweep_grid(alphas, areas, energies)
+
+    @pytest.mark.parametrize(
+        "alphas,areas,energies",
+        [
+            ([1], [0.35], [0.35]),  # an int alpha: valid, but not a float column
+            ([0.5, 0.5], [0.35], [0.35]),  # not strictly increasing
+            ([0.3, 0.6], [True], [0.35]),  # a bool area, which `AggregateRatios` refuses
+            ([0.3, 0.6], [Fraction(1, 3)], [0.35]),  # a valid area of another type
+        ],
+    )
+    def test_an_uncleared_grid_is_computed_whole(self, alphas, areas, energies):
+        assert outcome(lambda *a: [v for c in grid_curves(*a) for v in c.values], alphas, areas, energies) == outcome(
+            lambda *a: [v for c in eager_sweep_grid(*a) for v in c.values], alphas, areas, energies
+        )
+
+    @pytest.mark.parametrize(
+        "alphas,area,energy,n",
+        [
+            ((0.1, 0.5, 1.0), 0.35, 0.35, 1),
+            ((5e-324, 1.0), 1.7e308, 0.5, 1),  # den(lo) is the least subnormal
+            ((0.5, 1.0), 1.7e308, 1.0, 1),  # every value subnormal
+            ((0.999, 1.0), 1e-300, 1.5, 3),  # E > 1, num(lo) small
+            ((0.25, 0.75), 0.35, 0.35, 2**53),
+        ],
+    )
+    def test_a_cleared_curve_has_only_finite_positive_values(self, alphas, area, energy, n):
+        assert fabcarbon.engine._grid_cleared(alphas, (area,), (energy,), n, float(n))
+        values = cdc_curve(alphas, _agg(area, energy), n, float(n))
+        assert all(type(v) is float and 0.0 < v < math.inf for v in values)
+        assert list(grid_curves(alphas, [area], [energy], n)) == eager_sweep_grid(alphas, [area], [energy], n)
 
 
 class TestFitAggregates:

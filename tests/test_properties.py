@@ -30,8 +30,10 @@ from fabcarbon import (
     scale_factor,
 )
 import fabcarbon.core
+import fabcarbon.engine
 from fabcarbon.core import DeviceBreakdown, mean
-from test_engine import outcome, point_by_point_cdc_curve
+from fabcarbon.engine import grid_curves
+from test_engine import eager_sweep_grid, outcome, point_by_point_cdc_curve
 
 # Ratios below one keep the threshold at or above the concurrency level,
 # which is the regime the model is about (DSAs leaner than the fabric).
@@ -287,3 +289,48 @@ class TestCurveColumn:
         area, energy, n, scale = regime
         agg = AggregateRatios(area=area, energy=energy, utilization=1.0, kernel_count=1)
         assert outcome(cdc_curve, alphas, agg, n, scale) == outcome(point_by_point_cdc_curve, alphas, agg, n, scale)
+
+
+# Grid axes: the model's regime, the ends of the float range, ratios above one, and values `AggregateRatios` refuses
+axis_value = st.one_of(
+    st.floats(min_value=0.01, max_value=1.5),
+    st.sampled_from((1e-320, 5e-324, 1.7e308, FLOAT_MAX, 2.0, 1.5, 1.0)),
+    st.floats(min_value=5e-324, max_value=FLOAT_MAX),
+    st.sampled_from((0.0, -1.0, math.nan, math.inf, True, 3)),
+)
+grid_alphas = st.lists(
+    st.one_of(valid_alpha, st.sampled_from((5e-324, 1e-300, 1.0))), min_size=1, max_size=20, unique=True
+).map(sorted)
+
+
+class TestGridCurves:
+    """`grid_curves` is the eager grid: the same curves, or the same first fault, raised from the call."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        alphas=st.one_of(grid_alphas, grid_alphas, st.lists(any_alpha, min_size=0, max_size=5)),
+        areas=st.lists(axis_value, min_size=1, max_size=3),
+        energies=st.lists(axis_value, min_size=1, max_size=3),
+        n=st.sampled_from((1, 3, 2**53)),
+    )
+    @example(alphas=[0.1, 0.5], areas=[0.3, math.nan], energies=[2.0], n=1)
+    def test_equals_the_eager_grid(self, alphas, areas, energies, n):
+        def values(grid):
+            return lambda *args: [v for curve in grid(*args) for v in (curve.label, *curve.values)]
+
+        lazy, eager = (outcome(values(grid), alphas, areas, energies, n) for grid in (grid_curves, eager_sweep_grid))
+        assert lazy == eager
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        alphas=grid_alphas,
+        area=st.one_of(st.floats(min_value=0.01, max_value=10.0), st.floats(min_value=5e-324, max_value=FLOAT_MAX)),
+        energy=st.one_of(st.floats(min_value=0.01, max_value=1.5), st.floats(min_value=5e-324, max_value=FLOAT_MAX)),
+        n=st.sampled_from((1, 3, 2**53)),
+    )
+    @example(alphas=[5e-324, 1.0], area=1.7e308, energy=0.5, n=1)
+    def test_a_cleared_curve_has_only_finite_positive_values(self, alphas, area, energy, n):
+        alphas = tuple(alphas)
+        if fabcarbon.engine._grid_cleared(alphas, (area,), (energy,), n, float(n)):
+            agg = AggregateRatios(area=area, energy=energy, utilization=1.0, kernel_count=1)
+            assert all(type(v) is float and 0.0 < v < math.inf for v in cdc_curve(alphas, agg, n, float(n)))
