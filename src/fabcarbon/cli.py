@@ -28,7 +28,7 @@ from .core import (
     require_alpha,
     weights_for_device,
 )
-from .dataset import KERNEL_COLUMNS, KernelDataset, builtin_dataset, load_dataset
+from .dataset import KERNEL_COLUMNS, KernelDataset, _plain_text, builtin_dataset, load_dataset
 from .engine import (
     CdcQuery,
     SweepResult,
@@ -158,9 +158,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _plain(parse: Callable[[str], float], text: str, what: str) -> float:
-    """`parse(text)` over ASCII text without `_`: Python's `float` and `int` also
-    read `1_0` as 10 and non-ASCII digits, such as a full-width `４`, as digits."""
-    if "_" not in text and text.isascii():
+    """`parse(text)` over ASCII text without `_`."""
+    if _plain_text(text):
         with contextlib.suppress(ValueError):
             return parse(text)
     raise argparse.ArgumentTypeError(f"expected {what}, got {text!r}")

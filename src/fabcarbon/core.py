@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import sys
-from collections.abc import Callable, Sequence, Set
+from collections.abc import Sequence, Set
 
 from .errors import (
     AlphaPole,
@@ -45,75 +45,6 @@ DEVICE_ALPHA_BANDS: dict[str, tuple[float, float]] = {
 
 # Lifecycle percentages may carry report rounding; the sum check absorbs it.
 BREAKDOWN_SUM_TOLERANCE = 0.5
-
-
-def is_real(value: object) -> bool:
-    """True for a finite int or float; NaN, infinities, bools and other types are not."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        return False
-    return -sys.float_info.max <= value <= sys.float_info.max
-
-
-def _real_in(low: float, high: float, *, low_closed: bool = False) -> Callable[[object], bool]:
-    """A test for an int or float (not a bool) in (low, high], or [low, high] when ``low_closed``."""
-
-    def test(value: object) -> bool:
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            return False
-        return (low <= value if low_closed else low < value) and value <= high
-
-    return test
-
-
-def numbers_within(values: Sequence, within: Callable[[object], bool], types: Set[type] | None = frozenset({int, float})) -> bool:
-    """Whether every value has one of `types` (any, if None) and passes `within`, an interval
-    test, in C: with no NaN, which makes the sum NaN, the least and the greatest value decide.
-    False may also mean an int too large for a float; a caller naming the bad value tests each."""
-    if types is not None and not set(map(type, values)) <= types:
-        return False
-    try:
-        total = sum(values)
-    except OverflowError:  # an int too large for a float, which no interval admits
-        return False
-    return total == total and (not values or within(min(values)) and within(max(values)))
-
-
-is_positive_real = _real_in(0, sys.float_info.max)
-
-# The domain of each numeric KernelProfile field, all finite: its test and
-# its interval as messages print it. `KernelProfile` checks one value at a
-# time and the dataset loader whole columns, both with these tests.
-KERNEL_BOUNDS: dict[str, tuple[Callable[[object], bool], str]] = {
-    "area_norm": (is_positive_real, "(0, inf)"),
-    "energy_norm": (is_positive_real, "(0, inf)"),
-    "utilization": (_real_in(0, 1), "(0, 1]"),
-    "memory_kb": (_real_in(0, sys.float_info.max, low_closed=True), "[0, inf)"),
-}
-
-
-def require_alpha(alpha: float) -> None:
-    """Reject an embodied weight outside (0, 1]; alpha_e2o = 0 is the model's pole."""
-    if alpha == 0:
-        raise AlphaPole("alpha_e2o = 0 is a pole: the threshold diverges")
-    if not (is_real(alpha) and 0 < alpha <= 1):
-        raise InvalidAlpha(f"alpha_e2o out of (0, 1]: {alpha!r}")
-
-
-# Concurrency meets floats in n' and in the threshold; above 2**53 a float
-# no longer holds every integer, so results would silently round.
-MAX_CONCURRENCY = 2**53
-
-
-def require_concurrency(n: int) -> None:
-    """Reject a concurrency level below 1, above 2**53 or not finite."""
-    if not (is_real(n) and 1 <= n <= MAX_CONCURRENCY):
-        raise InvalidConcurrency(f"concurrency must be in [1, 2**53]: {n!r}")
-
-
-def require_scale(scale: float) -> None:
-    """Reject a fabric scaling factor below 1 or not finite."""
-    if not (is_real(scale) and scale >= 1):
-        raise InvalidScale(f"fabric scale must be finite and >= 1: {scale!r}")
 
 
 class FrozenRecordError(AttributeError):
@@ -158,6 +89,83 @@ class Record:
     __delattr__ = __setattr__
 
 
+class Interval(Record):
+    """One numeric domain: the values of `types`, never a bool, from `low` to `high`, each end
+    included when closed. `text` is the interval as messages print it; its "inf" is the
+    greatest float, so only finite values lie in such an interval."""
+
+    low: float
+    high: float
+    text: str
+    low_closed: bool = False
+    high_closed: bool = True
+    types: tuple[type, ...] = (int, float)
+
+    def __contains__(self, value: object) -> bool:
+        """Whether `value` compares between the ends, whatever its type."""
+        low, high = self.low, self.high
+        return (low <= value if self.low_closed else low < value) and (value <= high if self.high_closed else value < high)
+
+    def __call__(self, value: object) -> bool:
+        """Whether `value` lies in the domain: one of `types`, not a bool, between the ends."""
+        return not isinstance(value, bool) and isinstance(value, self.types) and value in self
+
+    def require(self, value: object, what: str, error: type[Exception]) -> None:
+        """Raise `error`, naming `what` and `value`, unless `value` lies in the interval."""
+        if not self(value):
+            raise error(f"{what} out of {self.text}: {value!r}")
+
+
+# Concurrency meets floats in n' and in the threshold; above 2**53 a float
+# no longer holds every integer, so results would silently round.
+MAX_CONCURRENCY = 2**53
+
+# The model's numeric domains, one row each; every interval test reads one.
+FLOAT_MAX = sys.float_info.max
+REAL = Interval(-FLOAT_MAX, FLOAT_MAX, "(-inf, inf)", low_closed=True)
+POSITIVE = Interval(0.0, FLOAT_MAX, "(0, inf)")
+NON_NEGATIVE = Interval(0.0, FLOAT_MAX, "[0, inf)", low_closed=True)
+AT_LEAST_ONE = Interval(1.0, FLOAT_MAX, "[1, inf)", low_closed=True)
+UNIT = Interval(0.0, 1.0, "(0, 1]")
+CLOSED_UNIT = Interval(0.0, 1.0, "[0, 1]", low_closed=True)
+OPEN_UNIT = Interval(0.0, 1.0, "(0, 1)", high_closed=False)
+CONCURRENCY = Interval(1, MAX_CONCURRENCY, "[1, 2**53]", low_closed=True, types=(int,))
+
+# The domain of each numeric KernelProfile field. `KernelProfile` checks one
+# value at a time and the dataset loader whole columns, both against these rows.
+KERNEL_BOUNDS: dict[str, Interval] = {"area_norm": POSITIVE, "energy_norm": POSITIVE, "utilization": UNIT, "memory_kb": NON_NEGATIVE}
+
+
+def numbers_within(values: Sequence, within: Interval, types: Set[type] = frozenset({int, float})) -> bool:
+    """Whether every value has one of `types` and lies in `within`, in C: with no NaN,
+    which makes the sum NaN, the least and the greatest value decide. False may also
+    mean an int too large for a float; a caller naming the bad value tests each."""
+    if not set(map(type, values)) <= types:
+        return False
+    try:
+        total = sum(values)
+    except OverflowError:  # an int too large for a float, which no interval admits
+        return False
+    return total == total and (not values or within(min(values)) and within(max(values)))
+
+
+def require_alpha(alpha: float) -> None:
+    """Reject an embodied weight outside (0, 1]; alpha_e2o = 0 is the model's pole."""
+    if alpha == 0:
+        raise AlphaPole("alpha_e2o = 0 is a pole: the threshold diverges")
+    UNIT.require(alpha, "alpha_e2o", InvalidAlpha)
+
+
+def require_concurrency(n: int) -> None:
+    """Reject a concurrency level that is not an int in [1, 2**53]."""
+    CONCURRENCY.require(n, "concurrency", InvalidConcurrency)
+
+
+def require_scale(scale: float) -> None:
+    """Reject a fabric scaling factor below 1 or not finite."""
+    AT_LEAST_ONE.require(scale, "fabric scale", InvalidScale)
+
+
 class KernelProfile(Record):
     """One accelerated kernel, normalized against the fabric.
 
@@ -179,10 +187,10 @@ class KernelProfile(Record):
             raise InvalidKernel(f"kernel name must be a non-empty string: {self.name!r}")
         if not isinstance(self.domain, str):
             raise InvalidKernel(f"kernel {self.name!r}: domain must be a string: {self.domain!r}")
-        for field, (within, interval) in KERNEL_BOUNDS.items():
+        for field, interval in KERNEL_BOUNDS.items():
             value = getattr(self, field)
-            if not within(value):
-                raise InvalidKernel(f"kernel {self.name!r}: {field} out of {interval}: {value!r}")
+            if not interval(value):  # build the message only for a fault
+                interval.require(value, f"kernel {self.name!r}: {field}", InvalidKernel)
         if not isinstance(self.estimated, bool):
             raise InvalidKernel(f"kernel {self.name!r}: estimated must be boolean: {self.estimated!r}")
 
@@ -196,14 +204,10 @@ class AggregateRatios(Record):
     kernel_count: int
 
     def __post_init__(self) -> None:
-        if not (is_real(self.kernel_count) and self.kernel_count >= 1):
-            raise InvalidAggregates(f"kernel_count must be >= 1: {self.kernel_count!r}")
-        if not (is_real(self.area) and self.area > 0):
-            raise InvalidAggregates(f"aggregate area out of (0, inf): {self.area!r}")
-        if not (is_real(self.energy) and self.energy > 0):
-            raise InvalidAggregates(f"aggregate energy out of (0, inf): {self.energy!r}")
-        if not (is_real(self.utilization) and 0 < self.utilization <= 1):
-            raise InvalidAggregates(f"aggregate utilization out of (0, 1]: {self.utilization!r}")
+        AT_LEAST_ONE.require(self.kernel_count, "kernel_count", InvalidAggregates)
+        POSITIVE.require(self.area, "aggregate area", InvalidAggregates)
+        POSITIVE.require(self.energy, "aggregate energy", InvalidAggregates)
+        UNIT.require(self.utilization, "aggregate utilization", InvalidAggregates)
 
 
 class FootprintWeights(Record):
@@ -212,8 +216,7 @@ class FootprintWeights(Record):
     alpha_e2o: float
 
     def __post_init__(self) -> None:
-        if not (is_real(self.alpha_e2o) and 0 <= self.alpha_e2o <= 1):
-            raise InvalidAlpha(f"alpha_e2o out of [0, 1]: {self.alpha_e2o!r}")
+        CLOSED_UNIT.require(self.alpha_e2o, "alpha_e2o", InvalidAlpha)
 
 
 class DeviceBreakdown(Record):
@@ -226,7 +229,7 @@ class DeviceBreakdown(Record):
 
     def __post_init__(self) -> None:
         parts = (self.production_pct, self.transport_pct, self.use_pct, self.eol_pct)
-        if not all(is_real(p) and p >= 0 for p in parts):
+        if not all(map(NON_NEGATIVE, parts)):
             raise InvalidBreakdown(
                 f"breakdown percentages must be finite and >= 0: {parts}"
             )

@@ -19,7 +19,7 @@ from functools import cached_property
 from itertools import compress, islice, repeat
 from operator import attrgetter, itemgetter
 
-from .core import KERNEL_BOUNDS, KernelProfile, Record, is_real, numbers_within
+from .core import KERNEL_BOUNDS, POSITIVE, KernelProfile, Record, numbers_within
 from .errors import DatasetValidationError, EmptyInput, InvalidFabric, InvalidKernel, ParseError
 
 TYPE_CHECKING = False
@@ -32,11 +32,6 @@ DATASET_VERSION = 1
 def _require_count(name: str, value: object) -> None:
     if isinstance(value, bool) or not isinstance(value, int) or value < 1:
         raise InvalidFabric(f"fabric {name} must be an integer >= 1: {value!r}")
-
-
-def _require_positive(name: str, value: object) -> None:
-    if not (is_real(value) and value > 0):
-        raise InvalidFabric(f"fabric {name} must be finite and > 0: {value!r}")
 
 
 class FabricSpec(Record):
@@ -52,8 +47,8 @@ class FabricSpec(Record):
         _require_count("rows", self.rows)
         _require_count("cols", self.cols)
         _require_count("memory_banks", self.memory_banks)
-        _require_positive("memory_kb", self.memory_kb)
-        _require_positive("clock_mhz", self.clock_mhz)
+        POSITIVE.require(self.memory_kb, "fabric memory_kb", InvalidFabric)
+        POSITIVE.require(self.clock_mhz, "fabric clock_mhz", InvalidFabric)
 
 
 # The JSON `fabric` object's keys, in the order dumps write them.
@@ -65,6 +60,19 @@ _FLAGS = {"0": False, "1": True}
 
 def _flag(cell: str) -> bool:
     return _FLAGS[cell.strip()]
+
+
+def _plain_text(text: str) -> bool:
+    """Whether `text` is ASCII without `_`, as numbers must be: Python's `float` and
+    `int` also read `1_0` as 10 and non-ASCII digits, such as a full-width `４`, as digits."""
+    return "_" not in text and text.isascii()
+
+
+def _number(cell: str) -> float:
+    """One CSV number, in Python's float grammar less `_` and non-ASCII text."""
+    if not _plain_text(cell):
+        raise ValueError(cell)
+    return float(cell)
 
 
 def _dump_number(value: float) -> str:
@@ -81,10 +89,10 @@ def _dump_number(value: float) -> str:
 _SCHEMA = (
     ("name", str.strip, "", str),
     ("domain", str.strip, "", str),
-    ("area_norm", float, "not a number", _dump_number),
-    ("energy_norm", float, "not a number", _dump_number),
-    ("utilization", float, "not a number", _dump_number),
-    ("memory_kb", float, "not a number", _dump_number),
+    ("area_norm", _number, "not a number", _dump_number),
+    ("energy_norm", _number, "not a number", _dump_number),
+    ("utilization", _number, "not a number", _dump_number),
+    ("memory_kb", _number, "not a number", _dump_number),
     ("estimated", _flag, "flag must be 0 or 1", lambda flag: "1" if flag else "0"),
 )
 KERNEL_COLUMNS = tuple(column for column, _, _, _ in _SCHEMA)
@@ -277,6 +285,10 @@ def _csv_columns(text: str) -> tuple[tuple, ...] | None:
             if set(map(len, rows)) != {len(_SCHEMA)}:  # a blank row or a wrong field count
                 return None
             for column, (_, parse, _, _), cells in zip(columns, _SCHEMA, zip(*rows)):
+                if parse is _number:  # one guard for the slice, then `float` on each cell in C
+                    if not _plain_text("".join(cells)):
+                        return None
+                    parse = float
                 column.extend(map(parse, cells))
     except (csv.Error, ValueError, KeyError):  # ParseError and EmptyInput are ValueErrors
         return None
@@ -363,7 +375,7 @@ def _columns_valid(columns: tuple[tuple, ...]) -> bool:
         and set(map(type, domains)) <= {str}
         and set(map(type, flags)) <= {bool}
         and all(
-            numbers_within(values, KERNEL_BOUNDS[field][0])
+            numbers_within(values, KERNEL_BOUNDS[field])
             for field, values in zip(KERNEL_COLUMNS, columns)
             if field in KERNEL_BOUNDS
         )

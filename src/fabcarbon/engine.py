@@ -14,19 +14,13 @@ from __future__ import annotations
 import math
 import operator
 from collections.abc import Iterator, Sequence
-from contextlib import suppress
 
 from .concurrency import ScaleMode, scale_factor
-from .core import AggregateRatios, FootprintWeights, Record, dsa_footprint, fabric_footprint, is_positive_real, is_real, numbers_within, require_alpha, require_concurrency, require_scale
+from .core import AT_LEAST_ONE, FLOAT_MAX, OPEN_UNIT, POSITIVE, REAL, UNIT, AggregateRatios, FootprintWeights, Record, dsa_footprint, fabric_footprint, numbers_within, require_alpha, require_concurrency, require_scale
 from .errors import DegenerateModel, InfeasibleFit, InvalidRange, SingularFit
 
 # Tolerance for inclusive endpoints when stepping a float range.
 _RANGE_EPS = 1e-9
-
-# The last parameters tuple found strictly increasing, so its ends are its least
-# and greatest values. The curves of one grid share one tuple, so it is checked
-# once, not once per curve; holding it keeps its identity from being reused.
-_increasing_parameters: tuple[float, ...] | None = None
 
 
 class CdcQuery(Record):
@@ -70,23 +64,26 @@ class SweepResult(Record):
     estimated_kernels: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
-        global _increasing_parameters
         require_concurrency(self.n)
         require_scale(self.scale)
         params, values = self.parameters, self.values
         if len(params) != len(values):
             raise InvalidRange(f"sweep has {len(params)} parameters but {len(values)} values")
-        if params is not _increasing_parameters:
-            if not (numbers_within(params, is_real) or all(map(is_real, params))):
-                raise InvalidRange("sweep parameters must be finite numbers")
-            if any(map(operator.le, params[1:], params)):
-                raise InvalidRange("sweep parameters must be strictly increasing")
-            if type(params) is tuple:  # immutable, so once it has passed it stays valid
-                _increasing_parameters = params
-        if not numbers_within(values, is_positive_real, {float}):  # exactly float: a bool or float subclass is not written as one
+        if not (numbers_within(params, REAL) or all(map(REAL, params))):
+            raise InvalidRange("sweep parameters must be finite numbers")
+        if any(map(operator.le, params[1:], params)):
+            raise InvalidRange("sweep parameters must be strictly increasing")
+        if not numbers_within(values, POSITIVE, {float}):  # exactly float: a bool or float subclass is not written as one
             for p, v in zip(params, values):
-                if type(v) is not float or not 0 < v < math.inf:
+                if type(v) is not float or not POSITIVE(v):
                     raise DegenerateModel(f"sweep value at {p!r} is not a finite positive float: {v!r}")
+
+    @classmethod
+    def _cleared(cls, label: str, parameters: tuple[float, ...], values: tuple[float, ...], n: int, scale: float) -> SweepResult:
+        """A curve of a grid that `_grid_cleared` proves, whose every field passes the checks."""
+        curve = cls.__new__(cls)
+        curve.__dict__.update(label=label, parameters=parameters, values=values, n=n, scale=scale, estimated_kernels=())
+        return curve
 
     @property
     def samples(self) -> tuple[tuple[float, float], ...]:
@@ -107,20 +104,20 @@ def cdc_curve(
     above it makes the fabric the greener option. Raises ``DegenerateModel``
     when no finite population is large enough: the fabric's operational
     deficit alone outweighs its budget, or the threshold overflows.
+
+    A column that `_grid_cleared` proves is evaluated bare; any other runs
+    point by point, which raises the first fault.
     """
     require_concurrency(n)
     require_scale(scale)
     if not alphas:
         raise InvalidRange("no alpha values supplied")
-    area, energy, nf = agg.area, agg.energy, float(n)  # exact up to 2**53, as in `float * int`; float products are faster
-    with suppress(ArithmeticError, TypeError):  # the whole column, checked in C; a fault reruns it point by point
-        values = [(scale - (1.0 - alpha) * nf * energy) / (alpha * area) for alpha in alphas]
-        low, high = (alphas[0], alphas[-1]) if alphas is _increasing_parameters else (min(alphas), max(alphas))
-        if 0.0 < low and high <= 1.0 and numbers_within(values, is_positive_real, None):
-            return values
+    area, energy = agg.area, agg.energy
+    if _grid_cleared(alphas, (area,), (energy,), n, scale):
+        return _closed_form(alphas, area, energy, n, scale)
     values = []
     for alpha in alphas:
-        if not 0.0 < alpha <= 1.0:  # inline fast path; require_alpha raises the typed error
+        if alpha not in UNIT:  # any type that compares inside; require_alpha raises the typed error
             require_alpha(alpha)
         numerator = scale - (1.0 - alpha) * n * energy
         if numerator <= 0:
@@ -136,6 +133,12 @@ def cdc_curve(
     return values
 
 
+def _closed_form(alphas: Sequence[float], area: float, energy: float, n: int, scale: float) -> list[float]:
+    """The closed form at each alpha, unchecked: only for a column `_grid_cleared` proves."""
+    nf = float(n)  # exact up to 2**53, as in `float * int`; float products are faster
+    return [(scale - (1.0 - alpha) * nf * energy) / (alpha * area) for alpha in alphas]
+
+
 def cdc(query: CdcQuery) -> float:
     """Break-even DSA population for the queried parameters (one point of ``cdc_curve``)."""
     return cdc_curve((query.weights.alpha_e2o,), query.agg, query.n, query.effective_scale)[0]
@@ -144,16 +147,25 @@ def cdc(query: CdcQuery) -> float:
 def min_dsas_to_replace(query: CdcQuery) -> int:
     """Smallest integer population, at least n, that makes the fabric greener.
 
-    The closed form gives the candidate; the footprint comparison of
-    ``is_fabric_greener`` then decides float ties one step either way, so
-    the two always agree near the threshold.
+    The footprint comparison of ``is_fabric_greener`` decides, and it turns
+    from False to True only once as the count grows. From the closed form's
+    guess, steps that double find a count below n or not greener and one
+    that is greener, and a bisection between them finds the least. Counts
+    stop at the largest a float holds: the footprint takes each as a float.
     """
-    count = max(query.n, math.floor(cdc(query)) + 1)
-    if count > query.n and is_fabric_greener(count - 1, query):
-        return count - 1
-    if not is_fabric_greener(count, query):
-        return count + 1
-    return count
+    n, top = query.n, int(FLOAT_MAX)
+    low = high = min(max(n, math.floor(cdc(query)) + 1), top)
+    step = 1
+    while low >= n and is_fabric_greener(low, query):
+        low, step = max(low - step, n - 1), 2 * step
+    while not is_fabric_greener(high, query):
+        if high == top:
+            raise DegenerateModel("no population a float holds makes the fabric greener")
+        high, step = min(high + step, top), 2 * step
+    while high - low > 1:
+        middle = (low + high) // 2
+        low, high = (low, middle) if is_fabric_greener(middle, query) else (middle, high)
+    return high
 
 
 def is_fabric_greener(dsa_count: int, query: CdcQuery) -> bool:
@@ -177,51 +189,39 @@ def float_steps(lo: float, hi: float, step: float) -> list[float]:
     return [lo + i * step for i in range(step_count(lo, hi, step))]
 
 
-def _grid_cleared(alphas: tuple, areas: tuple, energies: tuple, n: int, scale: float) -> bool:
+def _grid_cleared(alphas: Sequence[float], areas: tuple, energies: tuple, n: int, scale: float) -> bool:
     """Whether no curve of the grid can fault, proved from the ends of `alphas` in O(1) a curve.
 
-    `cdc_curve` computes v(a) = fl(num(a) / den(a)) with num(a) =
+    `_closed_form` computes v(a) = fl(num(a) / den(a)) with num(a) =
     fl(scale - fl(fl(fl(1.0 - a) * nf) * E)) and den(a) = fl(a * A), where fl
     rounds to nearest. Rounding is monotone (x <= y gives fl(x) <= fl(y),
     overflow to +-inf included), and so is each step: fl(1.0 - a) falls as a
     grows, a product with nf > 0 or E > 0 keeps that order, and the
     subtraction from `scale` reverses it, so num rises with a; den rises with
-    a, since A > 0. With `alphas` a strictly increasing float tuple in (0, 1],
+    a, since A > 0. With `alphas` strictly increasing floats in (0, 1],
     every alpha lies between lo = alphas[0] and hi = alphas[-1], so num(lo) <=
     num(a) <= num(hi) and den(lo) <= den(a) <= den(hi). Then num(lo) > 0 and
     den(lo) > 0 make every num(a) and den(a) positive, and finite, since
     num(a) <= scale and den(a) <= A. For positive operands fl(x / y) rises with
     x and falls with y, so fl(num(lo) / den(hi)) <= v(a) <= fl(num(hi) /
     den(lo)), and the last two conditions below put every v(a) in (0, inf):
-    `cdc_curve` raises nothing and `SweepResult` takes every value. Each area
-    and energy must be a plain int or float that `AggregateRatios` accepts.
+    `cdc_curve`'s point-by-point loop would raise nothing, and `SweepResult`
+    takes every value. Each area and energy must be a plain int or float
+    that `AggregateRatios` accepts.
     """
-    if not alphas or not numbers_within(alphas, lambda a: 0.0 < a <= 1.0, {float}):
+    if not alphas or not numbers_within(alphas, UNIT, {float}):
         return False
-    if any(map(operator.le, alphas[1:], alphas)) or not numbers_within((*areas, *energies), is_positive_real):
+    if any(map(operator.le, alphas[1:], alphas)) or not numbers_within((*areas, *energies), POSITIVE):
         return False
     nf = float(n)
     lo, hi = alphas[0], alphas[-1]
     nums = [(scale - (1.0 - lo) * nf * energy, scale - (1.0 - hi) * nf * energy) for energy in energies]
     dens = [(lo * area, hi * area) for area in areas]
     return all(
-        num_lo > 0.0 and den_lo > 0.0 and num_hi / den_lo < math.inf and num_lo / den_hi > 0.0
+        num_lo > 0.0 and den_lo > 0.0 and POSITIVE(num_lo / den_hi) and POSITIVE(num_hi / den_lo)
         for num_lo, num_hi in nums
         for den_lo, den_hi in dens
     )
-
-
-def _grid(alphas: tuple, areas: tuple, energies: tuple, n: int, scale: float) -> Iterator[SweepResult]:
-    for area in areas:
-        for energy in energies:
-            agg = AggregateRatios(area=area, energy=energy, utilization=1.0, kernel_count=1)
-            yield SweepResult(
-                label=f"A={area:g},E={energy:g}",
-                parameters=alphas,
-                values=tuple(cdc_curve(alphas, agg, n, scale)),
-                n=n,
-                scale=scale,
-            )
 
 
 def grid_curves(
@@ -234,17 +234,27 @@ def grid_curves(
 
     Every fault is raised by this call, never by the iterator it returns.
     When `_grid_cleared` proves that no curve can fault, each curve is
-    computed as it is drawn, so a caller that drops each curve holds one at
-    a time. Otherwise the whole grid is computed here, and its first fault
-    in grid order is raised.
+    evaluated bare as it is drawn, so a caller that drops each curve holds
+    one at a time. Otherwise the whole grid is computed here through the
+    checked types, and its first fault in grid order is raised.
     """
     if not areas or not energies:
         raise InvalidRange("grid axes must be non-empty")
     scale = scale_factor(n, ScaleMode.CONSERVATIVE)
     alphas = tuple(alphas)  # one parameters column, shared by every curve
     areas, energies = tuple(areas), tuple(energies)  # the axes the proof read
-    curves = _grid(alphas, areas, energies, n, scale)
-    return curves if _grid_cleared(alphas, areas, energies, n, scale) else iter(list(curves))
+    if _grid_cleared(alphas, areas, energies, n, scale):
+        return (
+            SweepResult._cleared(f"A={area:g},E={energy:g}", alphas, tuple(_closed_form(alphas, area, energy, n, scale)), n, scale)
+            for area in areas
+            for energy in energies
+        )
+    curves = []
+    for area in areas:
+        for energy in energies:
+            values = cdc_curve(alphas, AggregateRatios(area, energy, 1.0, 1), n, scale)
+            curves.append(SweepResult(f"A={area:g},E={energy:g}", alphas, tuple(values), n, scale))
+    return iter(curves)
 
 
 def sweep_grid(
@@ -276,20 +286,17 @@ def fit_aggregates(
     (a1, c1), (a2, c2) = points
     for alpha, value in points:
         require_alpha(alpha)
-        if not (is_real(value) and value > 0):
-            raise InvalidRange(f"calibration CDC out of (0, inf): {value!r}")
+        POSITIVE.require(value, "calibration CDC", InvalidRange)
     require_concurrency(n)
     if a1 == a2:
         raise SingularFit(f"calibration points share alpha = {a1!r}")
     # Eliminate x between the two linear observations.
     y = (a2 * c2 - a1 * c1) / (n * (a2 - a1))
     x = (a1 * c1 + (1.0 - a1) * n * y) / n
-    if not 0 < x < math.inf:
-        raise InfeasibleFit(f"fit implies 1/A out of (0, inf): {x!r}")
+    POSITIVE.require(x, "fit implies 1/A", InfeasibleFit)
     area = 1.0 / x
     energy = y / x
-    if not 0 < energy < 1:
-        raise InfeasibleFit(f"fit implies energy ratio out of (0, 1): {energy!r}")
+    OPEN_UNIT.require(energy, "fit implies energy ratio", InfeasibleFit)
     return AggregateRatios(
         area=area,
         energy=energy,
@@ -314,6 +321,5 @@ def fit_scale(
         value * alpha * agg.area + (1.0 - alpha) * n * agg.energy for alpha, value in points
     ]
     fitted = math.fsum(estimates) / len(estimates)
-    if fitted < 1:
-        raise InfeasibleFit(f"fitted scale below 1: {fitted!r}")
+    AT_LEAST_ONE.require(fitted, "fitted scale", InfeasibleFit)
     return fitted

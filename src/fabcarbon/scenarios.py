@@ -14,7 +14,7 @@ from itertools import compress
 
 from .engine import SweepResult, cdc_curve, fit_aggregates
 from .concurrency import ScaleMode, average_utilization, scale_factor
-from .core import MAX_CONCURRENCY, AggregateRatios, FootprintWeights, Record, aggregate, dsa_footprint, fabric_footprint, is_positive_real, is_real, require_alpha, require_concurrency, require_scale
+from .core import MAX_CONCURRENCY, POSITIVE, REAL, AggregateRatios, FootprintWeights, Record, aggregate, dsa_footprint, fabric_footprint, require_alpha, require_concurrency, require_scale
 from .dataset import KernelDataset, builtin_dataset
 from .errors import ConcurrencyExceedsPopulation, DegenerateModel, EmptyKernelSet, InvalidValue, NoFabricWorkload, UnknownScenario
 
@@ -58,9 +58,9 @@ class ScenarioSpec(Record):
         ScaleMode(self.scale_mode)  # a value naming neither rule raises ValueError
         # `dsa_footprint` multiplies the population as a float, which holds every count only up to 2**53
         population = self.dsa_population
-        if (is_real(population) or isinstance(population, int)) and population > MAX_CONCURRENCY:
+        if (REAL(population) or isinstance(population, int)) and population > MAX_CONCURRENCY:
             raise InvalidValue(f"DSA population must be at most 2**53 = {MAX_CONCURRENCY}")
-        if not (is_real(self.dsa_population) and self.n <= self.dsa_population):
+        if not (REAL(self.dsa_population) and self.n <= self.dsa_population):
             raise ConcurrencyExceedsPopulation(
                 f"concurrency {self.n} exceeds DSA population {self.dsa_population}"
             )
@@ -81,7 +81,7 @@ class SavingsResult(Record):
 
     def __post_init__(self) -> None:
         conservative, avg_util = self.improvement_conservative, self.improvement_avg_util
-        if not (is_positive_real(conservative) and (avg_util is None or is_positive_real(avg_util))):
+        if not (POSITIVE(conservative) and (avg_util is None or POSITIVE(avg_util))):
             raise DegenerateModel(f"improvements out of (0, inf): {conservative!r}, {avg_util!r}")
         if self.scale_avg_util is not None:
             require_scale(self.scale_avg_util)

@@ -55,6 +55,12 @@ class TestCdcCommand:
         assert record["cdc"] == pytest.approx(3.321428571428572, rel=1e-15)
         assert record["min_replace"] == 4
 
+    def test_min_replace_is_the_least_greener_count_above_2_53(self):
+        # the closed form gives 164999999999999968.0, where the fabric is not yet greener
+        code, out, _ = invoke("cdc", "--alpha", "0.5", "--area", "1e-17", "--energy", "0.35", "--format", "json")
+        assert code == 0
+        assert json.loads(out)["records"][0]["min_replace"] == 165000000000000017
+
     def test_alpha_pole_is_usage_error(self):
         code, out, err = invoke("cdc", "--alpha", "0", "--area", "0.35", "--energy", "0.35")
         assert code == 2

@@ -143,6 +143,13 @@ class TestDatasetValidation:
         assert exc_info.value.line == 5001
         assert exc_info.value.column == column
 
+    @pytest.mark.parametrize("cell", ["0.3_5", "1_00", "\uff10.\uff13"], ids=["underscore", "int-underscore", "full-width"])
+    def test_number_cell_outside_the_ascii_grammar_is_a_parse_error(self, cell):
+        rows = "".join(f"K{i},d,0.3,0.3,0.5,10,0\n" for i in range(4999))  # lines 2-5000
+        with pytest.raises(ParseError) as exc_info:
+            load_dataset(io.StringIO(CSV_HEADER + rows + f"Z,d,0.3,0.3,{cell},10,0\n"), "csv")
+        assert str(exc_info.value) == f"not a number: {cell!r} (line 5001, column 'utilization')"
+
     def test_separator_around_a_number_is_dropped(self):
         loaded = load_dataset(io.StringIO(CSV_HEADER + "X,d,\x1c0.3\x1f,0.3,0.5,10,0\n"), "csv")
         assert loaded.column("area_norm") == (0.3,)
@@ -356,6 +363,9 @@ DOC = '{"kernels": [{"name": "X", "domain": "d", "area_norm": 0.3, "energy_norm"
 @example(document=(CSV_HEADER + ROW.replace(",10,", ",300,"), "csv"))  # above the fabric's 256 KB
 @example(document=(CSV_HEADER + ROW.replace("X", ""), "csv"))  # an empty name
 @example(document=(DOC.replace('"X"', '""') % ("0.5", "10", ""), "json"))
+@example(document=(CSV_HEADER + ROW.replace("0.5", "0.3_5"), "csv"))  # `float` reads these three as numbers
+@example(document=(CSV_HEADER + ROW.replace(",10,", ",1_00,"), "csv"))
+@example(document=(CSV_HEADER + ROW.replace("0.5", "\uff10.\uff13"), "csv"))  # full-width digits
 def test_column_path_matches_per_record_path(document):
     text, fmt = document
     got, expected = _outcome(text, fmt), _per_record_outcome(text, fmt)

@@ -245,8 +245,8 @@ class TestSweeps:
 class TestGridCurves:
     def test_cleared_grid_computes_each_curve_as_it_is_drawn(self, monkeypatch):
         calls = []
-        real = fabcarbon.engine.cdc_curve
-        monkeypatch.setattr(fabcarbon.engine, "cdc_curve", lambda *args: calls.append(args) or real(*args))
+        real = fabcarbon.engine._closed_form
+        monkeypatch.setattr(fabcarbon.engine, "_closed_form", lambda *args: calls.append(args) or real(*args))
         curves = grid_curves([0.3, 0.6], [0.25, 0.45], [0.35])
         assert calls == []
         assert next(curves) == sweep_grid([0.3, 0.6], [0.25], [0.35])[0]
@@ -419,8 +419,8 @@ class TestColumnEvaluation:
         "column,error", [((0.5, 1.5), InvalidAlpha), ((-0.5, 0.5), InvalidAlpha), ((0.0, 0.5), AlphaPole)]
     )
     def test_a_column_known_increasing_is_bounded_by_its_ends(self, column, error):
-        # a `SweepResult` records the tuple as strictly increasing; `cdc_curve` then reads
-        # its least and greatest alpha from its ends. At -0.5 the value is positive (2.0).
+        # a column that a `SweepResult` has admitted as strictly increasing is
+        # still checked by `cdc_curve` itself. At -0.5 the value is positive (2.0).
         SweepResult("x", column, (2.0, 1.0), 1, 1.0)
         agg = _agg(0.35, 0.9)
         expected = outcome(point_by_point_cdc_curve, column, agg, 1, 1.0)

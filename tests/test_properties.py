@@ -7,7 +7,7 @@ import statistics
 import sys
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from fabcarbon import (
@@ -16,6 +16,7 @@ from fabcarbon import (
     FootprintWeights,
     KernelProfile,
     ScaleMode,
+    SweepResult,
     aggregate,
     alpha_from_breakdown,
     builtin_case,
@@ -32,6 +33,7 @@ from fabcarbon import (
 import fabcarbon.core
 import fabcarbon.engine
 from fabcarbon.core import DeviceBreakdown, mean
+from fabcarbon.errors import DegenerateModel
 from fabcarbon.engine import grid_curves
 from test_engine import eager_sweep_grid, outcome, point_by_point_cdc_curve
 
@@ -135,6 +137,28 @@ class TestDecisionInvariants:
         threshold = cdc(query)
         above = math.ceil(threshold) + 1
         assert is_fabric_greener(above, query)
+
+    @settings(deadline=None)
+    @given(
+        alpha=st.floats(min_value=0.01, max_value=1.0),
+        area=st.one_of(ratios, st.floats(min_value=1e-300, max_value=1.0)),
+        energy=st.one_of(ratios, st.floats(min_value=1e-300, max_value=1.5)),
+        n=st.one_of(concurrency, st.integers(min_value=1, max_value=2**53)),
+    )
+    @example(alpha=0.5, area=1e-17, energy=0.35, n=1)  # the closed form's guess is 48 counts short
+    def test_min_population_is_the_least_greener_count(self, alpha, area, energy, n):
+        query = make_query(alpha, area, energy, n)
+        try:
+            cdc(query)
+        except DegenerateModel:  # no finite threshold
+            assume(False)
+        # oracle: plain bisection over every count a float holds, greener at the top
+        low, high = n - 1, int(FLOAT_MAX)
+        assert is_fabric_greener(high, query)
+        while high - low > 1:
+            middle = (low + high) // 2
+            low, high = (low, middle) if is_fabric_greener(middle, query) else (middle, high)
+        assert min_dsas_to_replace(query) == high
 
 
 class TestCalibrationInvariants:
@@ -334,3 +358,16 @@ class TestGridCurves:
         if fabcarbon.engine._grid_cleared(alphas, (area,), (energy,), n, float(n)):
             agg = AggregateRatios(area=area, energy=energy, utilization=1.0, kernel_count=1)
             assert all(type(v) is float and 0.0 < v < math.inf for v in cdc_curve(alphas, agg, n, float(n)))
+
+    @settings(deadline=None)
+    @given(
+        alphas=st.one_of(st.lists(alphas, min_size=1, max_size=20, unique=True).map(sorted), grid_alphas),
+        areas=st.lists(st.one_of(ratios, ratios, st.floats(min_value=5e-324, max_value=FLOAT_MAX)), min_size=1, max_size=3),
+        energies=st.lists(st.one_of(ratios, ratios, st.floats(min_value=5e-324, max_value=FLOAT_MAX)), min_size=1, max_size=3),
+        n=st.sampled_from((1, 3, 2**53)),
+    )
+    @example(alphas=[5e-324, 1.0], areas=[1.7e308], energies=[0.5], n=1)  # every value subnormal
+    def test_a_cleared_grid_yields_only_curves_the_public_checks_admit(self, alphas, areas, energies, n):
+        assume(fabcarbon.engine._grid_cleared(tuple(alphas), tuple(areas), tuple(energies), n, float(n)))
+        for curve in grid_curves(alphas, areas, energies, n):
+            assert SweepResult(*(getattr(curve, field) for field in SweepResult._fields)) == curve

@@ -25,7 +25,7 @@ from fabcarbon import (
     dump_dataset,
     load_dataset,
 )
-from fabcarbon.core import FrozenRecordError, Record
+from fabcarbon.core import FrozenRecordError, Interval, Record
 from fabcarbon.errors import (
     ConcurrencyExceedsPopulation,
     InvalidAggregates,
@@ -57,6 +57,7 @@ SAMPLES = {
     RenderedReport: ((_COLUMN,), ((1.0,), (None,)), ("a note",)),
     ScenarioSpec: ("CASE", frozenset({"FFT"}), 2, ScaleMode.CONSERVATIVE, 40, FootprintWeights(0.5)),
     SavingsResult: (4, 2.5, 2.0, 3.0),
+    Interval: (0.0, 1.0, "(0, 1]", False, True, (int, float)),
 }
 
 # Each type with a `__post_init__` check: arguments that break it, and the error.

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import pytest
 
@@ -19,6 +20,7 @@ from fabcarbon import (
     dsa_footprint,
     fit_aggregates,
     scale_factor,
+    sweep_grid,
 )
 from fabcarbon.dataset import KernelDataset, builtin_dataset
 from fabcarbon.errors import (
@@ -105,14 +107,20 @@ CONCURRENCY_USERS = {
     "scale_factor": lambda n: scale_factor(n, ScaleMode.CONSERVATIVE),
     "dsa_footprint": lambda n: dsa_footprint(40, n, FootprintWeights(0.5), aggregates()),
     "fit_aggregates": lambda n: fit(n=n),
+    "sweep_grid": lambda n: sweep_grid([0.5], [0.3], [0.3], n=n),
 }
 
 
-@pytest.mark.parametrize("n", [0, -1, math.nan, math.inf], ids=["0", "-1", "nan", "inf"])
+@pytest.mark.parametrize(
+    "n",
+    [0, -1, math.nan, math.inf, 1.5, 2.0, Fraction(3, 2), True],
+    ids=["0", "-1", "nan", "inf", "1.5", "2.0", "fraction", "bool"],
+)
 @pytest.mark.parametrize("make", CONCURRENCY_USERS.values(), ids=CONCURRENCY_USERS.keys())
 def test_concurrency_below_one_shares_one_error(make, n):
-    with pytest.raises(InvalidConcurrency):
+    with pytest.raises(InvalidConcurrency) as caught:
         make(n)
+    assert str(caught.value).endswith(f": {n!r}")
 
 
 class TestScenarioSpec:
