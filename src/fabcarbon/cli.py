@@ -2,8 +2,8 @@
 
 Exit codes: 0 on success, 1 on data or validation errors, 2 on usage
 errors: a malformed flag, or one value outside its domain as the model's
-types report it. Diagnostics go to the error stream, data to stdout or the
---out path.
+types report it. Diagnostics go to the error stream, one line each, data
+to stdout or the --out path.
 """
 
 from __future__ import annotations
@@ -52,7 +52,7 @@ from .report import (
 TYPE_CHECKING = False
 if TYPE_CHECKING:
     from collections.abc import Iterable
-    from typing import IO
+    from typing import IO, NoReturn
 
     # a command's curves, drawn as they are written, and the report's footnotes
     Curves = tuple[Iterable[SweepResult], tuple[str, ...]]
@@ -76,13 +76,21 @@ class UsageError(Exception):
     """Flag combination or value rejected before computation."""
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose every fault reaches `run` as one `UsageError`, not a usage block and an exit."""
+
+    def error(self, message: str) -> NoReturn:
+        # argparse quotes most argv text with `repr`, but not all: "unrecognized arguments" joins it as it is
+        raise UsageError(message.replace("\n", "\\n"))
+
+
 def _add_output_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--format", choices=("table", "csv", "json"), default="table")
     parser.add_argument("--out", metavar="PATH", help="write data here instead of stdout")
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="fabcarbon",
         description=(
             "Decide whether replacing dedicated accelerators with a reconfigurable "
@@ -103,16 +111,16 @@ def build_parser() -> argparse.ArgumentParser:
     _add_output_flags(p)
 
     p = sub.add_parser("sweep", help="CDC curves over an alpha range")
-    p.add_argument("--alpha", metavar="LO:HI:STEP", required=True)
-    p.add_argument("--areas", metavar="LIST", default="0.35")
-    p.add_argument("--energies", metavar="LIST", default="0.35")
+    p.add_argument("--alpha", type=_span, metavar="LO:HI:STEP", required=True)
+    p.add_argument("--areas", type=_number_list, metavar="LIST", default="0.35")
+    p.add_argument("--energies", type=_number_list, metavar="LIST", default="0.35")
     p.add_argument("--n", type=_count, default=1)
     _add_output_flags(p)
 
     p = sub.add_parser("scenario", help="CDC table for the built-in cases")
-    p.add_argument("--case", metavar="I|II|III", default="I", help="one case or a comma list")
+    p.add_argument("--case", type=_names, metavar="I|II|III", default="I", help="one case or a comma list")
     p.add_argument("--dataset", metavar="PATH")
-    p.add_argument("--alphas", metavar="LIST", required=True)
+    p.add_argument("--alphas", type=_number_list, metavar="LIST", required=True)
     p.add_argument("--n", type=_count, default=1)
     p.add_argument("--calibrated", action="store_true", help="use curve-fitted aggregates")
     p.add_argument("--util-mode", choices=("avg", "conservative"), default="conservative")
@@ -121,13 +129,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("savings", help="footprint improvement over a DSA population")
     p.add_argument("--dsas", type=_count, default=scen_mod.DEFAULT_DSA_POPULATION)
     p.add_argument("--alpha", type=_number, default=scen_mod.DEFAULT_ALPHA)
-    p.add_argument("--n", metavar="LO:HI", default="1:5")
+    p.add_argument("--n", type=_int_span, metavar="LO:HI", default="1:5")
     p.add_argument("--dataset", metavar="PATH")
     p.add_argument("--calibrated", action="store_true")
     _add_output_flags(p)
 
     p = sub.add_parser("hybrid", help="savings when some kernels stay dedicated")
-    p.add_argument("--retain", metavar="NAMES", required=True)
+    p.add_argument("--retain", type=_names, metavar="NAMES", required=True)
     p.add_argument("--n", type=_count, required=True)
     p.add_argument("--dsas", type=_count, default=scen_mod.DEFAULT_DSA_POPULATION)
     p.add_argument("--alpha", type=_number, default=scen_mod.DEFAULT_ALPHA)
@@ -137,12 +145,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("alpha", help="embodied weight from a breakdown or device class")
     group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--breakdown", metavar="K=V,...")
+    group.add_argument("--breakdown", type=_breakdown, metavar="K=V,...")
     group.add_argument("--device", metavar="CLASS")
     _add_output_flags(p)
 
     p = sub.add_parser("calibrate", help="fit aggregates to two (alpha, CDC) points")
-    p.add_argument("--points", metavar="A1:C1,A2:C2", required=True)
+    p.add_argument("--points", type=_points, metavar="A1:C1,A2:C2", required=True)
     p.add_argument("--n", type=_count, default=1)
     _add_output_flags(p)
 
@@ -175,73 +183,64 @@ def _count(text: str) -> int:
     return _plain(int, text, "an integer")
 
 
-def _parse_float_list(raw: str, flag: str) -> list[float]:
-    try:
-        values = [_number(part) for part in raw.split(",") if part.strip()]
-    except argparse.ArgumentTypeError as exc:
-        raise UsageError(f"{flag}: {exc}") from None
-    if not values:
-        raise UsageError(f"{flag}: empty list")
-    return values
+def _names(text: str) -> list[str]:
+    """A comma list, blank entries dropped."""
+    names = [name.strip() for name in text.split(",") if name.strip()]
+    if not names:
+        raise argparse.ArgumentTypeError("empty list")
+    return names
 
 
-def _parse_span(raw: str, flag: str) -> tuple[float, float, float]:
-    parts = raw.split(":")
+def _number_list(text: str) -> list[float]:
+    return [_number(part) for part in _names(text)]
+
+
+def _span(text: str) -> tuple[float, ...]:
+    parts = text.split(":")
     if len(parts) != 3:
-        raise UsageError(f"{flag}: expected LO:HI:STEP, got {raw!r}")
-    try:
-        lo, hi, step = (_number(p) for p in parts)
-    except argparse.ArgumentTypeError as exc:
-        raise UsageError(f"{flag}: {exc}") from None
-    return lo, hi, step
+        raise argparse.ArgumentTypeError(f"expected LO:HI:STEP, got {text!r}")
+    return tuple(map(_number, parts))
 
 
-def _parse_int_span(raw: str, flag: str) -> tuple[int, int]:
-    parts = raw.split(":")
+def _int_span(text: str) -> tuple[int, int]:
+    """`LO:HI`, or one `N` for `N:N`."""
+    parts = text.split(":")
     if len(parts) == 1:
-        parts = [parts[0], parts[0]]
+        parts *= 2
     if len(parts) != 2:
-        raise UsageError(f"{flag}: expected LO:HI, got {raw!r}")
-    try:
-        lo, hi = _count(parts[0]), _count(parts[1])
-    except argparse.ArgumentTypeError as exc:
-        raise UsageError(f"{flag}: {exc}") from None
+        raise argparse.ArgumentTypeError(f"expected LO:HI, got {text!r}")
+    lo, hi = map(_count, parts)
     if hi < lo:
-        raise UsageError(f"{flag}: need LO <= HI, got {raw!r}")
+        raise argparse.ArgumentTypeError(f"need LO <= HI, got {text!r}")
     return lo, hi
 
 
-def _parse_points(raw: str) -> list[tuple[float, float]]:
+def _points(text: str) -> list[tuple[float, float]]:
     points = []
-    for chunk in raw.split(","):
+    for chunk in text.split(","):
         parts = chunk.split(":")
         if len(parts) != 2:
-            raise UsageError(f"--points: expected ALPHA:CDC pairs, got {chunk!r}")
-        try:
-            points.append((_number(parts[0]), _number(parts[1])))
-        except argparse.ArgumentTypeError as exc:
-            raise UsageError(f"--points: {exc}") from None
+            raise argparse.ArgumentTypeError(f"expected ALPHA:CDC pairs, got {chunk!r}")
+        points.append((_number(parts[0]), _number(parts[1])))
     return points
 
 
-def _parse_breakdown(raw: str) -> DeviceBreakdown:
+def _breakdown(text: str) -> dict[str, float]:
+    """`DeviceBreakdown`'s fields; the command builds it, so that its faults stay data errors."""
     expected = {"production", "transport", "use", "eol"}
     values: dict[str, float] = {}
-    for chunk in raw.split(","):
+    for chunk in text.split(","):
         if "=" not in chunk:
-            raise UsageError(f"--breakdown: expected K=V, got {chunk!r}")
+            raise argparse.ArgumentTypeError(f"expected K=V, got {chunk!r}")
         key, _, value = chunk.partition("=")
         key = key.strip()
         if key not in expected:
-            raise UsageError(f"--breakdown: unknown phase {key!r} (expected {sorted(expected)})")
-        try:
-            values[key] = _number(value)
-        except argparse.ArgumentTypeError as exc:
-            raise UsageError(f"--breakdown: {key}: {exc}") from None
+            raise argparse.ArgumentTypeError(f"unknown phase {key!r} (expected {sorted(expected)})")
+        values[key] = _plain(float, value, f"a number for {key}")
     missing = expected - values.keys()
     if missing:
-        raise UsageError(f"--breakdown: missing phase(s): {sorted(missing)}")
-    return DeviceBreakdown(**{f"{phase}_pct": value for phase, value in values.items()})
+        raise argparse.ArgumentTypeError(f"missing phase(s): {sorted(missing)}")
+    return {f"{phase}_pct": value for phase, value in values.items()}
 
 
 def _dataset_format(path: str) -> str:
@@ -302,34 +301,28 @@ def _cmd_cdc(args: argparse.Namespace) -> RenderedReport:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> Curves:
-    lo, hi, step = _parse_span(args.alpha, "--alpha")
+    lo, hi, step = args.alpha
     require_alpha(lo)
     require_alpha(hi)
-    areas = _parse_float_list(args.areas, "--areas")
-    energies = _parse_float_list(args.energies, "--energies")
-    points = step_count(lo, hi, step) * len(areas) * len(energies)
+    points = step_count(lo, hi, step) * len(args.areas) * len(args.energies)
     if points > MAX_SWEEP_POINTS:
         raise InvalidRange(f"sweep of {points} points exceeds the cap of {MAX_SWEEP_POINTS} points")
-    return grid_curves(float_steps(lo, hi, step), areas, energies, n=args.n), ()  # a grid estimates nothing
+    return grid_curves(float_steps(lo, hi, step), args.areas, args.energies, n=args.n), ()  # a grid estimates nothing
 
 
 def _cmd_scenario(args: argparse.Namespace) -> Curves:
-    alphas = _parse_float_list(args.alphas, "--alphas")
-    cases = [c.strip() for c in args.case.split(",") if c.strip()]
-    if not cases:
-        raise UsageError("--case: empty case list")
     ds = _resolve_dataset(args.dataset)
     mode = ScaleMode.AVERAGE_UTILIZATION if args.util_mode == "avg" else ScaleMode.CONSERVATIVE
     sweeps = []
-    for case in cases:
+    for case in args.case:
         spec = scen_mod.builtin_case(case, n=args.n, scale_mode=mode)
         agg = scen_mod.calibrated_aggregates(case, ds) if args.calibrated else None
-        sweeps.append(scen_mod.evaluate_cdc_table(spec, alphas, dataset=ds, aggregates=agg))
+        sweeps.append(scen_mod.evaluate_cdc_table(spec, args.alphas, dataset=ds, aggregates=agg))
     return sweeps, curve_footnotes(sweeps)
 
 
 def _cmd_savings(args: argparse.Namespace) -> RenderedReport:
-    n_lo, n_hi = _parse_int_span(args.n, "--n")
+    n_lo, n_hi = args.n
     rows = n_hi - n_lo + 1
     if rows > MAX_SAVINGS_ROWS:
         raise InvalidRange(f"savings over {rows} values of n exceeds the cap of {MAX_SAVINGS_ROWS} rows")
@@ -356,9 +349,7 @@ def _cmd_savings(args: argparse.Namespace) -> RenderedReport:
 
 
 def _cmd_hybrid(args: argparse.Namespace) -> RenderedReport:
-    retained = sorted({name.strip() for name in args.retain.split(",") if name.strip()})
-    if not retained:
-        raise UsageError("--retain: empty kernel list")
+    retained = sorted(set(args.retain))
     ds = _resolve_dataset(args.dataset)
     spec = scen_mod.builtin_case(
         "I",
@@ -390,7 +381,7 @@ def _cmd_hybrid(args: argparse.Namespace) -> RenderedReport:
 
 def _cmd_alpha(args: argparse.Namespace) -> RenderedReport:
     if args.breakdown:
-        weights = alpha_from_breakdown(_parse_breakdown(args.breakdown))
+        weights = alpha_from_breakdown(DeviceBreakdown(**args.breakdown))
         record = ("breakdown", weights.alpha_e2o, None, None)
     else:
         low, high = device_preset(args.device)
@@ -407,15 +398,14 @@ def _cmd_alpha(args: argparse.Namespace) -> RenderedReport:
 
 
 def _cmd_calibrate(args: argparse.Namespace) -> RenderedReport:
-    points = _parse_points(args.points)
-    agg = fit_aggregates(points, n=args.n)
+    agg = fit_aggregates(args.points, n=args.n)
     return RenderedReport(
         columns=(
             Column("area", "area", "num"),
             Column("energy", "energy", "num"),
             Column("points", "points"),
         ),
-        records=((agg.area, agg.energy, ";".join(f"{a:g}:{c:g}" for a, c in points)),),
+        records=((agg.area, agg.energy, ";".join(f"{a:g}:{c:g}" for a, c in args.points)),),
     )
 
 
@@ -523,14 +513,9 @@ def run(argv: Sequence[str], stdout: IO[str] | None = None, stderr: IO[str] | No
     """Parse and execute one invocation; returns the process exit code."""
     out = stdout if stdout is not None else sys.stdout
     err = stderr if stderr is not None else sys.stderr
-    parser = build_parser()
     try:
-        # argparse prints usage and help itself; route it to the given streams
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            args = parser.parse_args(list(argv))
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    try:
+        with contextlib.redirect_stdout(out):  # where `-h` prints its help
+            args = build_parser().parse_args(list(argv))
         result = _COMMANDS[args.command](args)
         if getattr(args, "plot", None):
             if not isinstance(result, RenderedReport):  # the chart reads every curve before the data is written
@@ -542,6 +527,8 @@ def run(argv: Sequence[str], stdout: IO[str] | None = None, stderr: IO[str] | No
         else:
             _render(result, args.format, out)
         return EXIT_OK
+    except SystemExit as exc:  # `-h` exits after its help
+        return int(exc.code or 0)
     except (UsageError, InvalidValue) as exc:
         print(f"usage error: {exc}", file=err)
         return EXIT_USAGE

@@ -267,6 +267,14 @@ def sweep_grid(
     return list(grid_curves(alphas, areas, energies, n))
 
 
+def _require_observations(points: Sequence[tuple[float, float]], n: int) -> None:
+    """Reject an (alpha, CDC) observation or a concurrency outside its domain."""
+    for alpha, value in points:
+        require_alpha(alpha)
+        POSITIVE.require(value, "calibration CDC", InvalidRange)
+    require_concurrency(n)
+
+
 def fit_aggregates(
     points: Sequence[tuple[float, float]],
     n: int = 1,
@@ -284,10 +292,7 @@ def fit_aggregates(
     if len(points) != 2:
         raise SingularFit(f"exactly two calibration points required, got {len(points)}")
     (a1, c1), (a2, c2) = points
-    for alpha, value in points:
-        require_alpha(alpha)
-        POSITIVE.require(value, "calibration CDC", InvalidRange)
-    require_concurrency(n)
+    _require_observations(points, n)
     if a1 == a2:
         raise SingularFit(f"calibration points share alpha = {a1!r}")
     # Eliminate x between the two linear observations.
@@ -317,6 +322,7 @@ def fit_scale(
     """
     if not points:
         raise InvalidRange("at least one observation required to fit a scale")
+    _require_observations(points, n)
     estimates = [
         value * alpha * agg.area + (1.0 - alpha) * n * agg.energy for alpha, value in points
     ]

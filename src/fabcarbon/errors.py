@@ -24,7 +24,7 @@ class InvalidConcurrency(InvalidValue):
 
 
 class ConcurrencyExceedsPopulation(InvalidValue):
-    """More concurrently active DSAs than the chip integrates."""
+    """More concurrently active DSAs than the chip integrates, or a DSA population that is no count in [1, 2**53]."""
 
 
 class InvalidScale(InvalidValue):
@@ -41,6 +41,10 @@ class InvalidRange(InvalidValue):
 
 class UnknownDeviceClass(InvalidValue):
     """No embodied-share band is defined for the requested device class."""
+
+
+class UnknownScenario(InvalidValue):
+    """No built-in scenario with the requested identifier."""
 
 
 class InvalidKernel(ModelError):
@@ -65,10 +69,6 @@ class SingularFit(ModelError):
 
 class InfeasibleFit(ModelError):
     """Calibration solved, but the implied aggregates are out of range."""
-
-
-class UnknownScenario(ModelError):
-    """No built-in scenario with the requested identifier."""
 
 
 class NoFabricWorkload(ModelError):

@@ -144,7 +144,7 @@ def emit_table(report: RenderedReport, format: str = "table") -> str:
 def emit_curve_csv(sweeps: Sequence[SweepResult]) -> str:
     """The text `write_curves` writes as CSV, as one string."""
     buf = io.StringIO()
-    write_curves(sweeps, "csv", buf)
+    write_curves(sweeps, "csv", buf, curve_footnotes(sweeps))
     return buf.getvalue()
 
 
@@ -180,16 +180,15 @@ def write_curves(
     sweeps: Iterable[SweepResult],
     format: str,
     out: IO[str],
-    footnotes: Sequence[str] | None = None,
+    footnotes: Sequence[str],
 ) -> None:
     """Write sweep curves to `out` as CSV, a table or JSON: one row per sampled point.
 
     The CSV is long-format (series, parameter, value); the table and the
-    JSON are byte for byte those of `emit_table(sweep_report(sweeps), format)`.
-    `footnotes` default to `curve_footnotes(sweeps)`, which reads every
-    curve before the first row; a caller that passes them, () for none, has
-    CSV and JSON written from `sweeps` as it is drawn, one curve at a time.
-    The table needs its column widths first, so it holds every curve.
+    JSON are byte for byte those of `emit_table(sweep_report(sweeps), format)`
+    when `footnotes` are `curve_footnotes(sweeps)`. CSV and JSON are written
+    from `sweeps` as it is drawn, one curve at a time; the table needs its
+    column widths first, so it holds every curve.
 
     A row is a head (the label), a parameter cell, the value slot and a
     tail (n and n'). Heads and tails are formatted once per curve, and
@@ -202,10 +201,8 @@ def write_curves(
     a positive value's fixed-point form never gets shorter as the value grows.
     """
     headers = [c.header for c in _CURVE_COLUMNS]
-    if footnotes is None or format == "table":
+    if format == "table":
         sweeps = list(sweeps)
-    if footnotes is None:
-        footnotes = curve_footnotes(sweeps)
     # `first` goes before the first row, `sep` between rows, `end` after the last, `empty` in its place if none
     first = sep = end = empty = ""
     if format == "csv":

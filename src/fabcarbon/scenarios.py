@@ -14,9 +14,9 @@ from itertools import compress
 
 from .engine import SweepResult, cdc_curve, fit_aggregates
 from .concurrency import ScaleMode, average_utilization, scale_factor
-from .core import MAX_CONCURRENCY, POSITIVE, REAL, AggregateRatios, FootprintWeights, Record, aggregate, dsa_footprint, fabric_footprint, require_alpha, require_concurrency, require_scale
+from .core import CONCURRENCY, POSITIVE, AggregateRatios, FootprintWeights, Record, aggregate, dsa_footprint, fabric_footprint, require_alpha, require_concurrency, require_scale
 from .dataset import KernelDataset, builtin_dataset
-from .errors import ConcurrencyExceedsPopulation, DegenerateModel, EmptyKernelSet, InvalidValue, NoFabricWorkload, UnknownScenario
+from .errors import ConcurrencyExceedsPopulation, DegenerateModel, EmptyKernelSet, NoFabricWorkload, UnknownScenario
 
 # Defaults for savings-style questions: a representative chip integrates
 # 40 DSAs, and alpha 0.7 marks where the embodied share starts dominating.
@@ -57,10 +57,8 @@ class ScenarioSpec(Record):
         require_concurrency(self.n)
         ScaleMode(self.scale_mode)  # a value naming neither rule raises ValueError
         # `dsa_footprint` multiplies the population as a float, which holds every count only up to 2**53
-        population = self.dsa_population
-        if (REAL(population) or isinstance(population, int)) and population > MAX_CONCURRENCY:
-            raise InvalidValue(f"DSA population must be at most 2**53 = {MAX_CONCURRENCY}")
-        if not (REAL(self.dsa_population) and self.n <= self.dsa_population):
+        CONCURRENCY.require(self.dsa_population, "DSA population", ConcurrencyExceedsPopulation)
+        if self.n > self.dsa_population:
             raise ConcurrencyExceedsPopulation(
                 f"concurrency {self.n} exceeds DSA population {self.dsa_population}"
             )

@@ -26,7 +26,7 @@ from fabcarbon import builtin_dataset, dump_dataset
 from fabcarbon.cli import DATASET_ENV_VAR, MAX_SAVINGS_ROWS, MAX_SWEEP_POINTS, run
 from fabcarbon.engine import float_steps, sweep_grid
 from fabcarbon.errors import InvalidValue, ModelError
-from fabcarbon.report import write_curves
+from fabcarbon.report import curve_footnotes, write_curves
 from test_engine import eager_sweep_grid
 
 CSV_HEADER = "name,domain,area_norm,energy_norm,utilization,memory_kb,estimated\n"
@@ -369,7 +369,7 @@ def _sweep_oracle(lo, hi, step, areas, energies, n, fmt):
         return 1, "", f"error: {exc}\n"
     assert sweep_grid(float_steps(lo, hi, step), areas, energies, n) == curves
     buf = io.StringIO()
-    write_curves(curves, fmt, buf)
+    write_curves(curves, fmt, buf, curve_footnotes(curves))
     return 0, buf.getvalue(), ""
 
 
@@ -517,6 +517,16 @@ class TestExitCodes:
             (("hybrid", "--retain", ",", "--n", "1"), 2),
             (CDC_ARGS + ("--dataset", "/no/such/file.csv"), 2),  # a dataset only --util-mode avg reads
             (CDC_ARGS + ("--scale", "2", "--dataset", "/no/such/file.csv"), 2),
+            (("scenario", "--case", "IV", "--alphas", "0.5"), 2),  # like `alpha --device toaster`
+            # faults argparse finds itself
+            ((), 2),  # no subcommand
+            (("cdc", "--area", "0.35", "--energy", "0.35"), 2),  # no --alpha
+            (CDC_ARGS + ("--bogus",), 2),
+            (CDC_ARGS + ("--format", "xml"), 2),
+            (("dataset", "munge"), 2),
+            (CDC_ARGS + ("--scale", "2", "--util-mode", "avg"), 2),
+            (CDC_ARGS + ("--n", "nan"), 2),
+            (CDC_ARGS + ("x\ny",), 2),  # argparse names unrecognized arguments as they are
         ],
     )
     def test_exit_code_and_one_line_diagnostic(self, argv, code):
@@ -525,6 +535,12 @@ class TestExitCodes:
         assert out == ""
         assert err.endswith("\n") and err.count("\n") == 1
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("argv", [("-h",), ("cdc", "--help")])
+    def test_help_exits_zero_on_stdout(self, argv):
+        code, out, err = invoke(*argv)
+        assert (code, err) == (0, "")
+        assert out.startswith("usage: fabcarbon")
 
     def test_point_cap_names_count_and_cap(self):
         _, _, err = invoke("sweep", "--alpha", "0.1:0.9:1e-7", "--areas", "0.3,0.4")
@@ -713,11 +729,13 @@ def _refuse_constant(name):
 @settings(max_examples=300, deadline=None)
 @given(argv=ARGV, fmt=st.sampled_from(([], ["--format", "csv"], ["--format", "json"])))
 def test_any_argv_ends_in_an_exit_code(argv, fmt):
-    out = io.StringIO()
-    code = run(argv + fmt, out, io.StringIO())
+    code, out, err = invoke(*argv, *fmt)
     assert code in (0, 1, 2)
-    if code == 0 and fmt == ["--format", "json"]:
-        json.loads(out.getvalue(), parse_constant=_refuse_constant)  # strict: no NaN or Infinity
+    if code != 0:
+        assert out == ""
+        assert err.endswith("\n") and err.count("\n") == 1
+    elif fmt == ["--format", "json"]:
+        json.loads(out, parse_constant=_refuse_constant)  # strict: no NaN or Infinity
 
 
 def _misspelt(token, at, form):

@@ -359,6 +359,15 @@ class TestFitScale:
         with pytest.raises(InvalidRange):
             fit_scale([], 2, _agg(0.3, 0.3))
 
+    @pytest.mark.parametrize(
+        "point,error",
+        [((1.5, 20.0), InvalidAlpha), ((0.0, 20.0), AlphaPole), ((0.5, 0.0), InvalidRange), ((0.5, math.nan), InvalidRange)],
+    )
+    def test_observation_outside_its_domain_rejected(self, point, error):
+        # the same checks as `fit_aggregates`; non-integer n is in test_validation
+        with pytest.raises(error):
+            fit_scale([(0.5, 20.0), point], 1, _agg(0.3, 0.3))
+
 
 class FloatSubclass(float):
     pass

@@ -12,6 +12,7 @@ from fabcarbon.report import (
     Column,
     InvalidColumn,
     RenderedReport,
+    curve_footnotes,
     emit_curve_csv,
     emit_table,
     estimated_inputs_footnote,
@@ -23,7 +24,7 @@ from fabcarbon.report import (
 def curve_text(sweeps, fmt):
     """What `write_curves` writes for `sweeps` in `fmt`."""
     buf = io.StringIO()
-    write_curves(sweeps, fmt, buf)
+    write_curves(sweeps, fmt, buf, curve_footnotes(sweeps))
     return buf.getvalue()
 
 

@@ -19,6 +19,7 @@ from fabcarbon import (
     cdc_curve,
     dsa_footprint,
     fit_aggregates,
+    fit_scale,
     scale_factor,
     sweep_grid,
 )
@@ -107,6 +108,7 @@ CONCURRENCY_USERS = {
     "scale_factor": lambda n: scale_factor(n, ScaleMode.CONSERVATIVE),
     "dsa_footprint": lambda n: dsa_footprint(40, n, FootprintWeights(0.5), aggregates()),
     "fit_aggregates": lambda n: fit(n=n),
+    "fit_scale": lambda n: fit_scale([(0.5, 20.0)], n, aggregates()),
     "sweep_grid": lambda n: sweep_grid([0.5], [0.3], [0.3], n=n),
 }
 
@@ -128,6 +130,11 @@ class TestScenarioSpec:
     def test_population_must_cover_concurrency(self, population):
         with pytest.raises(ConcurrencyExceedsPopulation):
             ScenarioSpec("s", n=4, dsa_population=population)
+
+    @pytest.mark.parametrize("population", [40.5, 40.0, True, 0])
+    def test_population_is_an_integer_count(self, population):
+        with pytest.raises(ConcurrencyExceedsPopulation, match=r"DSA population out of \[1, 2\*\*53\]"):
+            ScenarioSpec("s", n=1, dsa_population=population)
 
     def test_alpha_zero_rejected(self):
         with pytest.raises(InvalidAlpha):
