@@ -476,6 +476,8 @@ def _render_plot(result: RenderedReport | Curves, scenario_curves: bool) -> str:
         values = [r[i] for r in result.records]
         if column.kind == "ratio" and None not in values:
             series.append((column.header, [float(v) for v in values]))
+    if [label for label, _ in series] == ["cdc"]:  # the chart's own y label is the CDC's
+        return grouped_bar_chart(groups, series, x_label=label_col.header)
     return grouped_bar_chart(groups, series, y_label="improvement (x)", x_label=label_col.header)
 
 

@@ -149,6 +149,12 @@ def numbers_within(values: Sequence, within: Interval, types: Set[type] = frozen
     return total == total and (not values or within(min(values)) and within(max(values)))
 
 
+def number_text(value: float) -> str:
+    """A number's text in a CSV or JSON file: the repr of its base type, so a float or
+    int subclass, such as numpy's float64, is written as a plain number."""
+    return (float.__repr__ if isinstance(value, float) else int.__repr__)(value)
+
+
 def require_alpha(alpha: float) -> None:
     """Reject an embodied weight outside (0, 1]; alpha_e2o = 0 is the model's pole."""
     if alpha == 0:

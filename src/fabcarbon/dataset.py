@@ -19,7 +19,7 @@ from functools import cached_property
 from itertools import compress, islice, repeat
 from operator import attrgetter, itemgetter
 
-from .core import KERNEL_BOUNDS, POSITIVE, KernelProfile, Record, numbers_within
+from .core import KERNEL_BOUNDS, POSITIVE, KernelProfile, Record, number_text, numbers_within
 from .errors import DatasetValidationError, EmptyInput, InvalidFabric, InvalidKernel, ParseError
 
 TYPE_CHECKING = False
@@ -75,11 +75,6 @@ def _number(cell: str) -> float:
     return float(cell)
 
 
-def _dump_number(value: float) -> str:
-    """A number's CSV cell: the repr of its base type, so a float or int subclass reads back as a number."""
-    return (float.__repr__ if isinstance(value, float) else int.__repr__)(value)
-
-
 # The kernel record schema, one row per KernelProfile field: the field's
 # column (CSV) or key (JSON), its CSV cell parser, the fault reported for a
 # cell the parser refuses (ValueError or KeyError) and its CSV cell formatter.
@@ -89,10 +84,10 @@ def _dump_number(value: float) -> str:
 _SCHEMA = (
     ("name", str.strip, "", str),
     ("domain", str.strip, "", str),
-    ("area_norm", _number, "not a number", _dump_number),
-    ("energy_norm", _number, "not a number", _dump_number),
-    ("utilization", _number, "not a number", _dump_number),
-    ("memory_kb", _number, "not a number", _dump_number),
+    ("area_norm", _number, "not a number", number_text),
+    ("energy_norm", _number, "not a number", number_text),
+    ("utilization", _number, "not a number", number_text),
+    ("memory_kb", _number, "not a number", number_text),
     ("estimated", _flag, "flag must be 0 or 1", lambda flag: "1" if flag else "0"),
 )
 KERNEL_COLUMNS = tuple(column for column, _, _, _ in _SCHEMA)

@@ -14,7 +14,7 @@ import json
 from collections.abc import Iterable, Sequence
 from itertools import repeat
 
-from .core import Record
+from .core import Record, number_text
 from .engine import SweepResult
 
 TYPE_CHECKING = False
@@ -210,7 +210,7 @@ def write_curves(
         out.write("series,parameter,value\n")
 
         def cells(parameters):
-            return [f"{p!r},%r" for p in parameters]
+            return [f"{number_text(p)},%r" for p in parameters]
 
         def ends(sweep):
             return _csv_field(sweep.label) + ",", "\n"
@@ -251,7 +251,7 @@ def write_curves(
 
         def cells(parameters):
             # a finite float's `%r` is its JSON text
-            return [f'{json.dumps(p)},\n      "cdc": %r' for p in parameters]
+            return [f'{number_text(p)},\n      "cdc": %r' for p in parameters]
 
         def ends(sweep):
             label, n, scale = map(json.dumps, (sweep.label, sweep.n, sweep.scale))

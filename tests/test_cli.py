@@ -121,6 +121,24 @@ class TestDataErrors:
         code, _, err = invoke("dataset", "validate", str(path))
         assert code == 1 and "format" in err
 
+    @pytest.mark.parametrize(
+        "name,content,message",
+        [
+            ("bad.csv", b"\xff\xfe", "error: input is not valid UTF-8: "),
+            ("empty.csv", b"", "error: input document is empty\n"),
+            ("array.json", b"[]", "error: top-level JSON value must be an object\n"),
+            ("object.json", b"{}", "error: missing 'kernels' array (column 'kernels')\n"),
+            ("long.json", b'{"kernels": ' + b"9" * 5000 + b"}", "error: invalid JSON: "),
+        ],
+        ids=["not-utf8", "empty-csv", "json-array", "no-kernels", "long-integer"],
+    )
+    def test_unreadable_document_is_one_line(self, tmp_path, name, content, message):
+        path = tmp_path / name
+        path.write_bytes(content)
+        code, out, err = invoke("dataset", "validate", str(path))
+        assert (code, out) == (1, "")
+        assert err.startswith(message) and err.count("\n") == 1
+
     def test_invalid_dataset_contents(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text(CSV_HEADER + "X,test,0.3,0.3,1.2,10,0\n")
@@ -192,11 +210,39 @@ class TestOutputsAndPlots:
         bars = [e for e in root.iter() if e.tag.endswith("rect") and e.get("class") == "bar"]
         assert len(bars) == 12
 
+    @pytest.mark.parametrize(
+        "argv,label",
+        [
+            (("cdc", "--alpha", "0.8", "--area", "0.35", "--energy", "0.35"), "critical DSA count (dimensionless)"),
+            (("savings", "--n", "1:3"), "improvement (x)"),
+        ],
+    )
+    def test_plot_y_axis_names_what_the_bars_show(self, tmp_path, argv, label):
+        import xml.etree.ElementTree as ET
+
+        target = tmp_path / "chart.svg"
+        assert invoke(*argv, "--plot", str(target))[0] == 0
+        root = ET.parse(target).getroot()
+        assert [e.text for e in root.iter() if e.tag.endswith("text") and e.get("transform")] == [label]
+
+    def test_single_alpha_sweep_plot_is_one_path_at_the_left_axis(self, tmp_path):
+        import xml.etree.ElementTree as ET
+
+        target = tmp_path / "point.svg"
+        assert invoke("sweep", "--alpha", "0.5:0.5:0.1", "--plot", str(target))[0] == 0
+        paths = [e.get("d") for e in ET.parse(target).getroot().iter() if e.tag.endswith("path")]
+        assert len(paths) == 1 and paths[0].startswith("M 62.00,")
+
     def test_sweep_csv_is_curve_format(self):
         code, out, _ = invoke("sweep", "--alpha", "0.3:0.9:0.2", "--format", "csv")
         assert code == 0
         rows = list(csv.reader(io.StringIO(out)))
         assert rows[0] == ["series", "parameter", "value"]
+
+    def test_savings_at_one_concurrency_is_one_row(self):
+        code, out, _ = invoke("savings", "--n", "3", "--format", "json")
+        assert code == 0
+        assert [record["n"] for record in json.loads(out)["records"]] == [3]
 
     def test_savings_reference_row_display(self):
         code, out, _ = invoke("savings", "--dsas", "40", "--alpha", "0.7", "--n", "1:5", "--calibrated")
@@ -535,6 +581,17 @@ class TestExitCodes:
         assert out == ""
         assert err.endswith("\n") and err.count("\n") == 1
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (("savings", "--n", "1:2:3"), "argument --n: expected LO:HI, got '1:2:3'"),
+            (("calibrate", "--points", "0.3"), "argument --points: expected ALPHA:CDC pairs, got '0.3'"),
+            (("alpha", "--breakdown", "production"), "argument --breakdown: expected K=V, got 'production'"),
+        ],
+    )
+    def test_malformed_list_flag_names_the_expected_form(self, argv, message):
+        assert invoke(*argv) == (2, "", f"usage error: {message}\n")
 
     @pytest.mark.parametrize("argv", [("-h",), ("cdc", "--help")])
     def test_help_exits_zero_on_stdout(self, argv):

@@ -97,6 +97,30 @@ class TestRoundTrips:
         assert load_dataset(io.BytesIO(raw), "json") == dataset
 
 
+def _pad_energy(row):
+    cells = row.split(",")
+    cells[3] = f"\x1c{cells[3]}\x1f"
+    return ",".join(cells)
+
+
+# Edits of one CSV row line that the per-record reader skips or strips: a row
+# after it that is blank, spaces only or empty cells, or separators around a number.
+BLANK_ROW_SHAPES = {
+    "blank-line": lambda row: row + "\n",
+    "spaces-only": lambda row: row + "   \n",
+    "empty-cells": lambda row: row + ",,,,,,\n",
+    "padded-number": _pad_energy,
+}
+
+
+@pytest.mark.parametrize("shape", BLANK_ROW_SHAPES.values(), ids=BLANK_ROW_SHAPES.keys())
+def test_blank_row_or_padded_number_loads_like_the_clean_document(shape):
+    rows = [f"K{i},d,0.3,0.4,0.5,10,{i % 2}\n" for i in range(5000)]  # two slices
+    clean = load_dataset(io.StringIO(CSV_HEADER + "".join(rows)), "csv")
+    rows[4500] = shape(rows[4500])
+    assert load_dataset(io.StringIO(CSV_HEADER + "".join(rows)), "csv") == clean
+
+
 class TestDatasetValidation:
     def test_utilization_out_of_range_names_invariant(self):
         text = CSV_HEADER + "X,test,0.3,0.3,1.2,10,0\n"

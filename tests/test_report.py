@@ -154,6 +154,18 @@ class TestCurveCsvMatchesCsvWriter:
         assert emit_curve_csv(curves) == _reference_curve_csv(curves)
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("value", [0.1, 3], ids=["float", "int"])
+def test_curve_parameter_of_a_number_subclass_is_written_as_a_plain_number(fmt, value):
+    class Tagged(type(value)):
+        def __repr__(self):
+            return f"Tagged({super().__repr__()})"
+
+    tagged, plain = (SweepResult("s", (p, 0.5 + value), (2.0, 1.5), 1, 1.0) for p in (Tagged(value), value))
+    assert curve_text([tagged], fmt) == curve_text([plain], fmt)
+    assert "Tagged" not in curve_text([tagged], fmt)
+
+
 class TestCurveTableMatchesReport:
     """`write_curves` writes exactly the table and the JSON of `sweep_report`."""
 
