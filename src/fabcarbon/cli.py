@@ -58,10 +58,11 @@ if TYPE_CHECKING:
     Curves = tuple[Iterable[SweepResult], tuple[str, ...]]
 
 DATASET_ENV_VAR = "FABCARBON_DATASET"
-# Above this many points a sweep is refused before any is computed. CSV and
-# JSON are written from one curve at a time, in slices of rows, so memory
-# grows with the longest curve, not with the grid; the table holds every
-# curve for its column widths. Time grows with the point count in all three.
+# Above this many points a sweep is refused before any is computed. All
+# three formats are written from one curve at a time, in slices of rows,
+# the table taking its column widths from the grid's axes and curve ends,
+# so memory grows with the longest curve, not with the grid. Time grows
+# with the point count in all three.
 MAX_SWEEP_POINTS = 2_000_000
 # `savings --n LO:HI` computes one row per n, about 25 us each on a 2-CPU
 # host, so the cap keeps one call near 2.5 s.
@@ -316,8 +317,9 @@ def _cmd_scenario(args: argparse.Namespace) -> Curves:
     sweeps = []
     for case in args.case:
         spec = scen_mod.builtin_case(case, n=args.n, scale_mode=mode)
-        agg = scen_mod.calibrated_aggregates(case, ds) if args.calibrated else None
-        sweeps.append(scen_mod.evaluate_cdc_table(spec, args.alphas, dataset=ds, aggregates=agg))
+        kernels = scen_mod.scenario_kernels(spec, ds)  # resolved once, for the fit and the curve
+        agg = scen_mod.calibrated_aggregates(case, kernels=kernels) if args.calibrated else None
+        sweeps.append(scen_mod.evaluate_cdc_table(spec, args.alphas, aggregates=agg, kernels=kernels))
     return sweeps, curve_footnotes(sweeps)
 
 

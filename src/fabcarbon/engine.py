@@ -13,7 +13,10 @@ from __future__ import annotations
 
 import math
 import operator
-from collections.abc import Iterator, Sequence
+import sys
+from collections.abc import Callable, Iterator, Sequence
+from functools import partial
+from itertools import islice, product
 
 from .concurrency import ScaleMode, scale_factor
 from .core import AT_LEAST_ONE, FLOAT_MAX, OPEN_UNIT, POSITIVE, REAL, UNIT, AggregateRatios, FootprintWeights, Record, dsa_footprint, fabric_footprint, numbers_within, require_alpha, require_concurrency, require_scale
@@ -21,6 +24,8 @@ from .errors import DegenerateModel, InfeasibleFit, InvalidRange, SingularFit
 
 # Tolerance for inclusive endpoints when stepping a float range.
 _RANGE_EPS = 1e-9
+# The least positive normal float.
+_NORMAL_MIN = sys.float_info.min
 
 
 class CdcQuery(Record):
@@ -224,6 +229,78 @@ def _grid_cleared(alphas: Sequence[float], areas: tuple, energies: tuple, n: int
     )
 
 
+def _grid_label(area: float, energy: float) -> str:
+    """The label of a grid curve: its point on the area and energy axes."""
+    return f"A={area:g},E={energy:g}"
+
+
+class GridCurves:
+    """The curves of a grid that `_grid_cleared` proves, each evaluated as it is drawn.
+
+    An iterator of `SweepResult` in grid order. Every curve shares
+    `parameters`, `n` and `scale`; `peaks` reads what a table's column
+    widths need of the curves not yet drawn without evaluating one column.
+    """
+
+    def __init__(self, parameters: tuple[float, ...], areas: tuple, energies: tuple, n: int, scale: float) -> None:
+        self.parameters, self.n, self.scale = parameters, n, scale
+        self._axes = areas, energies
+        self._pairs = product(areas, energies)
+        self._drawn = 0
+
+    def __iter__(self) -> GridCurves:
+        return self
+
+    def __next__(self) -> SweepResult:
+        area, energy = next(self._pairs)
+        self._drawn += 1
+        values = tuple(_closed_form(self.parameters, area, energy, self.n, self.scale))
+        return SweepResult._cleared(_grid_label(area, energy), self.parameters, values, self.n, self.scale)
+
+    def peaks(self) -> Iterator[tuple[str, float, float, Callable[[], list[float]]]]:
+        """(label, low, high, values) for each curve not yet drawn, in grid order, from its two end alphas.
+
+        `low` is the larger of the curve's two end values, so it is a value
+        of the curve; `values()` evaluates the whole curve. Every value of the
+        curve that prints wider than 0.00 is at most `high`, for this reason.
+
+        Let c(a) = (scale - P(a)) / (a * A), with P(a) = (1 - a) * nf * E, be
+        the closed form in exact arithmetic and v(a) its float value as
+        `_closed_form` computes it; let lo and hi be the end alphas, M =
+        max(v(lo), v(hi)), K = nf * E / (lo * A) and u = 2**-53. As c(a) =
+        (scale - nf * E) / (a * A) + nf * E / A is monotone in a, every c(a)
+        is at most C = max(c(lo), c(hi)).
+
+        Each rounding gives x(1 + d) with |d| <= u while x is normal, and a
+        subtraction that underflows is exact. So the three roundings of P
+        give P(a)(1 + e) with |e| <= g = 3u / (1 - 3u). Should that product
+        underflow, P(a) < 2**-1022 while scale - P(a) >= 1/2, so its absolute
+        error is below 2**-1074 * c(a), far inside what follows. While
+        den(lo) = fl(lo * A) is normal, every den(a) is, and v(a) = (c(a) - e
+        * P(a) / (a * A))(1 + t), where 1 + t = (1 + d4)(1 + d6) / (1 + d5)
+        for the roundings d4 of the subtraction, d5 of a * A and d6 of the
+        quotient, so |t| <= g; and P(a) / (a * A) <= K. Hence v(a) <= (c(a) +
+        gK)(1 + g). At
+        either end c <= v / (1 - g) + gK, so C <= M / (1 - g) + gK, and
+        v(a) <= (M / (1 - g) + 2gK)(1 + g) < M + 7u(M + K).
+
+        A value that prints wider than 0.00 is at least 0.005, so M + K is
+        then far above underflow, and `high`, M + 16u(M + K) computed in
+        floats, falls short of its exact value by less than 2u(M + K): it
+        stays above M + 7u(M + K). A value that prints as 0.00 has the
+        narrowest cell, which no bound needs to cover. When den(lo) is
+        subnormal, or the bound passes the largest float, `high` is the
+        largest float, which bounds every value: they are all finite.
+        """
+        alphas, n, scale = self.parameters, self.n, self.scale
+        lo, ends, nf = alphas[0], (alphas[0], alphas[-1]), float(n)
+        for area, energy in islice(product(*self._axes), self._drawn, None):
+            low = max(_closed_form(ends, area, energy, n, scale))
+            den_lo = lo * area
+            high = low + 16 * 2.0**-53 * (low + nf * energy / den_lo) if den_lo >= _NORMAL_MIN else FLOAT_MAX
+            yield _grid_label(area, energy), low, min(high, FLOAT_MAX), partial(_closed_form, alphas, area, energy, n, scale)
+
+
 def grid_curves(
     alphas: Sequence[float],
     areas: Sequence[float],
@@ -233,10 +310,11 @@ def grid_curves(
     """One alpha curve per (area, energy) pair of the Cartesian grid, at n' = n, in grid order.
 
     Every fault is raised by this call, never by the iterator it returns.
-    When `_grid_cleared` proves that no curve can fault, each curve is
-    evaluated bare as it is drawn, so a caller that drops each curve holds
-    one at a time. Otherwise the whole grid is computed here through the
-    checked types, and its first fault in grid order is raised.
+    When `_grid_cleared` proves that no curve can fault, the iterator is a
+    `GridCurves`, which evaluates each curve bare as it is drawn, so a
+    caller that drops each curve holds one at a time. Otherwise the whole
+    grid is computed here through the checked types, and its first fault
+    in grid order is raised.
     """
     if not areas or not energies:
         raise InvalidRange("grid axes must be non-empty")
@@ -244,16 +322,12 @@ def grid_curves(
     alphas = tuple(alphas)  # one parameters column, shared by every curve
     areas, energies = tuple(areas), tuple(energies)  # the axes the proof read
     if _grid_cleared(alphas, areas, energies, n, scale):
-        return (
-            SweepResult._cleared(f"A={area:g},E={energy:g}", alphas, tuple(_closed_form(alphas, area, energy, n, scale)), n, scale)
-            for area in areas
-            for energy in energies
-        )
+        return GridCurves(alphas, areas, energies, n, scale)
     curves = []
     for area in areas:
         for energy in energies:
             values = cdc_curve(alphas, AggregateRatios(area, energy, 1.0, 1), n, scale)
-            curves.append(SweepResult(f"A={area:g},E={energy:g}", alphas, tuple(values), n, scale))
+            curves.append(SweepResult(_grid_label(area, energy), alphas, tuple(values), n, scale))
     return iter(curves)
 
 

@@ -15,7 +15,7 @@ from collections.abc import Iterable, Sequence
 from itertools import repeat
 
 from .core import Record, number_text
-from .engine import SweepResult
+from .engine import GridCurves, SweepResult
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:
@@ -176,6 +176,53 @@ def sweep_report(sweeps: Sequence[SweepResult]) -> RenderedReport:
     return RenderedReport(_CURVE_COLUMNS, tuple(records), curve_footnotes(sweeps))
 
 
+def _held_widths(sweeps: Sequence[SweepResult], shown: dict[int, list[str]]) -> list[int]:
+    """The widest label, parameter, cdc, n and n' cell of the rows of `sweeps`; 0 where there is no row.
+
+    Fills `shown` with the parameter cells of each parameters tuple. The
+    cdc column is as wide as the largest value's cell, since a positive
+    value's fixed-point form never gets shorter as the value grows.
+    """
+    widths = [0] * len(_CURVE_COLUMNS)
+    for sweep in sweeps:
+        if not sweep.values:
+            continue  # a curve without points adds no row, so it widens no column
+        if id(sweep.parameters) not in shown:
+            shown[id(sweep.parameters)] = [_cell(p, "num") for p in sweep.parameters]
+            widths[1] = max(widths[1], *map(len, shown[id(sweep.parameters)]))
+        widths[0] = max(widths[0], len(sweep.label))
+        widths[2] = max(widths[2], len(_cell(max(sweep.values), "ratio")))
+        widths[3] = max(widths[3], len(_cell(sweep.n, "int")))
+        widths[4] = max(widths[4], len(_cell(sweep.scale, "scale")))
+    return widths
+
+
+def _grid_widths(grid: GridCurves, shown: dict[int, list[str]]) -> list[int]:
+    """`_held_widths` of the curves `grid` has yet to draw, read from its axes and curve ends.
+
+    Labels come with `GridCurves.peaks`, and the parameter, n and n' cells
+    are the grid's own. Each curve's largest value lies between its `low`
+    and its `high`, so, as a positive value's fixed-point form never gets
+    shorter as the value grows, the cdc column is at least as wide as the
+    largest `low`'s cell and at most as wide as the largest `high`'s. When
+    those differ, only the curves whose `high` prints wider than the
+    column known so far are evaluated in full, and then dropped.
+    """
+    label_w = 0
+    low = high = 0.0
+    for label, top, bound, _ in grid.peaks():
+        label_w, low, high = max(label_w, len(label)), max(low, top), max(high, bound)
+    if not label_w:  # every curve is drawn: no row is left
+        return [0] * len(_CURVE_COLUMNS)
+    cdc_w = len(_cell(low, "ratio"))
+    if len(_cell(high, "ratio")) > cdc_w:
+        for _, _, bound, values in grid.peaks():
+            if len(_cell(bound, "ratio")) > cdc_w:
+                cdc_w = max(cdc_w, len(_cell(max(values()), "ratio")))
+    shown[id(grid.parameters)] = cells = [_cell(p, "num") for p in grid.parameters]
+    return [label_w, max(map(len, cells)), cdc_w, len(_cell(grid.n, "int")), len(_cell(grid.scale, "scale"))]
+
+
 def write_curves(
     sweeps: Iterable[SweepResult],
     format: str,
@@ -186,9 +233,11 @@ def write_curves(
 
     The CSV is long-format (series, parameter, value); the table and the
     JSON are byte for byte those of `emit_table(sweep_report(sweeps), format)`
-    when `footnotes` are `curve_footnotes(sweeps)`. CSV and JSON are written
-    from `sweeps` as it is drawn, one curve at a time; the table needs its
-    column widths first, so it holds every curve.
+    when `footnotes` are `curve_footnotes(sweeps)`. All three are written
+    from `sweeps` as it is drawn, one curve at a time, when `sweeps` is a
+    `GridCurves`: the table's column widths come from the grid's axes and
+    curve ends (`_grid_widths`). The table holds the curves of any other
+    iterable for its widths (`_held_widths`).
 
     A row is a head (the label), a parameter cell, the value slot and a
     tail (n and n'). Heads and tails are formatted once per curve, and
@@ -197,12 +246,9 @@ def write_curves(
     never reuses the cell of 0.0. A curve's rows are filled from one
     printf-style template by one `%` per slice of `_SLICE_ROWS` rows, and
     each slice is written as one string, so no more than one slice's text
-    is held. The cdc column is as wide as the largest value's cell, since
-    a positive value's fixed-point form never gets shorter as the value grows.
+    is held.
     """
     headers = [c.header for c in _CURVE_COLUMNS]
-    if format == "table":
-        sweeps = list(sweeps)
     # `first` goes before the first row, `sep` between rows, `end` after the last, `empty` in its place if none
     first = sep = end = empty = ""
     if format == "csv":
@@ -216,18 +262,13 @@ def write_curves(
             return _csv_field(sweep.label) + ",", "\n"
 
     elif format == "table":
-        widths = [len(h) for h in headers]
-        shown = {}  # id of each parameters tuple -> its cells; `sweeps` keeps every tuple alive
-        for sweep in sweeps:
-            if not sweep.values:
-                continue  # a curve without points adds no row, so it widens no column
-            if id(sweep.parameters) not in shown:
-                shown[id(sweep.parameters)] = [_cell(p, "num") for p in sweep.parameters]
-                widths[1] = max(widths[1], *map(len, shown[id(sweep.parameters)]))
-            widths[0] = max(widths[0], len(sweep.label))
-            widths[2] = max(widths[2], len(_cell(max(sweep.values), "ratio")))
-            widths[3] = max(widths[3], len(_cell(sweep.n, "int")))
-            widths[4] = max(widths[4], len(_cell(sweep.scale, "scale")))
+        shown: dict[int, list[str]] = {}  # id of each parameters tuple -> its cells; `sweeps` keeps every tuple alive
+        if isinstance(sweeps, GridCurves):
+            cell_widths = _grid_widths(sweeps, shown)
+        else:
+            sweeps = list(sweeps)
+            cell_widths = _held_widths(sweeps, shown)
+        widths = [max(len(h), w) for h, w in zip(headers, cell_widths)]
         label_w, param_w, cdc_w, n_w, scale_w = widths
         out.write(_table_head(headers, widths))
         end = empty = "".join(f"note: {note}\n" for note in footnotes)

@@ -113,18 +113,26 @@ def builtin_case(
     )
 
 
-def calibrated_aggregates(case: str = "I", dataset: KernelDataset | None = None) -> AggregateRatios:
+def calibrated_aggregates(
+    case: str = "I",
+    dataset: KernelDataset | None = None,
+    *,
+    kernels: KernelDataset | None = None,
+) -> AggregateRatios:
     """Aggregates fitted to a case's reference CDC anchors (case "I", "II", or "III").
 
     Area and energy come from the two-point fit. Utilization is the
     reverse-fitted full-set value for CASE-I and the plain kernel mean for
     the other cases, where no savings reference exists to fit against.
+    Pass the case's ``kernels``, as `scenario_kernels` resolves them, to
+    read them instead of resolving them from ``dataset``.
     """
     key = _case_key(case)
-    ds = dataset if dataset is not None else builtin_dataset()
-    included = ds.without(CASE_EXCLUSIONS[key])
-    utilization = CALIBRATED_UTILIZATION if key == "I" else average_utilization(included)
-    return fit_aggregates(REFERENCE_CDC_ANCHORS[key], n=1, utilization=utilization, kernel_count=len(included))
+    if kernels is None:
+        ds = dataset if dataset is not None else builtin_dataset()
+        kernels = ds.without(CASE_EXCLUSIONS[key])
+    utilization = CALIBRATED_UTILIZATION if key == "I" else average_utilization(kernels)
+    return fit_aggregates(REFERENCE_CDC_ANCHORS[key], n=1, utilization=utilization, kernel_count=len(kernels))
 
 
 def scenario_kernels(spec: ScenarioSpec, dataset: KernelDataset | None = None) -> KernelDataset:
@@ -141,15 +149,20 @@ def evaluate_cdc_table(
     alphas: Iterable[float],
     dataset: KernelDataset | None = None,
     aggregates: AggregateRatios | None = None,
+    *,
+    kernels: KernelDataset | None = None,
 ) -> SweepResult:
     """Break-even population for each alpha under one scenario.
 
     The fabric scale follows the scenario's mode with the mean utilization
     of the included kernels; pass ``aggregates`` to evaluate with calibrated
-    area/energy instead of the kernels' ``aggregate``.
+    area/energy instead of the kernels' ``aggregate``, and the scenario's
+    ``kernels``, as `scenario_kernels` resolves them, to read them instead
+    of resolving them from ``dataset``.
     """
     alphas = tuple(sorted(set(alphas)))
-    kernels = scenario_kernels(spec, dataset)
+    if kernels is None:
+        kernels = scenario_kernels(spec, dataset)
     agg = aggregates if aggregates is not None else aggregate(kernels)
     scale = scale_factor(spec.n, spec.scale_mode, kernels=kernels)
     return SweepResult(

@@ -11,6 +11,7 @@ axis labels and y ticks, each chart adds its x labels and marks, and
 
 from __future__ import annotations
 
+import math
 from collections.abc import Callable, Sequence
 from html import escape
 
@@ -111,13 +112,23 @@ def grouped_bar_chart(
     y_label: str = _CDC_LABEL,
     x_label: str = "scenario",
 ) -> str:
-    """One rect per value, grouped by position; legend names the series."""
+    """One rect per value, grouped by position; legend names the series.
+
+    Bars rise from 0, so each value must be finite and not negative. A
+    chart whose values are all 0 is drawn on a y scale from 0 to 1.
+    """
     if not series:
         raise ValueError("at least one series required")
+    if not group_labels:
+        raise ValueError("at least one group required")
     for label, values in series:
         if len(values) != len(group_labels):
             raise ValueError(f"series {label!r} has {len(values)} values for {len(group_labels)} groups")
-    parts, sy = _frame(x_label, y_label, max(v for _, values in series for v in values) * 1.1)
+        for value in values:
+            if not 0.0 <= value < math.inf:  # NaN fails both comparisons
+                raise ValueError(f"series {label!r} has a value that is negative or not finite: {value!r}")
+    top = max(v for _, values in series for v in values)
+    parts, sy = _frame(x_label, y_label, top * 1.1 if top else 1.0)
     group_width = (_X1 - _X0) / len(group_labels)
     bar_width = group_width * 0.8 / len(series)
     for g, group in enumerate(group_labels):

@@ -146,6 +146,14 @@ class TestDataErrors:
         assert code == 1
         assert "utilization out of (0, 1]" in err
 
+    @pytest.mark.parametrize("flags", [(), ("--calibrated",)])
+    def test_a_case_that_excludes_every_kernel_is_named(self, tmp_path, flags):
+        ds = builtin_dataset()
+        path = tmp_path / "aes.csv"
+        path.write_text(dump_dataset(ds.compress(name == "AESEncrypt" for name in ds.names()), "csv"))
+        argv = ("scenario", "--case", "II", "--alphas", "0.3", "--dataset", str(path), *flags)
+        assert invoke(*argv) == (1, "", "error: scenario 'CASE-II' excludes every kernel\n")
+
     def test_unknown_retained_kernel(self):
         code, _, err = invoke("hybrid", "--retain", "NoSuchKernel", "--n", "4")
         assert code == 1
@@ -332,8 +340,7 @@ class TestStreamedOutput:
         size = target.stat().st_size
         assert size > 4_000_000
         assert run_peak - curves_peak < size / 4
-        if fmt != "table":  # CSV and JSON hold one curve at a time; the table holds them all for its widths
-            assert run_peak < curves_peak / 4
+        assert run_peak < curves_peak / 4  # one curve at a time, the table's included
 
 
 class TestAtomicOutput:
@@ -480,6 +487,7 @@ class TestWorkDoneOnce:
         "argv,expected",
         [
             (("scenario", "--case", "I,II,III", "--alphas", "0.3,0.9"), 3),
+            (("scenario", "--case", "I,II,III", "--alphas", "0.3,0.9", "--calibrated"), 3),
             (("savings", "--n", "1:5"), 0),
             (("hybrid", "--retain", "AESEncrypt,Viterbi", "--n", "4"), 1),
         ],
@@ -695,12 +703,13 @@ for argv in runs:
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss is in KiB on Linux only")
-def test_csv_sweep_memory_stays_near_a_trivial_run(tmp_path):
-    """A 900k-point CSV sweep holds one curve at a time, so it peaks within 10 MB of a `cdc`."""
+@pytest.mark.parametrize("fmt", ["csv", "table"])
+def test_csv_sweep_memory_stays_near_a_trivial_run(tmp_path, fmt):
+    """A 900k-point CSV or table sweep holds one curve at a time, so it peaks within 10 MB of a `cdc`."""
     axis = ",".join(f"{0.02 * i:.2f}" for i in range(1, 31))
-    target = tmp_path / "sweep.csv"
+    target = tmp_path / f"sweep.{fmt}"
     sweep = ["sweep", "--alpha", "0.0005:0.9995:0.001", "--areas", axis, "--energies", axis,
-             "--format", "csv", "--out", str(target)]
+             "--format", fmt, "--out", str(target)]
     env = dict(os.environ, PYTHONPATH=str(Path(fabcarbon.__file__).resolve().parents[1]))
     result = subprocess.run(
         [sys.executable, "-c", PEAK_PROBE, *sweep, "--", *CDC_ARGS],

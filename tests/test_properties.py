@@ -36,6 +36,7 @@ from fabcarbon.core import DeviceBreakdown, mean
 from fabcarbon.errors import DegenerateModel
 from fabcarbon.engine import grid_curves
 from test_engine import eager_sweep_grid, outcome, point_by_point_cdc_curve
+from test_report import assert_streamed_grid_table
 
 # Ratios below one keep the threshold at or above the concurrency level,
 # which is the regime the model is about (DSAs leaner than the fabric).
@@ -371,3 +372,42 @@ class TestGridCurves:
         assume(fabcarbon.engine._grid_cleared(tuple(alphas), tuple(areas), tuple(energies), n, float(n)))
         for curve in grid_curves(alphas, areas, energies, n):
             assert SweepResult(*(getattr(curve, field) for field in SweepResult._fields)) == curve
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        alphas=st.one_of(st.lists(alphas, min_size=2, max_size=40, unique=True).map(sorted), grid_alphas),
+        areas=st.lists(st.one_of(ratios, st.floats(min_value=5e-324, max_value=FLOAT_MAX)), min_size=1, max_size=3),
+        energies=st.lists(st.one_of(ratios, st.floats(min_value=0.5, max_value=3.0)), min_size=1, max_size=3),
+        n=st.sampled_from((1, 3, 2**53)),
+        cancel=st.one_of(st.none(), st.integers(1, 2**20)),
+    )
+    def test_each_peak_bounds_its_curve(self, alphas, areas, energies, n, cancel):
+        """`GridCurves.peaks`: `low` is a value of the curve, and no value that prints wider than 0.00 exceeds `high`."""
+        if cancel is not None and alphas[0] < 1.0:  # n' - (1 - alpha) * n * E a few ulps above 0 at the first alpha
+            energies = [1.0 / (1.0 - alphas[0]) * (1.0 - cancel * 2.0**-53), *energies[1:]]
+        assume(fabcarbon.engine._grid_cleared(tuple(alphas), tuple(areas), tuple(energies), n, float(n)))
+        grid = grid_curves(alphas, areas, energies, n)
+        for (label, low, high, values), curve in zip(list(grid.peaks()), grid):
+            assert (label, values()) == (curve.label, list(curve.values))
+            assert low in curve.values
+            assert max(curve.values) <= high or f"{max(curve.values):.2f}" == "0.00"
+
+    @settings(deadline=None)
+    @given(
+        alphas=st.one_of(st.lists(alphas, min_size=1, max_size=20, unique=True).map(sorted), grid_alphas),
+        areas=st.lists(st.one_of(ratios, ratios, st.floats(min_value=5e-324, max_value=FLOAT_MAX)), min_size=1, max_size=3),
+        energies=st.lists(st.one_of(ratios, ratios, st.floats(min_value=5e-324, max_value=FLOAT_MAX)), min_size=1, max_size=3),
+        n=st.sampled_from((1, 3, 2**53)),
+        edge=st.one_of(st.none(), st.tuples(st.sampled_from((9.995, 99.995, 999.995, 99999.995)), st.integers(-8, 8))),
+    )
+    @example(alphas=[5e-324, 1.0], areas=[1.7e308], energies=[0.5], n=1, edge=None)  # every value subnormal
+    def test_a_cleared_grid_streams_the_held_table(self, alphas, areas, energies, n, edge):
+        if edge is not None:  # the first curve's largest value within ulps of where its cdc cell widens
+            target, steps = edge
+            end = alphas[0] if energies[0] < 1.0 else alphas[-1]
+            area = (n - (1.0 - end) * n * energies[0]) / (end * target)
+            for _ in range(abs(steps)):
+                area = math.nextafter(area, math.copysign(math.inf, steps))
+            areas = [area, *areas[1:]] if 0.0 < area < math.inf else areas
+        assume(fabcarbon.engine._grid_cleared(tuple(alphas), tuple(areas), tuple(energies), n, float(n)))
+        assert_streamed_grid_table(alphas, areas, energies, n)

@@ -3,11 +3,13 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 
 import pytest
 
 from fabcarbon import ScaleMode, SweepResult, builtin_case, builtin_dataset, evaluate_cdc_table, sweep_grid
-from fabcarbon.engine import float_steps
+import fabcarbon.engine
+from fabcarbon.engine import GridCurves, float_steps, grid_curves
 from fabcarbon.report import (
     Column,
     InvalidColumn,
@@ -207,6 +209,89 @@ class TestCurveTableMatchesReport:
     def test_no_curves(self):
         self.assert_same_table([])
         self.assert_same_table([SweepResult("no points", (), (), 1, 1.0, estimated_kernels=("KNN",))])
+
+
+def assert_streamed_grid_table(alphas, areas, energies, n=1):
+    """A cleared grid's table, streamed from `grid_curves`, is `emit_table` of its curves held."""
+    grid = grid_curves(alphas, areas, energies, n)
+    assert isinstance(grid, GridCurves)
+    buf = io.StringIO()
+    write_curves(grid, "table", buf, ())
+    assert buf.getvalue() == emit_table(sweep_report(sweep_grid(alphas, areas, energies, n)), "table")
+
+
+def first_wider_float(target):
+    """The least float whose "%.2f" cell is wider than that of the floats just below `target`."""
+    narrow, x = len(f"{target - 0.01:.2f}"), target
+    while len(f"{x:.2f}") > narrow:
+        x = math.nextafter(x, 0.0)
+    while len(f"{x:.2f}") == narrow:
+        x = math.nextafter(x, math.inf)
+    return x
+
+
+class TestStreamedGridTable:
+    """A cleared grid's table takes its widths from the axes and curve ends, and equals the held one."""
+
+    @pytest.mark.parametrize("target", [9.995, 99.995, 999.995])
+    @pytest.mark.parametrize(
+        "alphas,energy",
+        [((0.5, 0.625, 0.75, 1.0), 0.5), ((0.5, 0.75, 1.0), 1.5)],
+        ids=["largest-at-first-alpha", "largest-at-last-alpha"],
+    )
+    def test_largest_value_within_ulps_of_a_width_boundary(self, target, alphas, energy):
+        edge = first_wider_float(target)
+        end = alphas[0] if energy < 1.0 else alphas[-1]
+        start = (1.0 - (1.0 - end) * energy) / (end * edge)  # the area whose curve ends near `edge`
+        areas, offsets = [], set()
+        for step in range(-20, 21):
+            area = start
+            for _ in range(abs(step)):
+                area = math.nextafter(area, math.copysign(math.inf, step))
+            (curve,) = sweep_grid(alphas, [area], [energy])
+            offset = round((max(curve.values) - edge) / math.ulp(edge))
+            if abs(offset) <= 3:
+                areas.append(area)
+                offsets.add(offset)
+        assert min(offsets) < 0 <= max(offsets)  # the curves straddle the boundary
+        for area in areas:
+            assert_streamed_grid_table(alphas, [area], [energy])
+        assert_streamed_grid_table(alphas, areas, [energy, 0.25])
+
+    def test_partly_drawn_grid_writes_the_rest(self):
+        args = (float_steps(0.1, 0.9, 0.1), [0.01, 0.35], [0.25, 0.5])
+        grid = grid_curves(*args)
+        next(grid)
+        buf = io.StringIO()
+        write_curves(grid, "table", buf, ())
+        assert buf.getvalue() == emit_table(sweep_report(sweep_grid(*args)[1:]), "table")
+        buf = io.StringIO()
+        write_curves(grid, "table", buf, ())  # drawn out: the head alone
+        assert buf.getvalue() == emit_table(sweep_report([]), "table")
+
+    @staticmethod
+    def closed_form_calls(monkeypatch, alphas, areas, energies):
+        calls = []
+        real = fabcarbon.engine._closed_form
+        monkeypatch.setattr(fabcarbon.engine, "_closed_form", lambda *args: calls.append(len(args[0])) or real(*args))
+        write_curves(grid_curves(alphas, areas, energies), "table", io.StringIO(), ())
+        return calls
+
+    def test_width_pass_evaluates_only_curve_ends(self, monkeypatch):
+        alphas = float_steps(0.1, 0.9, 0.05)
+        calls = self.closed_form_calls(monkeypatch, alphas, [0.25, 0.45], [0.35, 0.5, 0.75])
+        assert calls.count(len(alphas)) == 6  # each curve's column once, as it is written
+        assert calls.count(2) == 6 and len(calls) == 12  # and its two ends once, for the widths
+
+    def test_a_curve_in_the_guard_band_is_evaluated_twice(self, monkeypatch):
+        alphas = (0.5, 0.625, 0.75, 1.0)
+        edge = first_wider_float(9.995)
+        area = math.nextafter(0.75 / (0.5 * edge), math.inf)  # its largest value lies just below `edge`
+        (curve,) = sweep_grid(alphas, [area], [0.5])
+        assert f"{max(curve.values):.2f}" == "9.99"
+        calls = self.closed_form_calls(monkeypatch, alphas, [area, 0.35], [0.5])
+        # the ends of both curves, read again to find the one whose bound prints wider; its column, then both written
+        assert calls == [2, 2, 2, 4, 2, 4, 4]
 
 
 class TestSweepReport:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import math
 import xml.etree.ElementTree as ET
 
 import pytest
@@ -72,3 +73,25 @@ class TestGroupedBarChart:
         with pytest.raises(ValueError):
             grouped_bar_chart(["a", "b"], [("s", [1.0])])
 
+
+    def test_all_zero_series_is_drawn_on_a_unit_scale(self):
+        svg = grouped_bar_chart(["a", "b"], [("s", [0.0, 0.0])])
+        assert [bar.get("height") for bar in _elements(svg, "rect", "bar")] == ["0.00", "0.00"]
+        assert ">1</text>" in svg  # the top y tick
+
+    def test_a_zero_bar_next_to_a_positive_one_has_no_height(self):
+        svg = grouped_bar_chart(["a", "b"], [("s", [0.0, 2.0])])
+        heights = [float(bar.get("height")) for bar in _elements(svg, "rect", "bar")]
+        assert heights[0] == 0.0 and heights[1] > 0.0
+
+    @pytest.mark.parametrize("bad", [-1.0, -0.5e-300, math.nan, math.inf, -math.inf])
+    def test_negative_or_non_finite_value_is_one_line_naming_the_series(self, bad):
+        with pytest.raises(ValueError) as caught:
+            grouped_bar_chart(["a", "b"], [("ok", [1.0, 2.0]), ("two\nlines", [bad, 2.0])])
+        message = str(caught.value)
+        assert message == f"series 'two\\nlines' has a value that is negative or not finite: {bad!r}"
+        assert "\n" not in message
+
+    def test_no_groups_rejected(self):
+        with pytest.raises(ValueError, match="^at least one group required$"):
+            grouped_bar_chart([], [("s", [])])
