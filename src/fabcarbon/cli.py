@@ -265,7 +265,7 @@ def _resolve_dataset(path: str | None) -> KernelDataset:
 
 def _case_i_aggregates(ds: KernelDataset, calibrated: bool) -> AggregateRatios:
     """CASE-I's aggregates: fitted to its reference anchors, or the means of every kernel, as CASE-I excludes none."""
-    return scen_mod.calibrated_aggregates("I", ds) if calibrated else aggregate(ds)
+    return scen_mod.calibrated_aggregates("I", kernels=ds) if calibrated else aggregate(ds)
 
 
 def _dataset_footnote(ds: KernelDataset) -> tuple[str, ...]:
@@ -319,7 +319,7 @@ def _cmd_scenario(args: argparse.Namespace) -> Curves:
         spec = scen_mod.builtin_case(case, n=args.n, scale_mode=mode)
         kernels = scen_mod.scenario_kernels(spec, ds)  # resolved once, for the fit and the curve
         agg = scen_mod.calibrated_aggregates(case, kernels=kernels) if args.calibrated else None
-        sweeps.append(scen_mod.evaluate_cdc_table(spec, args.alphas, aggregates=agg, kernels=kernels))
+        sweeps.append(scen_mod.evaluate_cdc_table(spec, args.alphas, kernels=kernels, aggregates=agg))
     return sweeps, curve_footnotes(sweeps)
 
 

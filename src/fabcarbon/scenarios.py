@@ -113,24 +113,18 @@ def builtin_case(
     )
 
 
-def calibrated_aggregates(
-    case: str = "I",
-    dataset: KernelDataset | None = None,
-    *,
-    kernels: KernelDataset | None = None,
-) -> AggregateRatios:
+def calibrated_aggregates(case: str = "I", *, kernels: KernelDataset | None = None) -> AggregateRatios:
     """Aggregates fitted to a case's reference CDC anchors (case "I", "II", or "III").
 
     Area and energy come from the two-point fit. Utilization is the
     reverse-fitted full-set value for CASE-I and the plain kernel mean for
     the other cases, where no savings reference exists to fit against.
-    Pass the case's ``kernels``, as `scenario_kernels` resolves them, to
-    read them instead of resolving them from ``dataset``.
+    ``kernels`` is the case's kernel set, as `scenario_kernels` resolves it;
+    by default the built-in dataset's.
     """
     key = _case_key(case)
     if kernels is None:
-        ds = dataset if dataset is not None else builtin_dataset()
-        kernels = ds.without(CASE_EXCLUSIONS[key])
+        kernels = scenario_kernels(builtin_case(key))
     utilization = CALIBRATED_UTILIZATION if key == "I" else average_utilization(kernels)
     return fit_aggregates(REFERENCE_CDC_ANCHORS[key], n=1, utilization=utilization, kernel_count=len(kernels))
 
@@ -147,22 +141,20 @@ def scenario_kernels(spec: ScenarioSpec, dataset: KernelDataset | None = None) -
 def evaluate_cdc_table(
     spec: ScenarioSpec,
     alphas: Iterable[float],
-    dataset: KernelDataset | None = None,
-    aggregates: AggregateRatios | None = None,
     *,
     kernels: KernelDataset | None = None,
+    aggregates: AggregateRatios | None = None,
 ) -> SweepResult:
     """Break-even population for each alpha under one scenario.
 
-    The fabric scale follows the scenario's mode with the mean utilization
-    of the included kernels; pass ``aggregates`` to evaluate with calibrated
-    area/energy instead of the kernels' ``aggregate``, and the scenario's
-    ``kernels``, as `scenario_kernels` resolves them, to read them instead
-    of resolving them from ``dataset``.
+    ``kernels`` is the scenario's kernel set, as `scenario_kernels` resolves
+    it; by default the built-in dataset's. The fabric scale follows the
+    scenario's mode with their mean utilization; pass ``aggregates`` to
+    evaluate with calibrated area/energy instead of the kernels' ``aggregate``.
     """
     alphas = tuple(sorted(set(alphas)))
     if kernels is None:
-        kernels = scenario_kernels(spec, dataset)
+        kernels = scenario_kernels(spec)
     agg = aggregates if aggregates is not None else aggregate(kernels)
     scale = scale_factor(spec.n, spec.scale_mode, kernels=kernels)
     return SweepResult(

@@ -7,7 +7,7 @@ import math
 
 import pytest
 
-from fabcarbon import ScaleMode, SweepResult, builtin_case, builtin_dataset, evaluate_cdc_table, sweep_grid
+from fabcarbon import ScaleMode, SweepResult, builtin_case, evaluate_cdc_table, sweep_grid
 import fabcarbon.engine
 from fabcarbon.engine import GridCurves, float_steps, grid_curves
 from fabcarbon.report import (
@@ -197,7 +197,7 @@ class TestCurveTableMatchesReport:
     def test_scenario_curves_with_footnote(self):
         spec = dict(n=2, scale_mode=ScaleMode.average_utilization())
         curves = [
-            evaluate_cdc_table(builtin_case(case, **spec), [0.3, 0.5, 0.7, 0.9], dataset=builtin_dataset())
+            evaluate_cdc_table(builtin_case(case, **spec), [0.3, 0.5, 0.7, 0.9])
             for case in ("I", "II", "III")
         ]
         assert "\nnote: estimated inputs: " in curve_text(curves, "table")
