@@ -483,6 +483,13 @@ def _render_plot(result: RenderedReport | Curves, scenario_curves: bool) -> str:
     return grouped_bar_chart(groups, series, y_label="improvement (x)", x_label=label_col.header)
 
 
+def _same_file(a: str, b: str) -> bool:
+    """Whether paths `a` and `b` name one file: the same file when both exist, else the same absolute path."""
+    if os.path.exists(a) and os.path.exists(b):
+        return os.path.samefile(a, b)
+    return os.path.abspath(a) == os.path.abspath(b)
+
+
 def _write_file(path: str, write: Callable[[IO[str]], object]) -> None:
     """Call `write` on `path` opened for UTF-8 text, so that a failed write leaves no partial file.
 
@@ -520,14 +527,17 @@ def run(argv: Sequence[str], stdout: IO[str] | None = None, stderr: IO[str] | No
     try:
         with contextlib.redirect_stdout(out):  # where `-h` prints its help
             args = build_parser().parse_args(list(argv))
+        plot, data = getattr(args, "plot", None), getattr(args, "out", None)
+        if plot and data and _same_file(plot, data):  # the data would replace the chart
+            raise UsageError(f"--plot and --out name the same file: {plot!r}")
         result = _COMMANDS[args.command](args)
-        if getattr(args, "plot", None):
+        if plot:
             if not isinstance(result, RenderedReport):  # the chart reads every curve before the data is written
                 result = list(result[0]), result[1]
             chart = _render_plot(result, scenario_curves=args.command == "scenario")
-            _write_file(args.plot, lambda fh: fh.write(chart))
-        if getattr(args, "out", None):
-            _write_file(args.out, lambda fh: _render(result, args.format, fh))
+            _write_file(plot, lambda fh: fh.write(chart))
+        if data:
+            _write_file(data, lambda fh: _render(result, args.format, fh))
         else:
             _render(result, args.format, out)
         return EXIT_OK

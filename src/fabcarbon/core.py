@@ -51,25 +51,42 @@ class FrozenRecordError(AttributeError):
     """An assignment to, or a deletion of, an attribute of a frozen record."""
 
 
+class _Constructor:
+    """A record class's ``__init__`` until its first lookup. That lookup compiles
+    the function from one template, puts it on the class in this descriptor's
+    place and returns it as a function's lookup would: so a class whose
+    records an invocation never builds never pays for the compile."""
+
+    def __init__(self, cls: type[Record]) -> None:
+        self.cls = cls
+
+    def __get__(self, instance: object, owner: type | None = None) -> object:
+        cls = self.cls
+        fields = cls._fields
+        params = ", ".join(f"{f}=cls.{f}" if hasattr(cls, f) else f for f in fields)
+        body = "".join(f"; d[{f!r}] = {f}" for f in fields)
+        check = "; self.__post_init__()" if hasattr(cls, "__post_init__") else ""
+        exec(f"def __init__(self, {params}):\n    d = self.__dict__{body}{check}", namespace := {"cls": cls})
+        init = namespace["__init__"]
+        init.__qualname__ = f"{cls.__qualname__}.__init__"
+        cls.__init__ = init
+        return init.__get__(instance, owner)
+
+
 class Record:
     """A frozen record. Its fields are its base record's, if any, then its
     class's annotations, in order; a class attribute is that field's
     default. Unless the class defines its own, ``__init__`` is built from one
-    template when the class is created and ends with the class's
+    template on its first lookup (`_Constructor`) and ends with the class's
     ``__post_init__`` check, if it has one. Records compare and hash by
     field, only with records of their own class."""
 
     _fields: tuple[str, ...] = ()
 
     def __init_subclass__(cls) -> None:
-        cls._fields = fields = cls._fields + tuple(cls.__annotations__)
+        cls._fields = cls._fields + tuple(cls.__annotations__)
         if cls.__annotations__ and "__init__" not in vars(cls):
-            params = ", ".join(f"{f}=cls.{f}" if hasattr(cls, f) else f for f in fields)
-            body = "".join(f"; d[{f!r}] = {f}" for f in fields)
-            check = "; self.__post_init__()" if hasattr(cls, "__post_init__") else ""
-            exec(f"def __init__(self, {params}):\n    d = self.__dict__{body}{check}", namespace := {"cls": cls})
-            cls.__init__ = namespace["__init__"]
-            cls.__init__.__qualname__ = f"{cls.__qualname__}.__init__"
+            cls.__init__ = _Constructor(cls)
 
     def _values(self) -> tuple:
         return tuple([getattr(self, f) for f in self._fields])

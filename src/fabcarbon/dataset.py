@@ -9,9 +9,7 @@ before handing out typed objects.
 
 from __future__ import annotations
 
-import csv
 import io
-import json
 import os
 import re
 from collections.abc import Iterable, Iterator, Mapping
@@ -21,6 +19,9 @@ from operator import attrgetter, itemgetter
 
 from .core import KERNEL_BOUNDS, POSITIVE, KernelProfile, Record, number_text, numbers_within
 from .errors import DatasetValidationError, EmptyInput, InvalidFabric, InvalidKernel, ParseError
+
+# `csv` and `json` are imported by the functions that read or write them: a run
+# on the bundled set or a table sweep imports neither.
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:
@@ -241,6 +242,8 @@ _SLICE_ROWS = 4096
 
 def _csv_body(text: str) -> Iterator[list[str]]:
     """A csv reader past the header row, which must name `KERNEL_COLUMNS`."""
+    import csv
+
     # the lines, each with its "\n", that io.StringIO(text) gives, without its copy of the text
     reader = csv.reader(map(re.Match.group, re.finditer(r".*\n|.+", text)))
     header = next(reader, None)
@@ -255,24 +258,31 @@ def _csv_body(text: str) -> Iterator[list[str]]:
 
 
 def _csv_records(text: str) -> Iterator[dict[str, object]]:
-    reader = _csv_body(text)
-    for row in reader:
-        if not row or all(not cell.strip() for cell in row):
-            continue
-        if len(row) != len(_SCHEMA):
-            raise ParseError(f"expected {len(_SCHEMA)} fields, got {len(row)}", line=reader.line_num)
-        record = {}
-        for (column, parse, fault, _), cell in zip(_SCHEMA, row):
-            cell = cell.strip()
-            try:
-                record[column] = parse(cell)
-            except (ValueError, KeyError):
-                raise ParseError(f"{fault}: {cell!r}", line=reader.line_num, column=column) from None
-        yield record
+    import csv
+
+    try:
+        reader = _csv_body(text)
+        for row in reader:
+            if not row or all(not cell.strip() for cell in row):
+                continue
+            if len(row) != len(_SCHEMA):
+                raise ParseError(f"expected {len(_SCHEMA)} fields, got {len(row)}", line=reader.line_num)
+            record = {}
+            for (column, parse, fault, _), cell in zip(_SCHEMA, row):
+                cell = cell.strip()
+                try:
+                    record[column] = parse(cell)
+                except (ValueError, KeyError):
+                    raise ParseError(f"{fault}: {cell!r}", line=reader.line_num, column=column) from None
+            yield record
+    except csv.Error as exc:  # e.g. a field longer than the csv module's limit
+        raise ParseError(str(exc)) from None
 
 
 def _csv_columns(text: str) -> tuple[tuple, ...] | None:
     """Each field's column, or None when the header, a row or a cell would not parse."""
+    import csv
+
     columns: tuple[list, ...] = tuple([] for _ in _SCHEMA)
     try:
         reader = _csv_body(text)
@@ -295,6 +305,8 @@ _DOCUMENT_KEYS = ("version", "provenance", "fabric", "kernels")
 
 
 def _json_document(text: str) -> Mapping:
+    import json
+
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -381,16 +393,13 @@ def _record_kernels(records: Iterable) -> tuple[list[KernelProfile], list[str]]:
     """Build a `KernelProfile` from each record, collecting what each violates."""
     kernels = []
     violations = []
-    try:
-        for position, record in enumerate(records, 1):
-            try:
-                kernels.append(KernelProfile(**record))
-            except InvalidKernel as exc:
-                violations.append(str(exc))
-            except TypeError:  # only a JSON record can lack a column or carry another key
-                violations.append(f"kernel record {position}: {_record_fault(record)}")
-    except csv.Error as exc:  # e.g. a field longer than the csv module's limit
-        raise ParseError(str(exc)) from None
+    for position, record in enumerate(records, 1):
+        try:
+            kernels.append(KernelProfile(**record))
+        except InvalidKernel as exc:
+            violations.append(str(exc))
+        except TypeError:  # only a JSON record can lack a column or carry another key
+            violations.append(f"kernel record {position}: {_record_fault(record)}")
     if not kernels and not violations:
         raise EmptyInput("input document contains no records")
     return kernels, violations
@@ -449,6 +458,8 @@ def dump_dataset(ds: KernelDataset, format: str = "json") -> str:
     """Serialize a dataset; ``load_dataset`` reads the result back unchanged,
     except blanks around a name or domain, which the CSV loader drops."""
     if format == "csv":
+        import csv
+
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         # the writer quotes a cell holding the terminator "\n", but a "\r" needs quotes too
@@ -460,6 +471,8 @@ def dump_dataset(ds: KernelDataset, format: str = "json") -> str:
             (quoted if "\r" in name or "\r" in domain else writer).writerow(cells)
         return buf.getvalue()
     if format == "json":
+        import json
+
         doc = {
             "version": ds.version,
             "provenance": ds.provenance,

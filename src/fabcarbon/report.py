@@ -8,14 +8,15 @@ ever has to re-derive a number from its rounded form.
 
 from __future__ import annotations
 
-import csv
 import io
-import json
 from collections.abc import Iterable, Sequence
 from itertools import repeat
 
 from .core import Record, number_text
 from .engine import GridCurves, SweepResult
+
+# `csv` and `json` are imported by the functions that write them: a table
+# imports neither.
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:
@@ -120,6 +121,8 @@ def emit_table(report: RenderedReport, format: str = "table") -> str:
         notes = [f"note: {note}\n" for note in report.footnotes]
         return _table_head(headers, widths) + "".join(rows + notes)
     if format == "csv":
+        import csv
+
         exact = [i for i, c in enumerate(report.columns) if c.numeric]
         buf = io.StringIO()
         for note in report.footnotes:
@@ -130,6 +133,8 @@ def emit_table(report: RenderedReport, format: str = "table") -> str:
         writer.writerows(zip(*_display_columns(report), *exact_cells))
         return buf.getvalue()
     if format == "json":
+        import json
+
         keys = [c.key for c in report.columns]
         doc = {
             "title": "",  # no report has a title; the key stays for readers of the format
@@ -150,6 +155,8 @@ def emit_curve_csv(sweeps: Sequence[SweepResult]) -> str:
 
 def _csv_field(text: str) -> str:
     """`text` as the csv module writes it as one field of a longer row."""
+    import csv
+
     buf = io.StringIO()
     csv.writer(buf, lineterminator="\n").writerow((text, "-"))
     return buf.getvalue()[: -len(",-\n")]
@@ -283,6 +290,8 @@ def write_curves(
             return f"{sweep.label:>{label_w}}  ", f"  {n:>{n_w}}  {scale:>{scale_w}}\n"
 
     elif format == "json":
+        import json
+
         doc = {"title": "", "columns": headers, "records": [], "footnotes": list(footnotes)}
         empty = json.dumps(doc, indent=2) + "\n"
         # the text around the records is the document's own, cut at a null record: nothing before it reads null

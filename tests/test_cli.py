@@ -233,6 +233,26 @@ class TestOutputsAndPlots:
         root = ET.parse(target).getroot()
         assert [e.text for e in root.iter() if e.tag.endswith("text") and e.get("transform")] == [label]
 
+    @pytest.mark.parametrize("argv", [("sweep", "--alpha", "0.1:0.9:0.2"), ("scenario", "--alphas", "0.3,0.5")])
+    def test_plot_and_out_naming_one_file_is_refused_before_any_work(self, tmp_path, monkeypatch, argv):
+        """The data would replace the chart: any spelling of one file exits 2 and writes nothing."""
+        monkeypatch.chdir(tmp_path)
+        target = tmp_path / "same.svg"
+        for plot, out in [("same.svg", "same.svg"), ("same.svg", str(target)), ("./sub/../same.svg", "same.svg")]:
+            refused = f"usage error: --plot and --out name the same file: {plot!r}\n"
+            assert invoke(*argv, "--plot", plot, "--out", out) == (2, "", refused)
+        # refused before the dataset is read: a missing one would exit 1
+        assert invoke(*argv, "--plot", "same.svg", "--out", "same.svg", "--format", "csv")[0] == 2
+        if argv[0] == "scenario":
+            assert invoke(*argv, "--dataset", "missing.json", "--plot", "same.svg", "--out", "same.svg")[0] == 2
+        assert list(tmp_path.iterdir()) == []
+        target.write_text("kept")
+        (tmp_path / "link.svg").symlink_to(target)
+        assert invoke(*argv, "--plot", "link.svg", "--out", "same.svg")[0] == 2
+        assert target.read_text() == "kept"
+        assert invoke(*argv, "--plot", "chart.svg", "--out", "data.txt") == (0, "", "")
+        assert (tmp_path / "chart.svg").read_text().endswith("</svg>\n") and (tmp_path / "data.txt").read_text()
+
     def test_single_alpha_sweep_plot_is_one_path_at_the_left_axis(self, tmp_path):
         import xml.etree.ElementTree as ET
 
@@ -655,18 +675,25 @@ def test_import_loads_no_svg_or_xml():
 
 
 def test_import_loads_no_pathlib():
+    """The cold path: neither the CLI nor the package imports a module that no short call needs.
+
+    `json`, `csv` and `svg` are imported by the code that writes or reads
+    those formats, and `hashlib` by nothing on the import path.
+    """
     # -S skips `site`, whose .pth hooks may load pathlib before any import of ours
     env = dict(os.environ, PYTHONPATH=str(Path(fabcarbon.__file__).resolve().parents[1]))
     modules = (
         "pathlib", "statistics", "fractions", "decimal", "random",
         "dataclasses", "inspect", "ast", "dis", "tokenize", "typing",
+        "json", "csv", "_csv", "hashlib", "fabcarbon.svg",
     )
-    probe = f"import sys, fabcarbon.cli; print([m for m in {modules!r} if m in sys.modules])"
-    result = subprocess.run(
-        [sys.executable, "-S", "-c", probe], capture_output=True, text=True, env=env, timeout=60
-    )
-    assert result.returncode == 0
-    assert result.stdout == "[]\n"
+    for package in ("fabcarbon.cli", "fabcarbon"):
+        probe = f"import sys, {package}; print([m for m in {modules!r} if m in sys.modules])"
+        result = subprocess.run(
+            [sys.executable, "-S", "-c", probe], capture_output=True, text=True, env=env, timeout=60
+        )
+        assert result.returncode == 0, result.stderr
+        assert (package, result.stdout) == (package, "[]\n")
 
 
 @pytest.mark.parametrize(

@@ -25,7 +25,7 @@ from fabcarbon import (
     dump_dataset,
     load_dataset,
 )
-from fabcarbon.core import FrozenRecordError, Interval, Record
+from fabcarbon.core import FrozenRecordError, Interval, Record, _Constructor
 from fabcarbon.errors import (
     ConcurrencyExceedsPopulation,
     InvalidAggregates,
@@ -86,14 +86,19 @@ def _keywords(cls):
     return dict(inspect.signature(cls).bind(*SAMPLES[cls]).arguments)
 
 
-def test_every_record_type_is_sampled():
+def _fabcarbon_records() -> set[type]:
+    """Every `Record` subclass that a fabcarbon module defines."""
     found = set()
     pending = [Record]
     while pending:
         subclasses = pending.pop().__subclasses__()
         found.update(c for c in subclasses if c.__module__.startswith("fabcarbon."))
         pending.extend(subclasses)
-    assert found == set(SAMPLES)
+    return found
+
+
+def test_every_record_type_is_sampled():
+    assert _fabcarbon_records() == set(SAMPLES)
 
 
 @pytest.mark.parametrize("cls", TYPES, ids=lambda c: c.__name__)
@@ -193,3 +198,63 @@ def test_kernels_cache_on_a_frozen_dataset():
     assert ds == _loaded() and hash(ds) == hash(_loaded())  # the cache is no field
     with pytest.raises(FrozenRecordError):
         ds.kernels = ()
+
+
+# The record types whose class body writes its own `__init__`.
+OWN_CONSTRUCTOR = {KernelDataset}
+
+
+def _field_signature(cls) -> inspect.Signature:
+    """The constructor signature that `_fields` and the class attributes, as defaults, make."""
+    kind, empty = inspect.Parameter.POSITIONAL_OR_KEYWORD, inspect.Parameter.empty
+    return inspect.Signature([inspect.Parameter(f, kind, default=getattr(cls, f, empty)) for f in cls._fields])
+
+
+def _tagged(cls):
+    """A subclass of `cls` with one more field, `tag`, whose constructor no lookup has compiled yet."""
+    return type("Tagged", (cls,), {"__annotations__": {"tag": "str"}, "tag": "t"})
+
+
+@pytest.mark.parametrize("cls", sorted(_fabcarbon_records() - OWN_CONSTRUCTOR, key=lambda c: c.__name__), ids=lambda c: c.__name__)
+class TestRecordConstructors:
+    """A record's `__init__` is compiled on its first lookup, and is then the one the fields describe."""
+
+    def test_signature_is_the_fields_with_their_defaults(self, cls):
+        assert inspect.signature(cls) == _field_signature(cls)
+        assert cls.__init__.__qualname__ == f"{cls.__qualname__}.__init__"
+
+    def test_first_lookup_compiles_and_installs_the_constructor(self, cls):
+        tagged = _tagged(cls)
+        assert isinstance(vars(tagged)["__init__"], _Constructor)
+        assert inspect.signature(tagged) == _field_signature(tagged)
+        init = vars(tagged)["__init__"]
+        assert inspect.isfunction(init) and init.__qualname__ == "Tagged.__init__"
+        assert tagged.__init__ is init
+
+    def test_argument_errors_name_the_constructor_on_the_first_call(self, cls):
+        args = SAMPLES[cls]
+        first = cls._fields[0]
+        calls = [
+            (lambda tagged: tagged(), r"Tagged\.__init__\(\) missing \d+ required positional argument"),
+            (lambda tagged: tagged(*args, unknown=1), r"Tagged\.__init__\(\) got an unexpected keyword argument 'unknown'"),
+            (lambda tagged: tagged(*args, **{first: args[0]}), rf"Tagged\.__init__\(\) got multiple values for argument '{first}'"),
+            (lambda tagged: tagged(*args, "t", 1), r"Tagged\.__init__\(\) takes from \d+ to \d+ positional arguments but \d+ were given"),
+        ]
+        for call, message in calls:
+            tagged = _tagged(cls)  # each call is the constructor's first
+            with pytest.raises(TypeError, match=message):
+                call(tagged)
+
+    def test_a_subclass_without_annotations_builds_through_its_base(self, cls):
+        tagged = _tagged(cls)
+        bare = type("Bare", (tagged,), {})  # declares no fields: its base's constructor, compiled by this call
+        record = bare(*SAMPLES[cls])
+        assert "__init__" not in vars(bare) and bare._fields == tagged._fields == (*cls._fields, "tag")
+        assert record.tag == "t" and record._values()[:-1] == _make(cls)._values()
+        assert inspect.isfunction(vars(tagged)["__init__"]) and tagged(*SAMPLES[cls]) != record
+
+
+@pytest.mark.parametrize("cls,args,error", INVALID, ids=lambda v: getattr(v, "__name__", ""))
+def test_post_init_check_fires_on_a_fresh_constructor(cls, args, error):
+    with pytest.raises(error):
+        _tagged(cls)(*args)
