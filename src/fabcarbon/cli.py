@@ -58,11 +58,12 @@ if TYPE_CHECKING:
     Curves = tuple[Iterable[SweepResult], tuple[str, ...]]
 
 DATASET_ENV_VAR = "FABCARBON_DATASET"
-# Above this many points a sweep is refused before any is computed. All
-# three formats are written from one curve at a time, in slices of rows,
-# the table taking its column widths from the grid's axes and curve ends,
-# so memory grows with the longest curve, not with the grid. Time grows
-# with the point count in all three.
+# Above this many points a sweep is refused before any is computed. Every
+# grid streams: all three formats are written from one curve at a time, in
+# slices of rows, the table taking its column widths from the grid's axes
+# and curve ends, and a grid that `engine.grid_curves` cannot prove is
+# checked one curve at a time first. So memory grows with the longest
+# curve, not with the grid. Time grows with the point count in all three.
 MAX_SWEEP_POINTS = 2_000_000
 # `savings --n LO:HI` computes one row per n, about 25 us each on a 2-CPU
 # host, so the cap keeps one call near 2.5 s.
@@ -314,9 +315,10 @@ def _cmd_sweep(args: argparse.Namespace) -> Curves:
 def _cmd_scenario(args: argparse.Namespace) -> Curves:
     ds = _resolve_dataset(args.dataset)
     mode = ScaleMode.AVERAGE_UTILIZATION if args.util_mode == "avg" else ScaleMode.CONSERVATIVE
+    population = max(args.n, scen_mod.DEFAULT_DSA_POPULATION)  # the curve never reads it, so it must not refuse n
     sweeps = []
     for case in args.case:
-        spec = scen_mod.builtin_case(case, n=args.n, scale_mode=mode)
+        spec = scen_mod.builtin_case(case, n=args.n, scale_mode=mode, dsa_population=population)
         kernels = scen_mod.scenario_kernels(spec, ds)  # resolved once, for the fit and the curve
         agg = scen_mod.calibrated_aggregates(case, kernels=kernels) if args.calibrated else None
         sweeps.append(scen_mod.evaluate_cdc_table(spec, args.alphas, kernels=kernels, aggregates=agg))
@@ -334,7 +336,7 @@ def _cmd_savings(args: argparse.Namespace) -> RenderedReport:
     records = []
     for n in range(n_lo, n_hi + 1):
         spec = scen_mod.builtin_case("I", n=n, alpha=args.alpha, dsa_population=args.dsas)
-        result = scen_mod.savings_factor(spec, dataset=ds, aggregates=agg)
+        result = scen_mod.savings_factor(spec, aggregates=agg)
         records.append(
             (result.n, result.scale_avg_util, result.improvement_avg_util, result.improvement_conservative)
         )
@@ -363,7 +365,7 @@ def _cmd_hybrid(args: argparse.Namespace) -> RenderedReport:
     # both cover the full kernel list, so one aggregate serves both
     agg = _case_i_aggregates(ds, args.calibrated)
     improvement = scen_mod.hybrid_retained_savings(spec, retained, dataset=ds, aggregates=agg)
-    baseline = scen_mod.savings_factor(spec, dataset=ds, aggregates=agg)
+    baseline = scen_mod.savings_factor(spec, aggregates=agg)
     return RenderedReport(
         columns=(
             Column("retained", "retained"),

@@ -85,7 +85,7 @@ class SweepResult(Record):
 
     @classmethod
     def _cleared(cls, label: str, parameters: tuple[float, ...], values: tuple[float, ...], n: int, scale: float) -> SweepResult:
-        """A curve of a grid that `_grid_cleared` proves, whose every field passes the checks."""
+        """A curve of a grid whose curves pass the checks: every field is one they admit."""
         curve = cls.__new__(cls)
         curve.__dict__.update(label=label, parameters=parameters, values=values, n=n, scale=scale, estimated_kernels=())
         return curve
@@ -104,23 +104,21 @@ def cdc_curve(
 ) -> list[float]:
     """Break-even DSA population at each alpha_e2o, other parameters fixed.
 
-    This is the one evaluator of the closed form. ``scale`` is the fabric
-    scaling factor n'. Each value is a real number; a population strictly
-    above it makes the fabric the greener option. Raises ``DegenerateModel``
-    when no finite population is large enough: the fabric's operational
-    deficit alone outweighs its budget, or the threshold overflows.
+    ``scale`` is the fabric scaling factor n'. Each value is a real number;
+    a population strictly above it makes the fabric the greener option.
+    Raises ``DegenerateModel`` when no finite population is large enough:
+    the fabric's operational deficit alone outweighs its budget, or the
+    threshold overflows.
 
-    A column that `_grid_cleared` proves is evaluated bare; any other runs
-    point by point, which raises the first fault.
+    Every value comes from `_closed_form`, the one evaluator of the closed
+    form. The point loop before it only names a fault: it raises the first
+    one in alpha order and keeps nothing.
     """
     require_concurrency(n)
     require_scale(scale)
     if not alphas:
         raise InvalidRange("no alpha values supplied")
     area, energy = agg.area, agg.energy
-    if _grid_cleared(alphas, (area,), (energy,), n, scale):
-        return _closed_form(alphas, area, energy, n, scale)
-    values = []
     for alpha in alphas:
         if alpha not in UNIT:  # any type that compares inside; require_alpha raises the typed error
             require_alpha(alpha)
@@ -131,15 +129,13 @@ def cdc_curve(
                 f"{(1.0 - alpha) * n * energy:.6g} >= fabric budget {scale:.6g}"
             )
         denominator = alpha * area
-        value = numerator / denominator if denominator else math.inf
-        if value == math.inf:
+        if not denominator or numerator / denominator == math.inf:
             raise DegenerateModel(f"threshold is not finite at alpha_e2o = {alpha!r}")
-        values.append(value)
-    return values
+    return _closed_form(alphas, area, energy, n, scale)
 
 
 def _closed_form(alphas: Sequence[float], area: float, energy: float, n: int, scale: float) -> list[float]:
-    """The closed form at each alpha, unchecked: only for a column `_grid_cleared` proves."""
+    """The closed form at each alpha, unchecked: the one evaluator, for a column whose checks pass."""
     nf = float(n)  # exact up to 2**53, as in `float * int`; float products are faster
     return [(scale - (1.0 - alpha) * nf * energy) / (alpha * area) for alpha in alphas]
 
@@ -235,11 +231,13 @@ def _grid_label(area: float, energy: float) -> str:
 
 
 class GridCurves:
-    """The curves of a grid that `_grid_cleared` proves, each evaluated as it is drawn.
+    """The curves of a grid whose curves pass the checks, each evaluated as it is drawn.
 
-    An iterator of `SweepResult` in grid order. Every curve shares
-    `parameters`, `n` and `scale`; `peaks` reads what a table's column
-    widths need of the curves not yet drawn without evaluating one column.
+    An iterator of `SweepResult` in grid order that checks nothing: the
+    checks (`cdc_curve`'s and `SweepResult`'s) ran in `grid_curves`. Every
+    curve shares `parameters`, `n` and `scale`; `peaks` reads what a
+    table's column widths need of the curves not yet drawn without
+    evaluating one column.
     """
 
     def __init__(self, parameters: tuple[float, ...], areas: tuple, energies: tuple, n: int, scale: float) -> None:
@@ -264,9 +262,12 @@ class GridCurves:
         of the curve; `values()` evaluates the whole curve. Every value of the
         curve that prints wider than 0.00 is at most `high`, for this reason.
 
-        Let c(a) = (scale - P(a)) / (a * A), with P(a) = (1 - a) * nf * E, be
-        the closed form in exact arithmetic and v(a) its float value as
-        `_closed_form` computes it; let lo and hi be the end alphas, M =
+        The premise is a grid whose curves pass the checks: alphas strictly
+        increasing in (0, 1], finite positive float values (a number of
+        another real type acts as its float). Let c(a) = (scale - P(a)) /
+        (a * A), with P(a) = (1 - a) * nf * E, be the closed form in exact
+        arithmetic and v(a) its float value as `_closed_form` computes it;
+        let lo and hi be the end alphas, M =
         max(v(lo), v(hi)), K = nf * E / (lo * A) and u = 2**-53. As c(a) =
         (scale - nf * E) / (a * A) + nf * E / A is monotone in a, every c(a)
         is at most C = max(c(lo), c(hi)).
@@ -306,29 +307,26 @@ def grid_curves(
     areas: Sequence[float],
     energies: Sequence[float],
     n: int = 1,
-) -> Iterator[SweepResult]:
+) -> GridCurves:
     """One alpha curve per (area, energy) pair of the Cartesian grid, at n' = n, in grid order.
 
-    Every fault is raised by this call, never by the iterator it returns.
-    When `_grid_cleared` proves that no curve can fault, the iterator is a
-    `GridCurves`, which evaluates each curve bare as it is drawn, so a
-    caller that drops each curve holds one at a time. Otherwise the whole
-    grid is computed here through the checked types, and its first fault
-    in grid order is raised.
+    Every grid is streamed: the iterator is a `GridCurves`, which evaluates
+    each curve by `_closed_form` as it is drawn, so a caller that drops each
+    curve holds one at a time. Every fault is raised by this call, never by
+    that iterator. When `_grid_cleared` proves that no curve can fault, no
+    curve is evaluated here. Otherwise each curve is first run through the
+    checked types in grid order and dropped, which raises the first fault.
     """
     if not areas or not energies:
         raise InvalidRange("grid axes must be non-empty")
     scale = scale_factor(n, ScaleMode.CONSERVATIVE)
     alphas = tuple(alphas)  # one parameters column, shared by every curve
     areas, energies = tuple(areas), tuple(energies)  # the axes the proof read
-    if _grid_cleared(alphas, areas, energies, n, scale):
-        return GridCurves(alphas, areas, energies, n, scale)
-    curves = []
-    for area in areas:
-        for energy in energies:
+    if not _grid_cleared(alphas, areas, energies, n, scale):
+        for area, energy in product(areas, energies):  # each curve checked, then dropped
             values = cdc_curve(alphas, AggregateRatios(area, energy, 1.0, 1), n, scale)
-            curves.append(SweepResult(_grid_label(area, energy), alphas, tuple(values), n, scale))
-    return iter(curves)
+            SweepResult(_grid_label(area, energy), alphas, tuple(values), n, scale)
+    return GridCurves(alphas, areas, energies, n, scale)
 
 
 def sweep_grid(

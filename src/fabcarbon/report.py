@@ -102,14 +102,6 @@ def _table_head(headers: Sequence[str], widths: Sequence[int]) -> str:
     return f"{head}\n" + "  ".join("-" * w for w in widths) + "\n"
 
 
-def _raw_cell(value: object) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def emit_table(report: RenderedReport, format: str = "table") -> str:
     """Render a report; identical input yields byte-identical output."""
     headers = [c.header for c in report.columns]
@@ -129,7 +121,7 @@ def emit_table(report: RenderedReport, format: str = "table") -> str:
             buf.write(f"# {note}\n")
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(headers + [f"{headers[i]}_exact" for i in exact])
-        exact_cells = [[_raw_cell(r[i]) for r in report.records] for i in exact]
+        exact_cells = [["" if r[i] is None else number_text(r[i]) for r in report.records] for i in exact]
         writer.writerows(zip(*_display_columns(report), *exact_cells))
         return buf.getvalue()
     if format == "json":

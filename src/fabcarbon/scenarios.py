@@ -167,20 +167,16 @@ def evaluate_cdc_table(
     )
 
 
-def savings_factor(
-    spec: ScenarioSpec,
-    dataset: KernelDataset | None = None,
-    aggregates: AggregateRatios | None = None,
-) -> SavingsResult:
+def savings_factor(spec: ScenarioSpec, aggregates: AggregateRatios | None = None) -> SavingsResult:
     """Footprint improvement of one fabric over the full DSA population.
 
     Computed twice: against a conservatively scaled fabric (n' = n) and
     against one scaled by the aggregate mean utilization (n' = n * u,
     clamped to 1). The utilization travels with the aggregates, so the
-    calibrated triple carries its own reverse-fitted value; when
-    ``aggregates`` is given, the kernels are not read at all.
+    calibrated triple carries its own reverse-fitted value. By default the
+    aggregates are those of the scenario's kernels in the built-in dataset.
     """
-    agg = aggregates if aggregates is not None else aggregate(scenario_kernels(spec, dataset))
+    agg = aggregates if aggregates is not None else aggregate(scenario_kernels(spec))
     dsa = dsa_footprint(spec.dsa_population, spec.n, spec.weights, agg)
     improvement_cons = dsa / fabric_footprint(float(spec.n))
     if spec.n == 1:

@@ -22,7 +22,7 @@ from fabcarbon import (
 )
 import fabcarbon.engine
 from fabcarbon.core import require_alpha, require_concurrency, require_scale
-from fabcarbon.engine import float_steps, grid_curves
+from fabcarbon.engine import GridCurves, float_steps, grid_curves
 from fabcarbon.errors import (
     AlphaPole,
     DegenerateModel,
@@ -278,10 +278,11 @@ class TestGridCurves:
             ([0.3, 0.6], [Fraction(1, 3)], [0.35]),  # a valid area of another type
         ],
     )
-    def test_an_uncleared_grid_is_computed_whole(self, alphas, areas, energies):
-        assert outcome(lambda *a: [v for c in grid_curves(*a) for v in c.values], alphas, areas, energies) == outcome(
-            lambda *a: [v for c in eager_sweep_grid(*a) for v in c.values], alphas, areas, energies
-        )
+    def test_an_uncleared_grid_streams_after_its_checks(self, alphas, areas, energies):
+        expected = outcome(lambda *a: [v for c in eager_sweep_grid(*a) for v in c.values], alphas, areas, energies)
+        assert outcome(lambda *a: [v for c in grid_curves(*a) for v in c.values], alphas, areas, energies) == expected
+        if isinstance(expected, list):  # checked whole, then evaluated as it is drawn
+            assert isinstance(grid_curves(alphas, areas, energies), GridCurves)
 
     @pytest.mark.parametrize(
         "alphas,area,energy,n",

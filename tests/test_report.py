@@ -78,6 +78,15 @@ class TestLosslessPayloads:
         assert float(parsed["savings_exact"]) == 6.115131769040444
         assert float(parsed["n_prime_exact"]) == 1.28
 
+    def test_csv_exact_cells_write_a_float_subclass_as_a_plain_number(self):
+        class F(float):
+            def __repr__(self):
+                return f"F({float(self)!r})"
+
+        report = RenderedReport((Column("cdc", "cdc", "ratio"), Column("n_prime", "scale", "scale")), ((F(0.3), None),))
+        assert emit_table(report, "csv") == "cdc,n_prime,cdc_exact,n_prime_exact\n0.30,-,0.3,\n"
+        assert json.loads(emit_table(report, "json"))["records"] == [{"cdc": 0.3, "scale": None}]
+
     def test_json_records_carry_full_precision(self, sample_report):
         doc = json.loads(emit_table(sample_report, "json"))
         assert doc["records"][0]["savings"] == 6.115131769040444
@@ -212,7 +221,7 @@ class TestCurveTableMatchesReport:
 
 
 def assert_streamed_grid_table(alphas, areas, energies, n=1):
-    """A cleared grid's table, streamed from `grid_curves`, is `emit_table` of its curves held."""
+    """A grid's table, streamed from `grid_curves`, is `emit_table` of its curves held."""
     grid = grid_curves(alphas, areas, energies, n)
     assert isinstance(grid, GridCurves)
     buf = io.StringIO()
@@ -231,7 +240,7 @@ def first_wider_float(target):
 
 
 class TestStreamedGridTable:
-    """A cleared grid's table takes its widths from the axes and curve ends, and equals the held one."""
+    """A grid's table takes its widths from the axes and curve ends, and equals the held one."""
 
     @pytest.mark.parametrize("target", [9.995, 99.995, 999.995])
     @pytest.mark.parametrize(
