@@ -1,9 +1,12 @@
 from __future__ import annotations
 
+import csv
 import io
 import json
 import math
 import re
+import sys
+from itertools import islice
 from unittest import mock
 
 import pytest
@@ -403,6 +406,146 @@ def test_column_path_matches_per_record_path(document):
         assert str(got) == str(expected)
         for attribute in ("violations", "line", "column"):
             assert getattr(got, attribute, None) == getattr(expected, attribute, None)
+
+
+def csv_reader_columns(text):
+    """Oracle: each field's column as `csv.reader` reads the document a slice of
+    rows at a time, or None when the header, a row or a cell would not parse."""
+    reader = csv.reader(map(re.Match.group, re.finditer(r".*\n|.+", text)))
+    columns = tuple([] for _ in KERNEL_COLUMNS)
+    try:
+        header = next(reader, None)
+        if header is None or [h.strip() for h in header] != list(KERNEL_COLUMNS):
+            return None
+        while rows := list(islice(reader, 4096)):
+            if set(map(len, rows)) != {len(KERNEL_COLUMNS)}:
+                return None
+            for column, (_, parse, _, _), cells in zip(columns, fabcarbon.dataset._SCHEMA, zip(*rows)):
+                if parse is fabcarbon.dataset._number:
+                    if not fabcarbon.dataset._plain_text("".join(cells)):
+                        return None
+                    parse = float
+                column.extend(map(parse, cells))
+    except (csv.Error, ValueError, KeyError):
+        return None
+    return tuple(map(tuple, columns))
+
+
+def _refused(text):
+    """Whether the document holds a feature the split reader leaves to the per-record path."""
+    return (
+        '"' in text
+        or "\0" in text
+        or text.count("\r") != text.count("\r\n")
+        or max(map(len, text.split("\n"))) > csv.field_size_limit()
+    )
+
+
+# Cells drawn around the characters that `str.split` and `str.splitlines`
+# treat apart; the characters that `csv.reader` treats apart are put in at
+# one place of half the documents.
+_CELL = st.text(alphabet=st.sampled_from("ab1.e _\t\x0b\x0c\x1c\x85\u2028\ufeff"), max_size=4)
+_NUMBER = st.one_of(
+    st.floats().map(repr),
+    st.sampled_from(("0.5", " 0.25 ", "1", "1e400", "nan", "-1", "0", "3e2") * 2 + ("0.3_5", "\uff11", "\x1c1", "x")),
+)
+_ROW = st.one_of(  # seven fields in five rows of six
+    *[st.tuples(_CELL, _CELL, _NUMBER, _NUMBER, _NUMBER, _NUMBER, st.sampled_from(("0", "1", " 1 ", "0", "1", "2")))] * 5,
+    st.lists(_CELL, max_size=8),
+).map(",".join)
+
+
+def _document(header, rows, end, last, insert, share):
+    text = end.join((header, *rows)) + last
+    position = round(share * len(text))
+    return text[:position] + insert + text[position:]
+
+
+CSV_TEXTS = st.builds(
+    _document,
+    st.sampled_from((",".join(KERNEL_COLUMNS),) * 6 + (" name ,domain,area_norm,energy_norm,utilization,memory_kb, estimated", "name,domain")),
+    st.lists(_ROW, max_size=3),
+    st.sampled_from(("\n", "\r\n")),
+    st.sampled_from(("", "\n", "\r\n", "\n", "\r\n", "\n\n")),
+    st.sampled_from(("",) * 7 + (",", "\n", "\r", "\r\n", "\0", '"', '"a,b"')),
+    st.floats(min_value=0.0, max_value=1.0),
+)
+_CLEAN = CSV_HEADER + ROW + ROW.replace("X", "Y")
+
+
+def _column_reprs(columns):
+    return None if columns is None else [[(type(v), repr(v)) for v in column] for column in columns]
+
+
+@settings(deadline=None)
+@given(text=CSV_TEXTS)
+@example(text=_CLEAN.replace("\n", "\r\n").removesuffix("\r\n"))  # CRLF, no final newline
+@example(text=dump_dataset(KernelDataset([KernelProfile("a,b", "d", 0.3, 0.3, 0.5, 10.0)], builtin_dataset().fabric), "csv"))
+@example(text=CSV_HEADER + '"X",d,0.3,0.3,0.5,10,0\n')  # a quoted name
+@example(text=_CLEAN.replace("X,d", "X\r,d"))  # a bare CR mid-line
+@example(text=_CLEAN + "\r")  # and at the end of the text
+@example(text=_CLEAN.replace("X,d", "X\0,d"))  # a csv.Error on 3.10, a field on 3.11+
+@example(text=_CLEAN.replace("X,d", "X" * 131_073 + ",d"))  # over the csv module's field limit
+@example(text=_CLEAN.replace("Y,d", "Y" * 131_073 + ",d").removesuffix("\n"))  # and in the last line
+@example(text=_CLEAN.replace("X,d", "X\u2028\x85\x0b\x1cZ,d"))  # `str.splitlines` would cut here
+@example(text=CSV_HEADER + "X,d,1,1,1,1,0,Y\nd,1,1,1,1,0\n")  # 8 then 6 fields, 12 commas in all
+@example(text=" name , domain ,area_norm,energy_norm,utilization,memory_kb, estimated \n" + ROW)
+@example(text=_CLEAN + "\n")  # a trailing blank line
+@example(text=CSV_HEADER)
+@example(text="")
+def test_csv_columns_match_the_csv_reader_oracle(text):
+    got, expected = fabcarbon.dataset._csv_columns(text), csv_reader_columns(text)
+    if got is not None:
+        assert _column_reprs(got) == _column_reprs(expected)
+    elif expected is not None:
+        assert _refused(text)
+
+
+@pytest.mark.parametrize("limit", [sys.maxsize, 12])
+def test_csv_columns_under_another_field_limit(limit):
+    # 12 admits every cell, but not every line: the split reader refuses what `csv.reader` reads
+    text = CSV_HEADER + ROW
+    saved = csv.field_size_limit(limit)
+    try:
+        got, expected = fabcarbon.dataset._csv_columns(text), csv_reader_columns(text)
+    finally:
+        csv.field_size_limit(saved)
+    assert expected is not None
+    assert got == (expected if limit == sys.maxsize else None)
+
+
+def _clean_csv(rows):
+    return CSV_HEADER + "".join(f"K{i},d{i % 3},0.{i % 9 + 1},0.3,0.5,{i % 200},{i % 2}\n" for i in range(rows))
+
+
+@pytest.mark.parametrize(
+    "text",
+    [_clean_csv(10_000), _clean_csv(10_000).replace("\n", "\r\n"), dump_dataset(builtin_dataset(), "csv")],
+    ids=["clean-10k", "crlf-10k", "dump-dataset"],
+)
+def test_clean_csv_takes_the_column_path(text):
+    # a silent fall-back to the per-record path would read every row a second time
+    with mock.patch.object(fabcarbon.dataset, "_record_kernels", side_effect=AssertionError("per-record path")):
+        loaded = load_dataset(io.StringIO(text), "csv")
+    assert len(loaded) == text.count("\n") - 1
+
+
+class TestByteOrderMark:
+    """One leading UTF-8 byte-order mark, as spreadsheet "CSV UTF-8" exports write, is dropped."""
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_one_leading_mark_loads_like_none(self, dataset, fmt):
+        text = dump_dataset(dataset, fmt)
+        expected = load_dataset(io.StringIO(text), fmt)
+        assert load_dataset(io.BytesIO(b"\xef\xbb\xbf" + text.encode("utf-8")), fmt) == expected
+        assert load_dataset(io.StringIO("\ufeff" + text), fmt) == expected
+
+    def test_a_second_mark_is_refused(self, dataset):
+        text = "\ufeff\ufeff" + dump_dataset(dataset, "csv")
+        with pytest.raises(ParseError, match="expected header"):
+            load_dataset(io.BytesIO(text.encode("utf-8")), "csv")
+        with pytest.raises(ParseError, match="invalid JSON"):
+            load_dataset(io.StringIO("\ufeff\ufeff" + dump_dataset(dataset, "json")), "json")
 
 
 class TestKernelSubsets:

@@ -4,6 +4,8 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from fabcarbon import (
     AggregateRatios,
@@ -442,6 +444,37 @@ class TestColumnEvaluation:
         expected = outcome(point_by_point_cdc_curve, alphas, _agg(0.35, 0.35), 1, 1.0)
         assert expected[0] is TypeError
         assert outcome(cdc_curve, alphas, _agg(0.35, 0.35), 1, 1.0) == expected
+
+
+# Valid alphas, and in half of the columns one more around the domain's ends and
+# the values' faults: outside (0, 1], NaN, a huge int, a bool, an int, a float
+# subclass, or a tiny alpha whose value overflows.
+_BAD_ALPHA = st.one_of(
+    st.floats(), st.floats(min_value=-1.0, max_value=2.0), st.sampled_from((0, 1, True, 10**400, 5e-324, FloatSubclass(0.5)))
+)
+_ALPHAS = st.builds(
+    lambda alphas, bad, position: alphas if bad is None else [*alphas[:position], bad, *alphas[position:]],
+    st.lists(st.floats(min_value=0.0, max_value=1.0, exclude_min=True), min_size=1, max_size=4),
+    st.one_of(st.none(), _BAD_ALPHA),
+    st.integers(min_value=0, max_value=4),
+)
+_RATIO = st.floats(min_value=5e-324, max_value=1e308)
+
+
+@settings(deadline=None)
+@given(
+    alphas=_ALPHAS,
+    area=st.one_of(_RATIO, st.floats(min_value=0.01, max_value=1.0)),
+    energy=st.one_of(_RATIO, st.floats(min_value=0.01, max_value=1.0)),
+    n=st.one_of(st.integers(min_value=1, max_value=16), st.integers(min_value=1, max_value=2**53)),
+    scale=st.one_of(st.floats(min_value=16.0, max_value=64.0), st.floats(min_value=1.0, max_value=1e308)),
+)
+@example(alphas=[0.5, 0.7], area=1.5e308, energy=1.9999999999999998, n=1, scale=1.0)  # a value underflows to 0
+@example(alphas=[0.3, 0.6], area=0.3, energy=0.3, n=2**53, scale=2.0**53)
+@example(alphas=[0.5, 1.5], area=0.3, energy=0.3, n=1, scale=16.0)  # a positive value outside the domain
+def test_cdc_curve_returns_the_oracles_values_or_raises_its_error(alphas, area, energy, n, scale):
+    agg = _agg(area, energy)
+    assert outcome(cdc_curve, alphas, agg, n, scale) == outcome(point_by_point_cdc_curve, alphas, agg, n, scale)
 
 
 class TestSweepResultColumns:
