@@ -14,7 +14,7 @@ import os
 import re
 from collections.abc import Iterable, Iterator, Mapping
 from functools import cached_property
-from itertools import compress, repeat
+from itertools import compress, islice, repeat
 from operator import attrgetter, itemgetter
 
 from .core import KERNEL_BOUNDS, POSITIVE, KernelProfile, Record, number_text, numbers_within
@@ -237,22 +237,28 @@ def _read_text(source: str | os.PathLike | IO) -> str:
     return data.removeprefix("\ufeff")
 
 
+def _csv_body(text: str) -> Iterator[list[str]]:
+    """A csv reader past the header row, which must name `KERNEL_COLUMNS`."""
+    import csv
+
+    # the lines, each with its "\n", that io.StringIO(text) gives, without its copy of the text
+    reader = csv.reader(map(re.Match.group, re.finditer(r".*\n|.+", text)))
+    header = next(reader, None)
+    if header is None:
+        raise EmptyInput("input document is empty")
+    header = [h.strip() for h in header]
+    if header != list(KERNEL_COLUMNS):
+        raise ParseError(
+            f"expected header {','.join(KERNEL_COLUMNS)!r}, got {','.join(header)!r}", line=1
+        )
+    return reader
+
+
 def _csv_records(text: str) -> Iterator[dict[str, object]]:
-    """One record per row past the header row, which must name `KERNEL_COLUMNS`;
-    a blank row is skipped, any other fault raises with its line and column."""
     import csv
 
     try:
-        # the lines, each with its "\n", that io.StringIO(text) gives, without its copy of the text
-        reader = csv.reader(map(re.Match.group, re.finditer(r".*\n|.+", text)))
-        header = next(reader, None)
-        if header is None:
-            raise EmptyInput("input document is empty")
-        header = [h.strip() for h in header]
-        if header != list(KERNEL_COLUMNS):
-            raise ParseError(
-                f"expected header {','.join(KERNEL_COLUMNS)!r}, got {','.join(header)!r}", line=1
-            )
+        reader = _csv_body(text)
         for row in reader:
             if not row or all(not cell.strip() for cell in row):
                 continue
@@ -270,37 +276,37 @@ def _csv_records(text: str) -> Iterator[dict[str, object]]:
         raise ParseError(str(exc)) from None
 
 
-# CSV lines split into columns at a time: each slice's cells are freed before
-# the next slice is read. Validating a 100k-kernel file, 4096-line slices
-# peaked at 65.2 MB of RSS against 64.0 MB for 512-line ones, and were no faster.
+# CSV lines read into columns a slice at a time: each slice's cells are freed
+# before the next slice is read. On a 100k-kernel file, 4096-line slices of the
+# split reader peaked at 65.2 MB of RSS against 64.0 MB for 512-line ones and
+# were no faster, and `csv.reader` took 0.29 s against 0.19 s.
 _SLICE_ROWS = 512
 
 
 def _csv_columns(text: str) -> tuple[tuple, ...] | None:
-    """Each field's column, or None when the document is not one this reader
-    takes or its header, a row or a cell would not parse.
+    """Each field's column, or None when the header, a row or a cell would not parse.
 
-    It takes a document in which `csv.reader` would only cut each line at its
-    commas: one with no `"`, no NUL, no CR outside a CRLF pair and no line
-    longer than `csv.field_size_limit()`. A slice of lines at a time is split
-    into cells at "," and "\n", and each line must give exactly seven; all of
-    it in C. Any other document, a blank row among them, gives None, and the
-    per-record path, which reads it with `csv.reader`, reports its faults.
+    A document in which `csv.reader` would only cut each line at its commas,
+    one with no `"`, no NUL, no CR outside a CRLF pair and no line longer
+    than `csv.field_size_limit()`, is split into cells at "," and "\n" a
+    slice of lines at a time, all of it in C, and each line must give
+    exactly seven. Any other document is read by `_csv_reader_columns`.
+    Both give the columns, or None, that `csv.reader` gives.
     """
     import csv
 
     if '"' in text or "\0" in text or text.count("\r") != text.count("\r\n"):
-        return None
+        return _csv_reader_columns(text)
     crlf = "\r" in text
-    bound = min(csv.field_size_limit(), 2**31 - 1)  # a regex repeat count has a cap; a lower bound only refuses more
+    bound = min(csv.field_size_limit(), 2**31 - 1)  # a regex repeat count has a cap
     width = len(_SCHEMA)
     columns: tuple[list, ...] = tuple([] for _ in _SCHEMA)
     header = None
     # up to _SLICE_ROWS lines of at most `bound` characters, each with its "\n"
     for chunk in map(re.Match.group, re.finditer(r"(?:.{0,%d}\n){1,%d}|.+" % (bound, _SLICE_ROWS), text)):
         if chunk[-1] != "\n":  # the last line, which has no "\n", or a longer line
-            if len(chunk) > bound:
-                return None
+            if len(chunk) > bound:  # whose cells `csv.reader` may still read
+                return _csv_reader_columns(text)
             chunk += "\n"
         if crlf:
             chunk = chunk.replace("\r\n", "\n")
@@ -328,6 +334,28 @@ def _csv_columns(text: str) -> tuple[tuple, ...] | None:
         except (ValueError, KeyError):
             return None
     if header is None:  # an empty document
+        return None
+    return tuple(map(tuple, columns))
+
+
+def _csv_reader_columns(text: str) -> tuple[tuple, ...] | None:
+    """`_csv_columns` for any document, a quoted one among them: `csv.reader`
+    reads a slice of rows at a time, and the slice is cut into columns."""
+    import csv
+
+    columns: tuple[list, ...] = tuple([] for _ in _SCHEMA)
+    try:
+        reader = _csv_body(text)
+        while rows := list(islice(reader, _SLICE_ROWS)):
+            if set(map(len, rows)) != {len(_SCHEMA)}:  # a blank row or a wrong field count
+                return None
+            for column, (_, parse, _, _), cells in zip(columns, _SCHEMA, zip(*rows)):
+                if parse is _number:  # one guard for the slice, then `float` on each cell in C
+                    if not _plain_text("".join(cells)):
+                        return None
+                    parse = float
+                column.extend(map(parse, cells))
+    except (csv.Error, ValueError, KeyError):  # ParseError and EmptyInput are ValueErrors
         return None
     return tuple(map(tuple, columns))
 
@@ -453,14 +481,14 @@ def load_dataset(
     One leading UTF-8 byte-order mark is dropped. Each field is read into
     one column, and each column is checked whole against the checks
     `KernelProfile` makes, so no `KernelProfile` is built until the
-    dataset's ``kernels`` are read. A CSV document is split at newlines and
-    commas a slice of lines at a time, when it holds no `"`, no NUL, no CR
-    outside a CRLF pair and no line over the csv module's field limit.
-    When the CSV document is not of that kind, a column fails its check,
-    or a row or record is malformed, the document is read again record by
-    record (CSV through `csv.reader`), building each `KernelProfile`, and
-    every violation is reported with the message, line and column that
-    record's own checks give.
+    dataset's ``kernels`` are read. A CSV document is read a slice of lines
+    at a time: split at newlines and commas when it holds no `"`, no NUL,
+    no CR outside a CRLF pair and no line over the csv module's field
+    limit, and through `csv.reader` otherwise. When a column fails its
+    check, or a row or record is malformed, the document is read again
+    record by record, building each `KernelProfile`, and every violation
+    is reported with the message, line and column that record's own checks
+    give.
     """
     text = _read_text(source)
     if format == "csv":

@@ -111,23 +111,14 @@ def cdc_curve(
     threshold overflows.
 
     Every value comes from `_closed_form`, the one evaluator of the closed
-    form, which evaluates the column once. When the alphas and the values are
-    floats in their domains, tested in C, the values stand. Otherwise the
-    point loop names a fault: it raises the first one in alpha order and
-    keeps nothing.
+    form. The point loop before it only names a fault: it raises the first
+    one in alpha order and keeps nothing.
     """
     require_concurrency(n)
     require_scale(scale)
     if not alphas:
         raise InvalidRange("no alpha values supplied")
     area, energy = agg.area, agg.energy
-    try:
-        values = _closed_form(alphas, area, energy, n, scale)
-    except (ArithmeticError, TypeError):  # the loop below names the fault
-        values = None
-    else:
-        if numbers_within(alphas, UNIT, {float}) and numbers_within(values, POSITIVE, {float}):
-            return values
     for alpha in alphas:
         if alpha not in UNIT:  # any type that compares inside; require_alpha raises the typed error
             require_alpha(alpha)
@@ -140,7 +131,7 @@ def cdc_curve(
         denominator = alpha * area
         if not denominator or numerator / denominator == math.inf:
             raise DegenerateModel(f"threshold is not finite at alpha_e2o = {alpha!r}")
-    return values if values is not None else _closed_form(alphas, area, energy, n, scale)
+    return _closed_form(alphas, area, energy, n, scale)
 
 
 def _closed_form(alphas: Sequence[float], area: float, energy: float, n: int, scale: float) -> list[float]:

@@ -1,13 +1,9 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import settings
 
 from fabcarbon import AggregateRatios, FootprintWeights, builtin_dataset
 from fabcarbon.scenarios import calibrated_aggregates
-
-# `--hypothesis-profile=ci` runs each property on 1000 examples, as CI does for the loader parity properties.
-settings.register_profile("ci", max_examples=1000)
 
 
 @pytest.fixture(scope="session")
