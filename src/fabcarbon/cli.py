@@ -317,7 +317,10 @@ def _cmd_scenario(args: argparse.Namespace) -> Curves:
     mode = ScaleMode.AVERAGE_UTILIZATION if args.util_mode == "avg" else ScaleMode.CONSERVATIVE
     population = max(args.n, scen_mod.DEFAULT_DSA_POPULATION)  # the curve never reads it, so it must not refuse n
     sweeps = []
-    for case in args.case:
+    cases: dict[str, str] = {}
+    for case in args.case:  # a repeated case, in any letter case, is drawn once
+        cases.setdefault(case.upper(), case)
+    for case in cases.values():
         spec = scen_mod.builtin_case(case, n=args.n, scale_mode=mode, dsa_population=population)
         kernels = scen_mod.scenario_kernels(spec, ds)  # resolved once, for the fit and the curve
         agg = scen_mod.calibrated_aggregates(case, kernels=kernels) if args.calibrated else None

@@ -88,6 +88,14 @@ class Record:
         if cls.__annotations__ and "__init__" not in vars(cls):
             cls.__init__ = _Constructor(cls)
 
+    @classmethod
+    def _unchecked(cls, *values: object):
+        """The record of `values`, one per field in `_fields` order, built without
+        ``__init__`` and its check: the caller vouches that the check would pass."""
+        record = cls.__new__(cls)
+        record.__dict__.update(zip(cls._fields, values, strict=True))
+        return record
+
     def _values(self) -> tuple:
         return tuple([getattr(self, f) for f in self._fields])
 

@@ -121,15 +121,6 @@ class KernelDataset(Record):
         columns = tuple(tuple(map(attrgetter(column), kernels)) for column in KERNEL_COLUMNS)
         self.__dict__.update(columns=columns, fabric=fabric, provenance=provenance, version=version)
 
-    @classmethod
-    def _from_columns(
-        cls, columns: tuple[tuple, ...], fabric: FabricSpec, provenance: str, version: int
-    ) -> KernelDataset:
-        """A dataset over columns whose every row is a valid `KernelProfile`."""
-        ds = cls.__new__(cls)
-        ds.__dict__.update(columns=columns, fabric=fabric, provenance=provenance, version=version)
-        return ds
-
     @cached_property
     def kernels(self) -> tuple[KernelProfile, ...]:
         return tuple(map(KernelProfile, *self.columns))
@@ -156,7 +147,8 @@ class KernelDataset(Record):
         """The dataset of the kernels whose selector is true, in order, on the same fabric."""
         selectors = tuple(selectors)
         columns = tuple(tuple(compress(column, selectors)) for column in self.columns)
-        return KernelDataset._from_columns(columns, self.fabric, self.provenance, self.version)
+        # the kept rows, already in columns: `__init__` takes kernels, and a dataset has no check
+        return KernelDataset._unchecked(columns, self.fabric, self.provenance, self.version)
 
     def without(self, excluded: Iterable[str]) -> KernelDataset:
         """The dataset of every kernel but the ``excluded`` names, each of which it must hold."""
@@ -237,28 +229,24 @@ def _read_text(source: str | os.PathLike | IO) -> str:
     return data.removeprefix("\ufeff")
 
 
-def _csv_body(text: str) -> Iterator[list[str]]:
-    """A csv reader past the header row, which must name `KERNEL_COLUMNS`."""
+def _csv_reader(text: str) -> Iterator[list[str]]:
+    """`csv.reader` over the lines, each with its "\n", that io.StringIO(text) gives, without its copy of the text."""
     import csv
 
-    # the lines, each with its "\n", that io.StringIO(text) gives, without its copy of the text
-    reader = csv.reader(map(re.Match.group, re.finditer(r".*\n|.+", text)))
-    header = next(reader, None)
-    if header is None:
-        raise EmptyInput("input document is empty")
-    header = [h.strip() for h in header]
-    if header != list(KERNEL_COLUMNS):
-        raise ParseError(
-            f"expected header {','.join(KERNEL_COLUMNS)!r}, got {','.join(header)!r}", line=1
-        )
-    return reader
+    return csv.reader(map(re.Match.group, re.finditer(r".*\n|.+", text)))
 
 
 def _csv_records(text: str) -> Iterator[dict[str, object]]:
     import csv
 
     try:
-        reader = _csv_body(text)
+        reader = _csv_reader(text)
+        header = next(reader, None)
+        if header is None:
+            raise EmptyInput("input document is empty")
+        header = [h.strip() for h in header]
+        if header != list(KERNEL_COLUMNS):
+            raise ParseError(f"expected header {','.join(KERNEL_COLUMNS)!r}, got {','.join(header)!r}", line=1)
         for row in reader:
             if not row or all(not cell.strip() for cell in row):
                 continue
@@ -278,52 +266,74 @@ def _csv_records(text: str) -> Iterator[dict[str, object]]:
 
 # CSV lines read into columns a slice at a time: each slice's cells are freed
 # before the next slice is read. On a 100k-kernel file, 4096-line slices of the
-# split reader peaked at 65.2 MB of RSS against 64.0 MB for 512-line ones and
+# split cutter peaked at 65.2 MB of RSS against 64.0 MB for 512-line ones and
 # were no faster, and `csv.reader` took 0.29 s against 0.19 s.
 _SLICE_ROWS = 512
 
 
-def _csv_columns(text: str) -> tuple[tuple, ...] | None:
-    """Each field's column, or None when the header, a row or a cell would not parse.
+def _ended(rows: Iterable[list[str]]) -> list[str]:
+    """The cells of `rows`, each row's followed by a "\0" cell; ValueError for a row
+    without seven cells, since a cell that `csv.reader` reads may itself be "\0"."""
+    rows = list(rows)
+    if set(map(len, rows)) != {len(_SCHEMA)}:  # a blank row or a wrong field count
+        raise ValueError("a row without seven cells")
+    return [cell for row in rows for cell in (*row, "\0")]
 
-    A document in which `csv.reader` would only cut each line at its commas,
-    one with no `"`, no NUL, no CR outside a CRLF pair and no line longer
-    than `csv.field_size_limit()`, is split into cells at "," and "\n" a
-    slice of lines at a time, all of it in C, and each line must give
-    exactly seven. Any other document is read by `_csv_reader_columns`.
-    Both give the columns, or None, that `csv.reader` gives.
+
+def _csv_slices(text: str) -> Iterator[list[str]]:
+    """The document's cells a slice of up to `_SLICE_ROWS` rows at a time, row after
+    row: each row's seven cells, then a "\0" cell for its end. A row without seven
+    cells raises ValueError, and one that `csv.reader` refuses csv.Error.
+
+    `csv.reader` cuts every row of a document that holds a `"`, a NUL or a CR
+    outside a CRLF pair, and a line longer than `csv.field_size_limit()`, in a
+    slice of its own. It would only cut any other line at its commas, so the
+    other slices are split at "," and "\n", all of it in C. Such a slice holds
+    no NUL, so a line without seven cells leaves a "\0" out of its place.
     """
     import csv
 
+    width = len(_SCHEMA)
     if '"' in text or "\0" in text or text.count("\r") != text.count("\r\n"):
-        return _csv_reader_columns(text)
+        reader = _csv_reader(text)
+        while rows := list(islice(reader, _SLICE_ROWS)):
+            yield _ended(rows)
+        return
     crlf = "\r" in text
     bound = min(csv.field_size_limit(), 2**31 - 1)  # a regex repeat count has a cap
-    width = len(_SCHEMA)
-    columns: tuple[list, ...] = tuple([] for _ in _SCHEMA)
-    header = None
-    # up to _SLICE_ROWS lines of at most `bound` characters, each with its "\n"
-    for chunk in map(re.Match.group, re.finditer(r"(?:.{0,%d}\n){1,%d}|.+" % (bound, _SLICE_ROWS), text)):
-        if chunk[-1] != "\n":  # the last line, which has no "\n", or a longer line
-            if len(chunk) > bound:  # whose cells `csv.reader` may still read
-                return _csv_reader_columns(text)
+    # up to _SLICE_ROWS lines of at most `bound` characters, each with its "\n"; else one line, in group 1
+    for match in re.finditer(r"(?:.{0,%d}\n){1,%d}|(.+)\n?" % (bound, _SLICE_ROWS), text):
+        chunk, line = match.group(0, 1)
+        if line is not None:  # a line longer than `bound`, or the last line, which has no "\n"
+            if len(line) > bound:
+                yield _ended(csv.reader([chunk]))
+                continue
             chunk += "\n"
         if crlf:
             chunk = chunk.replace("\r\n", "\n")
-        # Each line's cells, then a "\0" cell for its line end (the text holds no
-        # NUL): each line has `width` cells when the line ends fill every
-        # (width + 1)th place of a list of the right length.
         lines = chunk.count("\n")
         cells = chunk.replace("\n", ",\0,").split(",")
-        del cells[-2:]  # the last line end and the empty cell after it
-        if len(cells) != (width + 1) * lines - 1 or cells[width :: width + 1].count("\0") != lines - 1:
-            return None
-        if header is None:
-            header = [cell.strip() for cell in cells[:width]]
-            if header != list(KERNEL_COLUMNS):
-                return None
-            del cells[: width + 1]
-        try:
+        del cells[-1]  # the empty cell after the last line end
+        if len(cells) != (width + 1) * lines or cells[width :: width + 1].count("\0") != lines:
+            raise ValueError("a line without seven cells")
+        yield cells
+
+
+def _csv_columns(text: str) -> tuple[tuple, ...] | None:
+    """Each field's column, or None when the header, a row or a cell would not
+    parse: the columns, or None, that `csv.reader` gives (`_csv_slices`)."""
+    import csv
+
+    width = len(_SCHEMA)
+    columns: tuple[list, ...] = tuple([] for _ in _SCHEMA)
+    header = None
+    try:
+        for cells in _csv_slices(text):
+            if header is None:
+                header = [cell.strip() for cell in cells[:width]]
+                if header != list(KERNEL_COLUMNS):
+                    return None
+                del cells[: width + 1]
             for position, (column, (_, parse, _, _)) in enumerate(zip(columns, _SCHEMA)):
                 field = cells[position :: width + 1]
                 if parse is _number:  # one guard for the slice, then `float` on each cell in C
@@ -331,31 +341,9 @@ def _csv_columns(text: str) -> tuple[tuple, ...] | None:
                         return None
                     parse = float
                 column.extend(map(parse, field))
-        except (ValueError, KeyError):
-            return None
-    if header is None:  # an empty document
+    except (csv.Error, ValueError, KeyError):
         return None
-    return tuple(map(tuple, columns))
-
-
-def _csv_reader_columns(text: str) -> tuple[tuple, ...] | None:
-    """`_csv_columns` for any document, a quoted one among them: `csv.reader`
-    reads a slice of rows at a time, and the slice is cut into columns."""
-    import csv
-
-    columns: tuple[list, ...] = tuple([] for _ in _SCHEMA)
-    try:
-        reader = _csv_body(text)
-        while rows := list(islice(reader, _SLICE_ROWS)):
-            if set(map(len, rows)) != {len(_SCHEMA)}:  # a blank row or a wrong field count
-                return None
-            for column, (_, parse, _, _), cells in zip(columns, _SCHEMA, zip(*rows)):
-                if parse is _number:  # one guard for the slice, then `float` on each cell in C
-                    if not _plain_text("".join(cells)):
-                        return None
-                    parse = float
-                column.extend(map(parse, cells))
-    except (csv.Error, ValueError, KeyError):  # ParseError and EmptyInput are ValueErrors
+    if header is None:  # an empty document
         return None
     return tuple(map(tuple, columns))
 
@@ -482,9 +470,10 @@ def load_dataset(
     one column, and each column is checked whole against the checks
     `KernelProfile` makes, so no `KernelProfile` is built until the
     dataset's ``kernels`` are read. A CSV document is read a slice of lines
-    at a time: split at newlines and commas when it holds no `"`, no NUL,
-    no CR outside a CRLF pair and no line over the csv module's field
-    limit, and through `csv.reader` otherwise. When a column fails its
+    at a time, by one column loop over either cutter: `csv.reader` cuts a
+    document that holds a `"`, a NUL or a CR outside a CRLF pair, and a
+    line over the csv module's field limit as a slice of its own; any
+    other slice is split at newlines and commas. When a column fails its
     check, or a row or record is malformed, the document is read again
     record by record, building each `KernelProfile`, and every violation
     is reported with the message, line and column that record's own checks
@@ -506,7 +495,7 @@ def load_dataset(
 
     columns = _csv_columns(text) if format == "csv" else _json_columns(records)
     if columns is not None and _columns_valid(columns):
-        ds = KernelDataset._from_columns(columns, fabric, provenance, version)
+        ds = KernelDataset._unchecked(columns, fabric, provenance, version)  # `_columns_valid` ran the checks
         violations = []
     else:
         kernels, violations = _record_kernels(records)

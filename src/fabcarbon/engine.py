@@ -83,13 +83,6 @@ class SweepResult(Record):
                 if type(v) is not float or not POSITIVE(v):
                     raise DegenerateModel(f"sweep value at {p!r} is not a finite positive float: {v!r}")
 
-    @classmethod
-    def _cleared(cls, label: str, parameters: tuple[float, ...], values: tuple[float, ...], n: int, scale: float) -> SweepResult:
-        """A curve of a grid whose curves pass the checks: every field is one they admit."""
-        curve = cls.__new__(cls)
-        curve.__dict__.update(label=label, parameters=parameters, values=values, n=n, scale=scale, estimated_kernels=())
-        return curve
-
     @property
     def samples(self) -> tuple[tuple[float, float], ...]:
         """The curve as (parameter, value) pairs."""
@@ -253,14 +246,17 @@ class GridCurves:
         area, energy = next(self._pairs)
         self._drawn += 1
         values = tuple(_closed_form(self.parameters, area, energy, self.n, self.scale))
-        return SweepResult._cleared(_grid_label(area, energy), self.parameters, values, self.n, self.scale)
+        # unchecked: `grid_curves` ran the checks on every curve of the grid, or proved they pass
+        return SweepResult._unchecked(_grid_label(area, energy), self.parameters, values, self.n, self.scale, ())
 
-    def peaks(self) -> Iterator[tuple[str, float, float, Callable[[], list[float]]]]:
-        """(label, low, high, values) for each curve not yet drawn, in grid order, from its two end alphas.
+    def peaks(self) -> Iterator[tuple[str, tuple[float, ...], int, float, float, float, Callable[[], list[float]]]]:
+        """(label, parameters, n, scale, low, high, values) for each curve not yet drawn, in grid order.
 
-        `low` is the larger of the curve's two end values, so it is a value
-        of the curve; `values()` evaluates the whole curve. Every value of the
-        curve that prints wider than 0.00 is at most `high`, for this reason.
+        These are what a table's column widths need of a curve, read from
+        its two end alphas. `low` is the larger of the curve's two end
+        values, so it is a value of the curve; `values()` evaluates the whole
+        curve. Every value of the curve that prints wider than 0.00 is at
+        most `high`, for this reason.
 
         The premise is a grid whose curves pass the checks: alphas strictly
         increasing in (0, 1], finite positive float values (a number of
@@ -299,7 +295,8 @@ class GridCurves:
             low = max(_closed_form(ends, area, energy, n, scale))
             den_lo = lo * area
             high = low + 16 * 2.0**-53 * (low + nf * energy / den_lo) if den_lo >= _NORMAL_MIN else FLOAT_MAX
-            yield _grid_label(area, energy), low, min(high, FLOAT_MAX), partial(_closed_form, alphas, area, energy, n, scale)
+            values = partial(_closed_form, alphas, area, energy, n, scale)
+            yield _grid_label(area, energy), alphas, n, scale, low, min(high, FLOAT_MAX), values
 
 
 def grid_curves(

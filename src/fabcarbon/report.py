@@ -9,7 +9,7 @@ ever has to re-derive a number from its rounded form.
 from __future__ import annotations
 
 import io
-from collections.abc import Iterable, Sequence
+from collections.abc import Callable, Iterable, Sequence
 from itertools import repeat
 
 from .core import Record, number_text
@@ -175,51 +175,35 @@ def sweep_report(sweeps: Sequence[SweepResult]) -> RenderedReport:
     return RenderedReport(_CURVE_COLUMNS, tuple(records), curve_footnotes(sweeps))
 
 
-def _held_widths(sweeps: Sequence[SweepResult], shown: dict[int, list[str]]) -> list[int]:
-    """The widest label, parameter, cdc, n and n' cell of the rows of `sweeps`; 0 where there is no row.
+def _curve_widths(curves: Callable[[], Iterable[tuple]], shown: dict[int, list[str]]) -> list[int]:
+    """The widest label, parameter, cdc, n and n' cell of the rows of the curves; 0 where there is no row.
 
-    Fills `shown` with the parameter cells of each parameters tuple. The
-    cdc column is as wide as the largest value's cell, since a positive
-    value's fixed-point form never gets shorter as the value grows.
+    `curves()` gives (label, parameters, n, scale, low, high, values) for
+    each curve with at least one row: its largest value lies between `low`
+    and `high`, and `values()` evaluates it. Fills `shown` with the
+    parameter cells of each parameters tuple. As a positive value's
+    fixed-point form never gets shorter as the value grows, the cdc column
+    is at least as wide as the largest `low`'s cell and at most as wide as
+    the largest `high`'s. When those differ, `curves()` is read again, and
+    only the curves whose `high` prints wider than the column known so far
+    are evaluated in full, and then dropped.
     """
-    widths = [0] * len(_CURVE_COLUMNS)
-    for sweep in sweeps:
-        if not sweep.values:
-            continue  # a curve without points adds no row, so it widens no column
-        if id(sweep.parameters) not in shown:
-            shown[id(sweep.parameters)] = [_cell(p, "num") for p in sweep.parameters]
-            widths[1] = max(widths[1], *map(len, shown[id(sweep.parameters)]))
-        widths[0] = max(widths[0], len(sweep.label))
-        widths[2] = max(widths[2], len(_cell(max(sweep.values), "ratio")))
-        widths[3] = max(widths[3], len(_cell(sweep.n, "int")))
-        widths[4] = max(widths[4], len(_cell(sweep.scale, "scale")))
-    return widths
-
-
-def _grid_widths(grid: GridCurves, shown: dict[int, list[str]]) -> list[int]:
-    """`_held_widths` of the curves `grid` has yet to draw, read from its axes and curve ends.
-
-    Labels come with `GridCurves.peaks`, and the parameter, n and n' cells
-    are the grid's own. Each curve's largest value lies between its `low`
-    and its `high`, so, as a positive value's fixed-point form never gets
-    shorter as the value grows, the cdc column is at least as wide as the
-    largest `low`'s cell and at most as wide as the largest `high`'s. When
-    those differ, only the curves whose `high` prints wider than the
-    column known so far are evaluated in full, and then dropped.
-    """
-    label_w = 0
-    low = high = 0.0
-    for label, top, bound, _ in grid.peaks():
-        label_w, low, high = max(label_w, len(label)), max(low, top), max(high, bound)
-    if not label_w:  # every curve is drawn: no row is left
+    label_w = param_w = n = 0  # n stays 0 only when no curve has a row: every n is at least 1
+    scale = low = high = 0.0
+    for label, parameters, n_i, scale_i, low_i, high_i, _ in curves():
+        if id(parameters) not in shown:
+            shown[id(parameters)] = [_cell(p, "num") for p in parameters]
+            param_w = max(param_w, *map(len, shown[id(parameters)]))
+        label_w, n, scale = max(label_w, len(label)), max(n, n_i), max(scale, scale_i)
+        low, high = max(low, low_i), max(high, high_i)
+    if not n:
         return [0] * len(_CURVE_COLUMNS)
     cdc_w = len(_cell(low, "ratio"))
     if len(_cell(high, "ratio")) > cdc_w:
-        for _, _, bound, values in grid.peaks():
+        for *_, bound, values in curves():
             if len(_cell(bound, "ratio")) > cdc_w:
                 cdc_w = max(cdc_w, len(_cell(max(values()), "ratio")))
-    shown[id(grid.parameters)] = cells = [_cell(p, "num") for p in grid.parameters]
-    return [label_w, max(map(len, cells)), cdc_w, len(_cell(grid.n, "int")), len(_cell(grid.scale, "scale"))]
+    return [label_w, param_w, cdc_w, len(_cell(n, "int")), len(_cell(scale, "scale"))]
 
 
 def write_curves(
@@ -234,9 +218,9 @@ def write_curves(
     JSON are byte for byte those of `emit_table(sweep_report(sweeps), format)`
     when `footnotes` are `curve_footnotes(sweeps)`. All three are written
     from `sweeps` as it is drawn, one curve at a time, when `sweeps` is a
-    `GridCurves`: the table's column widths come from the grid's axes and
-    curve ends (`_grid_widths`). The table holds the curves of any other
-    iterable for its widths (`_held_widths`).
+    `GridCurves`. The table's column widths come from one pass,
+    `_curve_widths`: over the grid's `peaks`, its axes and curve ends, or
+    over the curves of any other iterable, which the table holds.
 
     A row is a head (the label), a parameter cell, the value slot and a
     tail (n and n'). Heads and tails are formatted once per curve, and
@@ -263,11 +247,16 @@ def write_curves(
     elif format == "table":
         shown: dict[int, list[str]] = {}  # id of each parameters tuple -> its cells; `sweeps` keeps every tuple alive
         if isinstance(sweeps, GridCurves):
-            cell_widths = _grid_widths(sweeps, shown)
-        else:
+            curves = sweeps.peaks
+        else:  # held: a curve's largest value is both its `low` and its `high`
             sweeps = list(sweeps)
-            cell_widths = _held_widths(sweeps, shown)
-        widths = [max(len(h), w) for h, w in zip(headers, cell_widths)]
+            curves = [
+                (s.label, s.parameters, s.n, s.scale, top, top, s.values.__iter__)
+                for s in sweeps
+                if s.values
+                for top in [max(s.values)]
+            ].__iter__
+        widths = [max(len(h), w) for h, w in zip(headers, _curve_widths(curves, shown))]
         label_w, param_w, cdc_w, n_w, scale_w = widths
         out.write(_table_head(headers, widths))
         end = empty = "".join(f"note: {note}\n" for note in footnotes)

@@ -184,6 +184,17 @@ class TestScenarioCommand:
         assert record["cdc"] == json.loads(point)["records"][0]["cdc"]
         assert f"{record['cdc']:.2f}" == shown
 
+    @pytest.mark.parametrize("fmt", ["table", "csv", "json"])
+    def test_a_repeated_case_is_drawn_once(self, fmt):
+        once = invoke("scenario", "--case", "I", "--alphas", "0.3,0.7", "--format", fmt)
+        assert once[0] == 0
+        assert invoke("scenario", "--case", "I,i,I", "--alphas", "0.3,0.7", "--format", fmt) == once
+
+    def test_a_repeated_unknown_case_is_still_refused(self):
+        assert invoke("scenario", "--case", "I,x,X", "--alphas", "0.3") == (
+            2, "", "usage error: unknown scenario: 'x' (expected I, II, or III)\n"
+        )
+
 
 class TestDatasetPlumbing:
     def test_show_builtin(self):

@@ -408,7 +408,7 @@ def test_column_path_matches_per_record_path(document):
 
 
 def _refused(text):
-    """Whether the document holds a feature the split reader leaves to `csv.reader`."""
+    """Whether the document holds a feature the split cutter leaves to `csv.reader`."""
     return (
         '"' in text
         or "\0" in text
@@ -453,6 +453,26 @@ def _column_reprs(columns):
     return None if columns is None else [[(type(v), repr(v)) for v in column] for column in columns]
 
 
+def _reader_columns(text):
+    """The columns, or None, that `csv.reader` over the whole text gives, each cell
+    parsed by the schema: the reference for `fabcarbon.dataset._csv_columns`."""
+    width = len(KERNEL_COLUMNS)
+    try:
+        reader = csv.reader(io.StringIO(text))
+        header = next(reader)
+        rows = list(reader)
+        if [cell.strip() for cell in header] != list(KERNEL_COLUMNS) or {len(row) for row in rows} - {width}:
+            return None
+        cells = list(zip(*rows)) or [()] * width
+        return tuple(tuple(map(parse, column)) for (_, parse, _, _), column in zip(fabcarbon.dataset._SCHEMA, cells))
+    except (StopIteration, csv.Error, ValueError, KeyError):
+        return None
+
+
+def _clean_csv(rows):
+    return CSV_HEADER + "".join(f"K{i},d{i % 3},0.{i % 9 + 1},0.3,0.5,{i % 200},{i % 2}\n" for i in range(rows))
+
+
 @settings(deadline=None)
 @given(text=CSV_TEXTS)
 @example(text=_CLEAN.replace("\n", "\r\n").removesuffix("\r\n"))  # CRLF, no final newline
@@ -469,35 +489,44 @@ def _column_reprs(columns):
 @example(text=_CLEAN + "\n")  # a trailing blank line
 @example(text=CSV_HEADER)
 @example(text="")
+@example(text=CSV_HEADER + "a\n1,1,1,1,0,\0,Y,d,1,1,1,1,0\n")  # 1 then 13 cells, one "\0" where a line end would sit
+# a line over the field limit, of cells under it, in the second slice of 512 lines
+@example(text=_clean_csv(1499).replace("\nK700,d1,", "\nK700" + "n" * 70_000 + ",d1" + "d" * 70_000 + ","))
+# 512 lines of about 300 characters: a slice longer than the field limit, but no line
+@example(text=CSV_HEADER + "".join(f"K{i:03d}{'n' * 270},d,0.3,0.3,0.5,10,0\n" for i in range(511)))
 def test_csv_columns_match_the_csv_reader_columns(text):
-    expected = fabcarbon.dataset._csv_reader_columns(text)
+    expected = _reader_columns(text)
     if _refused(text):
         got = fabcarbon.dataset._csv_columns(text)
-    else:  # the split reader answers alone
-        with mock.patch.object(fabcarbon.dataset, "_csv_reader_columns", side_effect=AssertionError("csv.reader")):
+    else:  # the split cutter answers alone
+        with mock.patch.object(csv, "reader", side_effect=AssertionError("csv.reader")):
             got = fabcarbon.dataset._csv_columns(text)
     assert _column_reprs(got) == _column_reprs(expected)
 
 
+def test_only_a_long_line_goes_to_csv_reader():
+    long_line = "K700" + "n" * 70_000 + ",d1" + "d" * 70_000 + ",0.3,0.3,0.5,10,0\n"
+    text = _clean_csv(1499).replace("K700,d1,0.8,0.3,0.5,100,0\n", long_line)
+    expected = _reader_columns(text)
+    with mock.patch.object(csv, "reader", wraps=csv.reader) as reader:
+        got = fabcarbon.dataset._csv_columns(text)
+    assert expected is not None and len(expected[0]) == 1499 and got == expected
+    assert [list(call.args[0]) for call in reader.call_args_list] == [[long_line]]
+
+
 @pytest.mark.parametrize("limit", [sys.maxsize, 12])
 def test_csv_columns_under_another_field_limit(limit):
-    # 12 admits every cell, but not every line: the split reader hands the document to `csv.reader`
+    # 12 admits every cell, but not every line: `csv.reader` cuts each of those lines
     text = CSV_HEADER + ROW
     saved = csv.field_size_limit(limit)
     try:
-        expected = fabcarbon.dataset._csv_reader_columns(text)
-        with mock.patch.object(
-            fabcarbon.dataset, "_csv_reader_columns", wraps=fabcarbon.dataset._csv_reader_columns
-        ) as reader:
+        expected = _reader_columns(text)
+        with mock.patch.object(csv, "reader", wraps=csv.reader) as reader:
             got = fabcarbon.dataset._csv_columns(text)
     finally:
         csv.field_size_limit(saved)
     assert expected is not None and got == expected
-    assert reader.called == (limit != sys.maxsize)
-
-
-def _clean_csv(rows):
-    return CSV_HEADER + "".join(f"K{i},d{i % 3},0.{i % 9 + 1},0.3,0.5,{i % 200},{i % 2}\n" for i in range(rows))
+    assert reader.call_count == (0 if limit == sys.maxsize else 2)
 
 
 @pytest.mark.parametrize(

@@ -396,8 +396,8 @@ class TestGridCurves:
         if cancel is not None and alphas[0] < 1.0:  # n' - (1 - alpha) * n * E a few ulps above 0 at the first alpha
             energies = [1.0 / (1.0 - alphas[0]) * (1.0 - cancel * 2.0**-53), *energies[1:]]
         grid = accepted_grid(alphas, areas, energies, n)
-        for (label, low, high, values), curve in zip(list(grid.peaks()), grid):
-            assert (label, values()) == (curve.label, list(curve.values))
+        for (*head, low, high, values), curve in zip(list(grid.peaks()), grid):
+            assert (*head, values()) == (curve.label, curve.parameters, curve.n, curve.scale, list(curve.values))
             assert low in curve.values
             assert max(curve.values) <= high or f"{max(curve.values):.2f}" == "0.00"
 

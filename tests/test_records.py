@@ -151,6 +151,12 @@ class TestRecordSemantics:
         with pytest.raises(TypeError):
             cls(*args, **{first: args[0]})
 
+    def test_unchecked_construction_takes_the_fields_in_order(self, cls):
+        record = _make(cls)
+        assert cls._unchecked(*record._values()) == record
+        with pytest.raises(ValueError):
+            cls._unchecked(*record._values()[:-1])
+
     def test_copy_and_pickle_round_trip(self, cls):
         record = _make(cls)
         for clone in (copy.copy(record), copy.deepcopy(record), pickle.loads(pickle.dumps(record))):
