@@ -254,8 +254,10 @@ def _dataset_format(path: str) -> str:
     raise DatasetError(f"cannot infer dataset format from {path!r} (expected .csv or .json)")
 
 
-def _resolve_dataset(path: str | None) -> KernelDataset:
+def _resolve_dataset(path: str | None, calibrated: bool = False) -> KernelDataset:
     path = path or os.environ.get(DATASET_ENV_VAR)
+    if calibrated and path:  # the fit is the bundled set's: its numbers would be credited to the user's kernels
+        raise UsageError(f"--calibrated fits the bundled kernels' reference curves; it takes no --dataset or {DATASET_ENV_VAR}")
     if not path:
         return builtin_dataset()
     try:
@@ -313,7 +315,7 @@ def _cmd_sweep(args: argparse.Namespace) -> Curves:
 
 
 def _cmd_scenario(args: argparse.Namespace) -> Curves:
-    ds = _resolve_dataset(args.dataset)
+    ds = _resolve_dataset(args.dataset, args.calibrated)
     mode = ScaleMode.AVERAGE_UTILIZATION if args.util_mode == "avg" else ScaleMode.CONSERVATIVE
     population = max(args.n, scen_mod.DEFAULT_DSA_POPULATION)  # the curve never reads it, so it must not refuse n
     sweeps = []
@@ -333,7 +335,7 @@ def _cmd_savings(args: argparse.Namespace) -> RenderedReport:
     rows = n_hi - n_lo + 1
     if rows > MAX_SAVINGS_ROWS:
         raise InvalidRange(f"savings over {rows} values of n exceeds the cap of {MAX_SAVINGS_ROWS} rows")
-    ds = _resolve_dataset(args.dataset)
+    ds = _resolve_dataset(args.dataset, args.calibrated)
     # every n maps the same kernels, so one aggregate serves all rows
     agg = _case_i_aggregates(ds, args.calibrated)
     records = []
@@ -357,7 +359,7 @@ def _cmd_savings(args: argparse.Namespace) -> RenderedReport:
 
 def _cmd_hybrid(args: argparse.Namespace) -> RenderedReport:
     retained = sorted(set(args.retain))
-    ds = _resolve_dataset(args.dataset)
+    ds = _resolve_dataset(args.dataset, args.calibrated)
     spec = scen_mod.builtin_case(
         "I",
         n=args.n,

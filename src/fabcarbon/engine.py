@@ -16,7 +16,7 @@ import operator
 import sys
 from collections.abc import Callable, Iterator, Sequence
 from functools import partial
-from itertools import islice, product
+from itertools import chain, islice, product
 
 from .concurrency import ScaleMode, scale_factor
 from .core import AT_LEAST_ONE, FLOAT_MAX, OPEN_UNIT, POSITIVE, REAL, UNIT, AggregateRatios, FootprintWeights, Record, dsa_footprint, fabric_footprint, numbers_within, require_alpha, require_concurrency, require_scale
@@ -26,6 +26,8 @@ from .errors import DegenerateModel, InfeasibleFit, InvalidRange, SingularFit
 _RANGE_EPS = 1e-9
 # The least positive normal float.
 _NORMAL_MIN = sys.float_info.min
+# Alphas per slice of a curve evaluated by itself: no column it computes is longer than a slice.
+_SLICE_ALPHAS = 2**12
 
 
 class CdcQuery(Record):
@@ -104,14 +106,21 @@ def cdc_curve(
     threshold overflows.
 
     Every value comes from `_closed_form`, the one evaluator of the closed
-    form. The point loop before it only names a fault: it raises the first
-    one in alpha order and keeps nothing.
+    form. The point loop checks each point, raising the first fault in
+    alpha order, and hands it the numerator and denominator columns it
+    computed, which round as `_numerators` and `_denominators` do (a float
+    times the int n multiplies by float(n)). A column longer than
+    `_SLICE_ALPHAS` is taken a slice at a time.
     """
     require_concurrency(n)
     require_scale(scale)
     if not alphas:
         raise InvalidRange("no alpha values supplied")
+    if len(alphas) > _SLICE_ALPHAS:
+        slices = (alphas[i:i + _SLICE_ALPHAS] for i in range(0, len(alphas), _SLICE_ALPHAS))
+        return [value for part in slices for value in cdc_curve(part, agg, n, scale)]
     area, energy = agg.area, agg.energy
+    numerators, denominators = [], []
     for alpha in alphas:
         if alpha not in UNIT:  # any type that compares inside; require_alpha raises the typed error
             require_alpha(alpha)
@@ -124,13 +133,37 @@ def cdc_curve(
         denominator = alpha * area
         if not denominator or numerator / denominator == math.inf:
             raise DegenerateModel(f"threshold is not finite at alpha_e2o = {alpha!r}")
-    return _closed_form(alphas, area, energy, n, scale)
+        numerators.append(numerator)
+        denominators.append(denominator)
+    return list(_closed_form(numerators, denominators))
 
 
-def _closed_form(alphas: Sequence[float], area: float, energy: float, n: int, scale: float) -> list[float]:
-    """The closed form at each alpha, unchecked: the one evaluator, for a column whose checks pass."""
+# The closed form in column steps, each rounding as in `(scale - (1.0 - a) * nf * E) / (a * A)` and in that
+# order: the columns a grid's curves share are computed once, and a curve is one division per point.
+
+
+def _numerators(alphas: Sequence[float], energy: float, n: int, scale: float) -> list[float]:
+    """fl(scale - fl(fl(fl(1.0 - a) * nf) * E)) at each alpha."""
     nf = float(n)  # exact up to 2**53, as in `float * int`; float products are faster
-    return [(scale - (1.0 - alpha) * nf * energy) / (alpha * area) for alpha in alphas]
+    return [scale - (1.0 - alpha) * nf * energy for alpha in alphas]
+
+
+def _denominators(alphas: Sequence[float], area: float) -> list[float]:
+    """fl(a * A) at each alpha."""
+    return [alpha * area for alpha in alphas]
+
+
+def _closed_form(numerators: Sequence[float], denominators: Sequence[float]) -> tuple[float, ...]:
+    """The closed form at each point, unchecked: the one evaluator, for a column whose checks pass."""
+    return tuple(map(operator.truediv, numerators, denominators))
+
+
+def _evaluate(alphas: Sequence[float], area: float, energy: float, n: int, scale: float) -> tuple[float, ...]:
+    """One curve by the column steps and `_closed_form`, unchecked, computing no column longer than a slice."""
+    if len(alphas) > _SLICE_ALPHAS:
+        slices = (alphas[i:i + _SLICE_ALPHAS] for i in range(0, len(alphas), _SLICE_ALPHAS))
+        return tuple(chain.from_iterable(_evaluate(part, area, energy, n, scale) for part in slices))
+    return _closed_form(_numerators(alphas, energy, n, scale), _denominators(alphas, area))
 
 
 def cdc(query: CdcQuery) -> float:
@@ -186,31 +219,31 @@ def float_steps(lo: float, hi: float, step: float) -> list[float]:
 def _grid_cleared(alphas: Sequence[float], areas: tuple, energies: tuple, n: int, scale: float) -> bool:
     """Whether no curve of the grid can fault, proved from the ends of `alphas` in O(1) a curve.
 
-    `_closed_form` computes v(a) = fl(num(a) / den(a)) with num(a) =
-    fl(scale - fl(fl(fl(1.0 - a) * nf) * E)) and den(a) = fl(a * A), where fl
-    rounds to nearest. Rounding is monotone (x <= y gives fl(x) <= fl(y),
-    overflow to +-inf included), and so is each step: fl(1.0 - a) falls as a
-    grows, a product with nf > 0 or E > 0 keeps that order, and the
-    subtraction from `scale` reverses it, so num rises with a; den rises with
-    a, since A > 0. With `alphas` strictly increasing floats in (0, 1],
-    every alpha lies between lo = alphas[0] and hi = alphas[-1], so num(lo) <=
-    num(a) <= num(hi) and den(lo) <= den(a) <= den(hi). Then num(lo) > 0 and
-    den(lo) > 0 make every num(a) and den(a) positive, and finite, since
-    num(a) <= scale and den(a) <= A. For positive operands fl(x / y) rises with
-    x and falls with y, so fl(num(lo) / den(hi)) <= v(a) <= fl(num(hi) /
-    den(lo)), and the last two conditions below put every v(a) in (0, inf):
-    `cdc_curve`'s point-by-point loop would raise nothing, and `SweepResult`
-    takes every value. Each area and energy must be a plain int or float
-    that `AggregateRatios` accepts.
+    A curve's values are v(a) = fl(num(a) / den(a)), `_closed_form` of the
+    column steps num(a) = fl(scale - fl(fl(fl(1.0 - a) * nf) * E)), from
+    `_numerators`, and den(a) = fl(a * A), from `_denominators`; fl rounds to
+    nearest. Rounding is monotone (x <= y gives fl(x) <= fl(y), overflow to
+    +-inf included), and so is each step: fl(1.0 - a) falls as a grows, a
+    product with nf > 0 or E > 0 keeps that order, and the subtraction from
+    `scale` reverses it, so num rises with a; den rises with a, since A > 0.
+    With `alphas` strictly increasing floats in (0, 1], every alpha lies
+    between lo = alphas[0] and hi = alphas[-1], so num(lo) <= num(a) <=
+    num(hi) and den(lo) <= den(a) <= den(hi). Then num(lo) > 0 and den(lo) > 0
+    make every num(a) and den(a) positive, and finite, since num(a) <= scale
+    and den(a) <= A. For positive operands fl(x / y) rises with x and falls
+    with y, so fl(num(lo) / den(hi)) <= v(a) <= fl(num(hi) / den(lo)), and the
+    last two conditions below put every v(a) in (0, inf): `cdc_curve`'s
+    point-by-point loop would raise nothing, and `SweepResult` takes every
+    value. The ends are computed by the same column steps. Each area and
+    energy must be a plain int or float that `AggregateRatios` accepts.
     """
     if not alphas or not numbers_within(alphas, UNIT, {float}):
         return False
     if any(map(operator.le, alphas[1:], alphas)) or not numbers_within((*areas, *energies), POSITIVE):
         return False
-    nf = float(n)
-    lo, hi = alphas[0], alphas[-1]
-    nums = [(scale - (1.0 - lo) * nf * energy, scale - (1.0 - hi) * nf * energy) for energy in energies]
-    dens = [(lo * area, hi * area) for area in areas]
+    ends = (alphas[0], alphas[-1])
+    nums = [_numerators(ends, energy, n, scale) for energy in energies]
+    dens = [_denominators(ends, area) for area in areas]
     return all(
         num_lo > 0.0 and den_lo > 0.0 and POSITIVE(num_lo / den_hi) and POSITIVE(num_hi / den_lo)
         for num_lo, num_hi in nums
@@ -223,6 +256,10 @@ def _grid_label(area: float, energy: float) -> str:
     return f"A={area:g},E={energy:g}"
 
 
+# The most floats of a grid's numerator columns, one per energy, for them to be held while it is drawn.
+_HELD_NUMERATORS = 2**16
+
+
 class GridCurves:
     """The curves of a grid whose curves pass the checks, each evaluated as it is drawn.
 
@@ -231,6 +268,16 @@ class GridCurves:
     curve shares `parameters`, `n` and `scale`; `peaks` reads what a
     table's column widths need of the curves not yet drawn without
     evaluating one column.
+
+    A curve is `_closed_form` of its energy's numerator column and its
+    area's denominator column. A grid whose alpha column fits one slice of
+    `_SLICE_ALPHAS` keeps the current area's denominators, and computes
+    each curve's numerators as it is drawn; with
+    more than one area and numerator columns (one per energy) of at most
+    `_HELD_NUMERATORS` floats in all, it computes each energy's numerators
+    once instead, when it is built, for every area. A grid of longer curves
+    holds no column: each curve is `_evaluate`d by itself, a slice at a
+    time.
     """
 
     def __init__(self, parameters: tuple[float, ...], areas: tuple, energies: tuple, n: int, scale: float) -> None:
@@ -238,47 +285,67 @@ class GridCurves:
         self._axes = areas, energies
         self._pairs = product(areas, energies)
         self._drawn = 0
+        self._short = len(parameters) <= _SLICE_ALPHAS
+        self._denominators: list[float] = []
+        # each energy's numerators then serve every area: computed once, together
+        held = self._short and len(areas) > 1 and len(energies) * len(parameters) <= _HELD_NUMERATORS
+        self._held = [_numerators(parameters, energy, n, scale) for energy in energies] if held else None
 
     def __iter__(self) -> GridCurves:
         return self
 
     def __next__(self) -> SweepResult:
         area, energy = next(self._pairs)
+        column = self._drawn % len(self._axes[1])
         self._drawn += 1
-        values = tuple(_closed_form(self.parameters, area, energy, self.n, self.scale))
+        if not self._short:
+            values = _evaluate(self.parameters, area, energy, self.n, self.scale)
+        else:
+            if not column:  # curves are drawn in grid order, so a new area starts at its first energy
+                self._denominators = _denominators(self.parameters, area)
+            held = self._held
+            numerators = _numerators(self.parameters, energy, self.n, self.scale) if held is None else held[column]
+            values = _closed_form(numerators, self._denominators)
         # unchecked: `grid_curves` ran the checks on every curve of the grid, or proved they pass
         return SweepResult._unchecked(_grid_label(area, energy), self.parameters, values, self.n, self.scale, ())
+
+    def _values(self, area: float, energy: float) -> list[float]:
+        """One curve's values, evaluated by itself, for a curve that `peaks` reads before it is drawn."""
+        return list(_evaluate(self.parameters, area, energy, self.n, self.scale))
 
     def peaks(self) -> Iterator[tuple[str, tuple[float, ...], int, float, float, float, Callable[[], list[float]]]]:
         """(label, parameters, n, scale, low, high, values) for each curve not yet drawn, in grid order.
 
         These are what a table's column widths need of a curve, read from
-        its two end alphas. `low` is the larger of the curve's two end
-        values, so it is a value of the curve; `values()` evaluates the whole
-        curve. Every value of the curve that prints wider than 0.00 is at
-        most `high`, for this reason.
+        its two end alphas: the column steps give each energy's two end
+        numerators and each area's two end denominators once, and
+        `_closed_form` divides them per curve, as `__next__` evaluates every
+        alpha. `low` is the larger of the curve's two end values, so it is a
+        value of the curve; `values()` evaluates the whole curve. Every value
+        of the curve that prints wider than 0.00 is at most `high`, for this
+        reason.
 
         The premise is a grid whose curves pass the checks: alphas strictly
         increasing in (0, 1], finite positive float values (a number of
         another real type acts as its float). Let c(a) = (scale - P(a)) /
         (a * A), with P(a) = (1 - a) * nf * E, be the closed form in exact
-        arithmetic and v(a) its float value as `_closed_form` computes it;
-        let lo and hi be the end alphas, M =
-        max(v(lo), v(hi)), K = nf * E / (lo * A) and u = 2**-53. As c(a) =
-        (scale - nf * E) / (a * A) + nf * E / A is monotone in a, every c(a)
-        is at most C = max(c(lo), c(hi)).
+        arithmetic and v(a) its float value, fl(num(a) / den(a)) with num(a)
+        = fl(scale - fl(w(a) * E)), w(a) = fl(fl(1 - a) * nf) and den(a) =
+        fl(a * A); let lo and hi be the end alphas, M = max(v(lo), v(hi)),
+        K = nf * E / (lo * A) and u = 2**-53. As c(a) = (scale - nf * E) /
+        (a * A) + nf * E / A is monotone in a, every c(a) is at most C =
+        max(c(lo), c(hi)).
 
         Each rounding gives x(1 + d) with |d| <= u while x is normal, and a
-        subtraction that underflows is exact. So the three roundings of P
-        give P(a)(1 + e) with |e| <= g = 3u / (1 - 3u). Should that product
-        underflow, P(a) < 2**-1022 while scale - P(a) >= 1/2, so its absolute
-        error is below 2**-1074 * c(a), far inside what follows. While
-        den(lo) = fl(lo * A) is normal, every den(a) is, and v(a) = (c(a) - e
-        * P(a) / (a * A))(1 + t), where 1 + t = (1 + d4)(1 + d6) / (1 + d5)
-        for the roundings d4 of the subtraction, d5 of a * A and d6 of the
-        quotient, so |t| <= g; and P(a) / (a * A) <= K. Hence v(a) <= (c(a) +
-        gK)(1 + g). At
-        either end c <= v / (1 - g) + gK, so C <= M / (1 - g) + gK, and
+        subtraction that underflows is exact. So the three roundings of
+        fl(w(a) * E) give P(a)(1 + e) with |e| <= g = 3u / (1 - 3u). Should
+        that product underflow, P(a) < 2**-1022 while scale - P(a) >= 1/2,
+        so its absolute error is below 2**-1074 * c(a), far inside what
+        follows. While den(lo) is normal, every den(a) is, and v(a) = (c(a)
+        - e * P(a) / (a * A))(1 + t), where 1 + t = (1 + d4)(1 + d6) / (1 +
+        d5) for the roundings d4 of num, d5 of den and d6 of the quotient, so
+        |t| <= g; and P(a) / (a * A) <= K. Hence v(a) <= (c(a) + gK)(1 + g).
+        At either end c <= v / (1 - g) + gK, so C <= M / (1 - g) + gK, and
         v(a) <= (M / (1 - g) + 2gK)(1 + g) < M + 7u(M + K).
 
         A value that prints wider than 0.00 is at least 0.005, so M + K is
@@ -290,12 +357,15 @@ class GridCurves:
         largest float, which bounds every value: they are all finite.
         """
         alphas, n, scale = self.parameters, self.n, self.scale
-        lo, ends, nf = alphas[0], (alphas[0], alphas[-1]), float(n)
-        for area, energy in islice(product(*self._axes), self._drawn, None):
-            low = max(_closed_form(ends, area, energy, n, scale))
-            den_lo = lo * area
+        (areas, energies), ends, nf = self._axes, (alphas[0], alphas[-1]), float(n)
+        nums = [_numerators(ends, energy, n, scale) for energy in energies]
+        dens = [_denominators(ends, area) for area in areas]
+        columns = product(zip(areas, dens), zip(energies, nums))  # in grid order, each with its end columns
+        for (area, denominators), (energy, numerators) in islice(columns, self._drawn, None):
+            low = max(_closed_form(numerators, denominators))
+            den_lo = denominators[0]
             high = low + 16 * 2.0**-53 * (low + nf * energy / den_lo) if den_lo >= _NORMAL_MIN else FLOAT_MAX
-            values = partial(_closed_form, alphas, area, energy, n, scale)
+            values = partial(self._values, area, energy)
             yield _grid_label(area, energy), alphas, n, scale, low, min(high, FLOAT_MAX), values
 
 

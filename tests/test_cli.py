@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import csv
+import hashlib
 import io
 import json
 import math
@@ -30,6 +31,9 @@ from fabcarbon.report import curve_footnotes, write_curves
 from test_engine import eager_sweep_grid
 
 CSV_HEADER = "name,domain,area_norm,energy_norm,utilization,memory_kb,estimated\n"
+CALIBRATED_WITH_DATASET = (
+    "usage error: --calibrated fits the bundled kernels' reference curves; it takes no --dataset or FABCARBON_DATASET\n"
+)
 
 
 def invoke(*argv):
@@ -152,7 +156,32 @@ class TestDataErrors:
         path = tmp_path / "aes.csv"
         path.write_text(dump_dataset(ds.compress(name == "AESEncrypt" for name in ds.names()), "csv"))
         argv = ("scenario", "--case", "II", "--alphas", "0.3", "--dataset", str(path), *flags)
-        assert invoke(*argv) == (1, "", "error: scenario 'CASE-II' excludes every kernel\n")
+        if flags:  # `--calibrated` takes no dataset: refused before the file is read
+            assert invoke(*argv) == (2, "", CALIBRATED_WITH_DATASET)
+        else:
+            assert invoke(*argv) == (1, "", "error: scenario 'CASE-II' excludes every kernel\n")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("scenario", "--case", "I", "--alphas", "0.3", "--calibrated"),
+            ("savings", "--dsas", "40", "--alpha", "0.7", "--n", "1:2", "--calibrated"),
+            ("hybrid", "--retain", "AESEncrypt", "--n", "4", "--calibrated"),
+        ],
+    )
+    def test_calibrated_with_a_user_dataset_is_a_usage_error(self, tmp_path, argv):
+        """The calibration is fitted to the bundled kernels, so its numbers cannot be credited to a user's."""
+        path = tmp_path / "two.csv"
+        path.write_text(CSV_HEADER + "K0,test,0.3,0.3,0.5,10,1\nK1,test,0.2,0.4,0.6,10,1\n")
+        assert invoke(*argv, "--dataset", str(path)) == (2, "", CALIBRATED_WITH_DATASET)
+        assert invoke(*argv)[0] == 0
+
+    def test_calibrated_with_the_dataset_env_var_is_a_usage_error(self, tmp_path, monkeypatch):
+        path = tmp_path / "bundled.json"
+        path.write_text(dump_dataset(builtin_dataset(), "json"))  # even the bundled kernels, read from a file
+        monkeypatch.setenv(DATASET_ENV_VAR, str(path))
+        assert invoke("savings", "--n", "1:2", "--calibrated") == (2, "", CALIBRATED_WITH_DATASET)
+        assert invoke("savings", "--n", "1:2")[0] == 0
 
     def test_unknown_retained_kernel(self):
         code, _, err = invoke("hybrid", "--retain", "NoSuchKernel", "--n", "4")
@@ -782,6 +811,30 @@ def test_csv_sweep_memory_stays_near_a_trivial_run(tmp_path, fmt, extra_area):
     assert (sweep_code, cdc_code) == (0, 0)
     assert target.stat().st_size > 30_000_000  # 900k rows were written
     assert sweep_kib - cdc_kib < 10 * 1024
+
+
+# A fixed 12 x 12 x 500 grid at n = 3 and the sha256 of its output in each format, recorded from the
+# one-comprehension evaluator that preceded the column steps: a change to any rounding or its order moves one.
+PINNED_SWEEP = (
+    "sweep", "--alpha", "0.001:0.999:0.002", "--n", "3",
+    "--areas", ",".join(f"{0.05 * i:.2f}" for i in range(1, 13)),
+    "--energies", ",".join(f"{0.07 * i:.2f}" for i in range(1, 13)),
+)
+
+
+@pytest.mark.parametrize(
+    "fmt,digest",
+    [
+        ("table", "730aff8ab4253918352d2e548704602a0ecce8d6c5eb09f24c7247e5b6619058"),
+        ("csv", "87c22ff586b5d593fb7998c20e57a6b063510d663a9b4b47e4884b10160c80d3"),
+        ("json", "35a0d5e91222b7ab7a3bc719346caafe96a8dbd3ae5bcd0123c786937f527518"),
+    ],
+)
+def test_sweep_output_is_byte_identical_to_the_recorded_digest(fmt, digest):
+    code, out, err = invoke(*PINNED_SWEEP, "--format", fmt)
+    assert (code, err) == (0, "")
+    assert out.count("\n") > 72_000  # all 144 curves of 500 points
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_runs_as_a_module():

@@ -1,7 +1,11 @@
 from __future__ import annotations
 
 import math
+import sys
+import tracemalloc
+from collections import deque
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 from hypothesis import example, given, settings
@@ -301,6 +305,59 @@ class TestGridCurves:
         values = cdc_curve(alphas, _agg(area, energy), n, float(n))
         assert all(type(v) is float and 0.0 < v < math.inf for v in values)
         assert list(grid_curves(alphas, [area], [energy], n)) == eager_sweep_grid(alphas, [area], [energy], n)
+
+
+class TestHeldColumns:
+    """A grid holds one numerator column per energy only with more than one area and within `_HELD_NUMERATORS`,
+    and the columns its curves share only while its alpha column fits one slice."""
+
+    ALPHAS = tuple(float_steps(0.0005, 0.9995, 0.001))  # 1000 alphas: a column of about 32 kB
+
+    @classmethod
+    def traced(cls, areas, energies, drawn):
+        """The grid, what it holds once `drawn` curves are drawn and dropped, and its peak from its construction on,
+        in columns of 1000 floats."""
+        column = fabcarbon.engine._denominators(cls.ALPHAS, 0.5)
+        size = sys.getsizeof(column) + sum(map(sys.getsizeof, column))
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            grid = grid_curves(cls.ALPHAS, areas, energies)
+            deque(islice(grid, drawn), maxlen=0)
+            held, peak = ((bytes_ - base) / size for bytes_ in tracemalloc.get_traced_memory())
+        finally:
+            tracemalloc.stop()
+        return grid, held, peak
+
+    def test_a_single_area_grid_holds_no_numerator_column(self):
+        grid, held, peak = self.traced([0.35], [0.1, 0.2, 0.3, 0.4, 0.5, 0.6], 6)
+        assert grid._held is None
+        assert 0.5 < held < 1.5  # the area's denominators
+        assert peak < 3.5  # and the drawn curve's numerators and values
+
+    @pytest.mark.parametrize("drawn", [0, 6, 18])
+    def test_a_grid_within_the_budget_holds_one_column_per_energy(self, drawn):
+        energies = [0.1, 0.2, 0.3, 0.3, 0.5, 0.6]  # a repeated energy has its own column
+        grid, held, peak = self.traced([0.25, 0.35, 0.45], energies, drawn)
+        assert len(grid._held) == len(energies)
+        columns = len(energies) + (drawn > 0)  # and once drawn the current area's denominators
+        assert columns - 0.5 < held < columns + 0.5
+        assert peak < len(energies) + 2.5
+
+    def test_a_grid_over_the_budget_holds_no_numerator_column(self, monkeypatch):
+        energies = [0.1, 0.2, 0.3, 0.4, 0.5, 0.6]
+        monkeypatch.setattr(fabcarbon.engine, "_HELD_NUMERATORS", len(energies) * len(self.ALPHAS) - 1)
+        grid, held, peak = self.traced([0.25, 0.35, 0.45], energies, 18)
+        assert grid._held is None
+        assert 0.5 < held < 1.5 and peak < 3.5  # as in a single-area grid
+        monkeypatch.setattr(fabcarbon.engine, "_HELD_NUMERATORS", len(energies) * len(self.ALPHAS))
+        assert len(self.traced([0.25, 0.35, 0.45], energies, 18)[0]._held) == len(energies)  # the bound is inclusive
+
+    def test_a_grid_of_curves_longer_than_a_slice_holds_only_the_curve_being_drawn(self, monkeypatch):
+        monkeypatch.setattr(fabcarbon.engine, "_SLICE_ALPHAS", len(self.ALPHAS) // 10)
+        grid, held, peak = self.traced([0.25, 0.35, 0.45], [0.1, 0.2, 0.3], 9)
+        assert not grid._short and grid._held is None
+        assert held < 0.5 and peak < 1.5  # the drawn curve's values, and the columns of one slice
 
 
 class TestFitAggregates:

@@ -80,10 +80,16 @@ def test_output_matches_recording(case, golden, tmp_path):
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_output_matches_recording_from_a_loaded_file(case, fmt, golden, tmp_path, monkeypatch):
     """The bundled set dumped to a file and loaded prints the same bytes,
-    except `dataset validate` on a CSV file, which carries no provenance."""
+    except `dataset validate` on a CSV file, which carries no provenance,
+    and `--calibrated`, which is fitted to the bundled set and refuses a file."""
     path = tmp_path / f"kernels.{fmt}"
     path.write_text(dump_dataset(builtin_dataset(), fmt), encoding="utf-8")
     monkeypatch.setenv(DATASET_ENV_VAR, str(path))
+    if "--calibrated" in CASES[case]:
+        err = io.StringIO()
+        assert run(list(CASES[case]), io.StringIO(), err) == 2
+        assert err.getvalue().startswith("usage error: --calibrated ") and err.getvalue().count("\n") == 1
+        return
     got = render(case, tmp_path)
     if fmt == "csv" and case.startswith("dataset validate"):
         assert "(unnamed)" in got and "(unnamed)" not in golden[case]

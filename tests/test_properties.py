@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 import statistics
 import sys
+from itertools import islice, product
 
 import pytest
 from hypothesis import assume, example, given, reject, settings
@@ -334,6 +335,44 @@ def accepted_grid(alphas, areas, energies, n):
         return grid_curves(alphas, areas, energies, n)
     except ModelError:
         reject()
+
+
+# Grid energies that repeat or are equal across types, so that held numerator columns are equal
+grid_energy = st.one_of(ratios, ratios, st.sampled_from((1, 1.0, 0.35, 2.0)), st.floats(min_value=5e-324, max_value=FLOAT_MAX))
+
+
+class TestGridColumns:
+    """A grid's curves, drawn from its shared columns, are the point-by-point closed form bit for bit."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        alphas=st.one_of(st.lists(alphas, min_size=1, max_size=40, unique=True).map(sorted), grid_alphas),
+        areas=st.lists(st.one_of(ratios, ratios, st.sampled_from((1, 1.0)), st.floats(min_value=5e-324, max_value=FLOAT_MAX)),
+                       min_size=2, max_size=3),
+        energies=st.lists(grid_energy, min_size=1, max_size=4),
+        n=st.sampled_from((1, 3, 2**53)),
+        drawn=st.integers(min_value=0, max_value=12),
+    )
+    @example(alphas=[0.3, 0.6], areas=[0.35, 1], energies=[1, 1.0, 1], n=3, drawn=4)
+    @example(alphas=[0.25, 0.75], areas=[0.35, 0.35], energies=[0.35, 2.0], n=2**53, drawn=1)
+    def test_every_curve_equals_the_point_by_point_oracle(self, alphas, areas, energies, n, drawn):
+        aggs = [AggregateRatios(area=area, energy=energy, utilization=1.0, kernel_count=1)
+                for area, energy in product(areas, energies)]
+        expected = [(f"A={agg.area:g},E={agg.energy:g}", outcome(point_by_point_cdc_curve, alphas, agg, n, float(n)))
+                    for agg in aggs]
+        # numerator columns held across areas; then none, and each curve evaluated 3 alphas at a time
+        for budget, width in ((fabcarbon.engine._HELD_NUMERATORS, fabcarbon.engine._SLICE_ALPHAS), (0, 3)):
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(fabcarbon.engine, "_HELD_NUMERATORS", budget)
+                patch.setattr(fabcarbon.engine, "_SLICE_ALPHAS", width)
+                assert [outcome(cdc_curve, alphas, agg, n, float(n)) for agg in aggs] == [hexes for _, hexes in expected]
+                grid = accepted_grid(alphas, areas, energies, n)
+                assert (grid._held is not None) == bool(budget)
+                head = [(curve.label, list(map(float.hex, curve.values))) for curve in islice(grid, drawn)]
+                peaks = [(label, list(map(float.hex, values()))) for label, *_, values in grid.peaks()]  # partly drawn
+                tail = [(curve.label, list(map(float.hex, curve.values))) for curve in grid]
+            assert head + tail == expected
+            assert peaks == expected[len(head):]
 
 
 class TestGridCurves:
