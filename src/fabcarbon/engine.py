@@ -16,7 +16,7 @@ import operator
 import sys
 from collections.abc import Callable, Iterator, Sequence
 from functools import partial
-from itertools import chain, islice, product
+from itertools import islice, product
 
 from .concurrency import ScaleMode, scale_factor
 from .core import AT_LEAST_ONE, FLOAT_MAX, OPEN_UNIT, POSITIVE, REAL, UNIT, AggregateRatios, FootprintWeights, Record, dsa_footprint, fabric_footprint, numbers_within, require_alpha, require_concurrency, require_scale
@@ -26,8 +26,6 @@ from .errors import DegenerateModel, InfeasibleFit, InvalidRange, SingularFit
 _RANGE_EPS = 1e-9
 # The least positive normal float.
 _NORMAL_MIN = sys.float_info.min
-# Alphas per slice of a curve evaluated by itself: no column it computes is longer than a slice.
-_SLICE_ALPHAS = 2**12
 
 
 class CdcQuery(Record):
@@ -106,21 +104,14 @@ def cdc_curve(
     threshold overflows.
 
     Every value comes from `_closed_form`, the one evaluator of the closed
-    form. The point loop checks each point, raising the first fault in
-    alpha order, and hands it the numerator and denominator columns it
-    computed, which round as `_numerators` and `_denominators` do (a float
-    times the int n multiplies by float(n)). A column longer than
-    `_SLICE_ALPHAS` is taken a slice at a time.
+    form. The point loop before it only names a fault: it raises the first
+    one in alpha order and keeps nothing.
     """
     require_concurrency(n)
     require_scale(scale)
     if not alphas:
         raise InvalidRange("no alpha values supplied")
-    if len(alphas) > _SLICE_ALPHAS:
-        slices = (alphas[i:i + _SLICE_ALPHAS] for i in range(0, len(alphas), _SLICE_ALPHAS))
-        return [value for part in slices for value in cdc_curve(part, agg, n, scale)]
     area, energy = agg.area, agg.energy
-    numerators, denominators = [], []
     for alpha in alphas:
         if alpha not in UNIT:  # any type that compares inside; require_alpha raises the typed error
             require_alpha(alpha)
@@ -133,13 +124,11 @@ def cdc_curve(
         denominator = alpha * area
         if not denominator or numerator / denominator == math.inf:
             raise DegenerateModel(f"threshold is not finite at alpha_e2o = {alpha!r}")
-        numerators.append(numerator)
-        denominators.append(denominator)
-    return list(_closed_form(numerators, denominators))
+    return _closed_form(alphas, area, energy, n, scale)
 
 
 # The closed form in column steps, each rounding as in `(scale - (1.0 - a) * nf * E) / (a * A)` and in that
-# order: the columns a grid's curves share are computed once, and a curve is one division per point.
+# order: a grid computes the columns its curves share once, and `_closed_form` divides them.
 
 
 def _numerators(alphas: Sequence[float], energy: float, n: int, scale: float) -> list[float]:
@@ -153,17 +142,28 @@ def _denominators(alphas: Sequence[float], area: float) -> list[float]:
     return [alpha * area for alpha in alphas]
 
 
-def _closed_form(numerators: Sequence[float], denominators: Sequence[float]) -> tuple[float, ...]:
-    """The closed form at each point, unchecked: the one evaluator, for a column whose checks pass."""
-    return tuple(map(operator.truediv, numerators, denominators))
+def _closed_form(
+    alphas: Sequence[float],
+    area: float,
+    energy: float,
+    n: int,
+    scale: float,
+    columns: tuple[Sequence[float], Sequence[float]] | None = None,
+) -> list[float]:
+    """The closed form at each alpha, unchecked: the one evaluator, for a column whose checks pass.
 
-
-def _evaluate(alphas: Sequence[float], area: float, energy: float, n: int, scale: float) -> tuple[float, ...]:
-    """One curve by the column steps and `_closed_form`, unchecked, computing no column longer than a slice."""
-    if len(alphas) > _SLICE_ALPHAS:
-        slices = (alphas[i:i + _SLICE_ALPHAS] for i in range(0, len(alphas), _SLICE_ALPHAS))
-        return tuple(chain.from_iterable(_evaluate(part, area, energy, n, scale) for part in slices))
-    return _closed_form(_numerators(alphas, energy, n, scale), _denominators(alphas, area))
+    Each value is fl(num(a) / den(a)), with num(a) from `_numerators` and
+    den(a) from `_denominators`. `columns` is those two columns of
+    `alphas`, when a grid holds them for the curves that share them: the
+    curve is then one C-level division a point. Without them each point
+    takes the five steps in one pass, in the same order: for a curve that
+    shares no column that is faster than building the columns (about 72
+    against 107 ns a point on 1000 alphas, Python 3.11).
+    """
+    if columns is not None:
+        return list(map(operator.truediv, *columns))
+    nf = float(n)  # exact up to 2**53, as in `float * int`; float products are faster
+    return [(scale - (1.0 - alpha) * nf * energy) / (alpha * area) for alpha in alphas]
 
 
 def cdc(query: CdcQuery) -> float:
@@ -256,8 +256,9 @@ def _grid_label(area: float, energy: float) -> str:
     return f"A={area:g},E={energy:g}"
 
 
-# The most floats of a grid's numerator columns, one per energy, for them to be held while it is drawn.
-_HELD_NUMERATORS = 2**16
+# The most floats a grid holds in the columns its curves share: at 32 B a float (its object and its list slot),
+# 1 MiB, inside the 1.5 MB the hold may add to a sweep's peak.
+_HELD_FLOATS = 2**15
 
 
 class GridCurves:
@@ -269,15 +270,16 @@ class GridCurves:
     table's column widths need of the curves not yet drawn without
     evaluating one column.
 
-    A curve is `_closed_form` of its energy's numerator column and its
-    area's denominator column. A grid whose alpha column fits one slice of
-    `_SLICE_ALPHAS` keeps the current area's denominators, and computes
-    each curve's numerators as it is drawn; with
-    more than one area and numerator columns (one per energy) of at most
-    `_HELD_NUMERATORS` floats in all, it computes each energy's numerators
-    once instead, when it is built, for every area. A grid of longer curves
-    holds no column: each curve is `_evaluate`d by itself, a slice at a
-    time.
+    A grid of more than one area and more than one energy, whose numerator
+    columns (one per energy) and one denominator column hold at most
+    `_HELD_FLOATS` floats, computes each energy's numerators once, when it
+    is built, and each area's denominators when its first curve is drawn,
+    and hands them to `_closed_form`: every column it holds then serves at
+    least two curves. Any other grid holds no column: each curve is
+    evaluated by itself. On 1000 alphas (Python 3.11, 2-CPU host) a held
+    grid of 2 x 2 curves draws as fast as one that holds nothing, larger
+    ones faster (62 against 81 ns a point at 4 x 4, 36 against 71 ms for
+    30 x 30), and a 2 x 1 grid about 10% slower, so it holds nothing.
     """
 
     def __init__(self, parameters: tuple[float, ...], areas: tuple, energies: tuple, n: int, scale: float) -> None:
@@ -285,11 +287,9 @@ class GridCurves:
         self._axes = areas, energies
         self._pairs = product(areas, energies)
         self._drawn = 0
-        self._short = len(parameters) <= _SLICE_ALPHAS
-        self._denominators: list[float] = []
-        # each energy's numerators then serve every area: computed once, together
-        held = self._short and len(areas) > 1 and len(energies) * len(parameters) <= _HELD_NUMERATORS
+        held = len(areas) > 1 and len(energies) > 1 and (len(energies) + 1) * len(parameters) <= _HELD_FLOATS
         self._held = [_numerators(parameters, energy, n, scale) for energy in energies] if held else None
+        self._denominators: list[float] = []
 
     def __iter__(self) -> GridCurves:
         return self
@@ -298,28 +298,20 @@ class GridCurves:
         area, energy = next(self._pairs)
         column = self._drawn % len(self._axes[1])
         self._drawn += 1
-        if not self._short:
-            values = _evaluate(self.parameters, area, energy, self.n, self.scale)
-        else:
+        columns = None
+        if self._held is not None:
             if not column:  # curves are drawn in grid order, so a new area starts at its first energy
                 self._denominators = _denominators(self.parameters, area)
-            held = self._held
-            numerators = _numerators(self.parameters, energy, self.n, self.scale) if held is None else held[column]
-            values = _closed_form(numerators, self._denominators)
+            columns = self._held[column], self._denominators
+        values = tuple(_closed_form(self.parameters, area, energy, self.n, self.scale, columns))
         # unchecked: `grid_curves` ran the checks on every curve of the grid, or proved they pass
         return SweepResult._unchecked(_grid_label(area, energy), self.parameters, values, self.n, self.scale, ())
-
-    def _values(self, area: float, energy: float) -> list[float]:
-        """One curve's values, evaluated by itself, for a curve that `peaks` reads before it is drawn."""
-        return list(_evaluate(self.parameters, area, energy, self.n, self.scale))
 
     def peaks(self) -> Iterator[tuple[str, tuple[float, ...], int, float, float, float, Callable[[], list[float]]]]:
         """(label, parameters, n, scale, low, high, values) for each curve not yet drawn, in grid order.
 
         These are what a table's column widths need of a curve, read from
-        its two end alphas: the column steps give each energy's two end
-        numerators and each area's two end denominators once, and
-        `_closed_form` divides them per curve, as `__next__` evaluates every
+        its two end alphas by `_closed_form`, which `__next__` runs on every
         alpha. `low` is the larger of the curve's two end values, so it is a
         value of the curve; `values()` evaluates the whole curve. Every value
         of the curve that prints wider than 0.00 is at most `high`, for this
@@ -357,15 +349,12 @@ class GridCurves:
         largest float, which bounds every value: they are all finite.
         """
         alphas, n, scale = self.parameters, self.n, self.scale
-        (areas, energies), ends, nf = self._axes, (alphas[0], alphas[-1]), float(n)
-        nums = [_numerators(ends, energy, n, scale) for energy in energies]
-        dens = [_denominators(ends, area) for area in areas]
-        columns = product(zip(areas, dens), zip(energies, nums))  # in grid order, each with its end columns
-        for (area, denominators), (energy, numerators) in islice(columns, self._drawn, None):
-            low = max(_closed_form(numerators, denominators))
-            den_lo = denominators[0]
+        lo, ends, nf = alphas[0], (alphas[0], alphas[-1]), float(n)
+        for area, energy in islice(product(*self._axes), self._drawn, None):
+            low = max(_closed_form(ends, area, energy, n, scale))
+            den_lo = lo * area
             high = low + 16 * 2.0**-53 * (low + nf * energy / den_lo) if den_lo >= _NORMAL_MIN else FLOAT_MAX
-            values = partial(self._values, area, energy)
+            values = partial(_closed_form, alphas, area, energy, n, scale)
             yield _grid_label(area, energy), alphas, n, scale, low, min(high, FLOAT_MAX), values
 
 

@@ -308,8 +308,8 @@ class TestGridCurves:
 
 
 class TestHeldColumns:
-    """A grid holds one numerator column per energy only with more than one area and within `_HELD_NUMERATORS`,
-    and the columns its curves share only while its alpha column fits one slice."""
+    """A grid holds one numerator column per energy, and the current area's denominators, only with more than one
+    area and more than one energy, and within `_HELD_FLOATS`."""
 
     ALPHAS = tuple(float_steps(0.0005, 0.9995, 0.001))  # 1000 alphas: a column of about 32 kB
 
@@ -329,11 +329,11 @@ class TestHeldColumns:
             tracemalloc.stop()
         return grid, held, peak
 
-    def test_a_single_area_grid_holds_no_numerator_column(self):
-        grid, held, peak = self.traced([0.35], [0.1, 0.2, 0.3, 0.4, 0.5, 0.6], 6)
+    @pytest.mark.parametrize("areas,energies", [([0.35], [0.1, 0.2, 0.3, 0.4, 0.5, 0.6]), ([0.25, 0.35, 0.45], [0.3])])
+    def test_a_single_area_or_energy_grid_holds_no_column(self, areas, energies):
+        grid, held, peak = self.traced(areas, energies, len(areas) * len(energies))
         assert grid._held is None
-        assert 0.5 < held < 1.5  # the area's denominators
-        assert peak < 3.5  # and the drawn curve's numerators and values
+        assert held < 0.5 and peak < 1.5  # only the drawn curve's values
 
     @pytest.mark.parametrize("drawn", [0, 6, 18])
     def test_a_grid_within_the_budget_holds_one_column_per_energy(self, drawn):
@@ -344,20 +344,20 @@ class TestHeldColumns:
         assert columns - 0.5 < held < columns + 0.5
         assert peak < len(energies) + 2.5
 
-    def test_a_grid_over_the_budget_holds_no_numerator_column(self, monkeypatch):
+    def test_a_grid_over_the_budget_holds_no_column(self, monkeypatch):
         energies = [0.1, 0.2, 0.3, 0.4, 0.5, 0.6]
-        monkeypatch.setattr(fabcarbon.engine, "_HELD_NUMERATORS", len(energies) * len(self.ALPHAS) - 1)
+        budget = (len(energies) + 1) * len(self.ALPHAS)  # the numerators and one area's denominators
+        monkeypatch.setattr(fabcarbon.engine, "_HELD_FLOATS", budget - 1)
         grid, held, peak = self.traced([0.25, 0.35, 0.45], energies, 18)
         assert grid._held is None
-        assert 0.5 < held < 1.5 and peak < 3.5  # as in a single-area grid
-        monkeypatch.setattr(fabcarbon.engine, "_HELD_NUMERATORS", len(energies) * len(self.ALPHAS))
+        assert held < 0.5 and peak < 1.5  # as in a single-area grid
+        monkeypatch.setattr(fabcarbon.engine, "_HELD_FLOATS", budget)
         assert len(self.traced([0.25, 0.35, 0.45], energies, 18)[0]._held) == len(energies)  # the bound is inclusive
 
-    def test_a_grid_of_curves_longer_than_a_slice_holds_only_the_curve_being_drawn(self, monkeypatch):
-        monkeypatch.setattr(fabcarbon.engine, "_SLICE_ALPHAS", len(self.ALPHAS) // 10)
-        grid, held, peak = self.traced([0.25, 0.35, 0.45], [0.1, 0.2, 0.3], 9)
-        assert not grid._short and grid._held is None
-        assert held < 0.5 and peak < 1.5  # the drawn curve's values, and the columns of one slice
+    def test_the_benchmark_grid_fits_the_budget(self):
+        """The 30 x 30 x 1000 sweep holds its columns in 1 MiB."""
+        assert (30 + 1) * len(self.ALPHAS) <= fabcarbon.engine._HELD_FLOATS
+        assert fabcarbon.engine._HELD_FLOATS * (sys.getsizeof(0.5) + 8) <= 2**20
 
 
 class TestFitAggregates:

@@ -360,14 +360,13 @@ class TestGridColumns:
                 for area, energy in product(areas, energies)]
         expected = [(f"A={agg.area:g},E={agg.energy:g}", outcome(point_by_point_cdc_curve, alphas, agg, n, float(n)))
                     for agg in aggs]
-        # numerator columns held across areas; then none, and each curve evaluated 3 alphas at a time
-        for budget, width in ((fabcarbon.engine._HELD_NUMERATORS, fabcarbon.engine._SLICE_ALPHAS), (0, 3)):
+        assert [outcome(cdc_curve, alphas, agg, n, float(n)) for agg in aggs] == [hexes for _, hexes in expected]
+        # the columns held across areas; then none, and each curve evaluated by itself
+        for budget in (fabcarbon.engine._HELD_FLOATS, 0):
             with pytest.MonkeyPatch.context() as patch:
-                patch.setattr(fabcarbon.engine, "_HELD_NUMERATORS", budget)
-                patch.setattr(fabcarbon.engine, "_SLICE_ALPHAS", width)
-                assert [outcome(cdc_curve, alphas, agg, n, float(n)) for agg in aggs] == [hexes for _, hexes in expected]
+                patch.setattr(fabcarbon.engine, "_HELD_FLOATS", budget)
                 grid = accepted_grid(alphas, areas, energies, n)
-                assert (grid._held is not None) == bool(budget)
+                assert (grid._held is not None) == (budget > 0 and len(energies) > 1)
                 head = [(curve.label, list(map(float.hex, curve.values))) for curve in islice(grid, drawn)]
                 peaks = [(label, list(map(float.hex, values()))) for label, *_, values in grid.peaks()]  # partly drawn
                 tail = [(curve.label, list(map(float.hex, curve.values))) for curve in grid]
