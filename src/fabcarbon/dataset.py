@@ -12,9 +12,9 @@ from __future__ import annotations
 import io
 import os
 import re
-from collections.abc import Iterable, Iterator, Mapping
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from functools import cached_property
-from itertools import compress, islice, repeat
+from itertools import chain, compress, islice, repeat
 from operator import attrgetter, itemgetter
 
 from .core import KERNEL_BOUNDS, POSITIVE, KernelProfile, Record, number_text, numbers_within
@@ -81,7 +81,7 @@ def _number(cell: str) -> float:
 # cell the parser refuses (ValueError or KeyError) and its CSV cell formatter.
 # JSON carries typed values, which KernelProfile checks itself. The per-record
 # path parses stripped cells, the column path raw ones: `float` refuses the
-# separators U+001C-U+001F around a number, so such a column falls back.
+# separators U+001C-U+001F around a number, so such a slice is read record by record.
 _SCHEMA = (
     ("name", str.strip, "", str),
     ("domain", str.strip, "", str),
@@ -229,41 +229,6 @@ def _read_text(source: str | os.PathLike | IO) -> str:
     return data.removeprefix("\ufeff")
 
 
-def _csv_reader(text: str) -> Iterator[list[str]]:
-    """`csv.reader` over the lines, each with its "\n", that io.StringIO(text) gives, without its copy of the text."""
-    import csv
-
-    return csv.reader(map(re.Match.group, re.finditer(r".*\n|.+", text)))
-
-
-def _csv_records(text: str) -> Iterator[dict[str, object]]:
-    import csv
-
-    try:
-        reader = _csv_reader(text)
-        header = next(reader, None)
-        if header is None:
-            raise EmptyInput("input document is empty")
-        header = [h.strip() for h in header]
-        if header != list(KERNEL_COLUMNS):
-            raise ParseError(f"expected header {','.join(KERNEL_COLUMNS)!r}, got {','.join(header)!r}", line=1)
-        for row in reader:
-            if not row or all(not cell.strip() for cell in row):
-                continue
-            if len(row) != len(_SCHEMA):
-                raise ParseError(f"expected {len(_SCHEMA)} fields, got {len(row)}", line=reader.line_num)
-            record = {}
-            for (column, parse, fault, _), cell in zip(_SCHEMA, row):
-                cell = cell.strip()
-                try:
-                    record[column] = parse(cell)
-                except (ValueError, KeyError):
-                    raise ParseError(f"{fault}: {cell!r}", line=reader.line_num, column=column) from None
-            yield record
-    except csv.Error as exc:  # e.g. a field longer than the csv module's limit
-        raise ParseError(str(exc)) from None
-
-
 # CSV lines read into columns a slice at a time: each slice's cells are freed
 # before the next slice is read. On a 100k-kernel file, 4096-line slices of the
 # split cutter peaked at 65.2 MB of RSS against 64.0 MB for 512-line ones and
@@ -271,80 +236,117 @@ def _csv_records(text: str) -> Iterator[dict[str, object]]:
 _SLICE_ROWS = 512
 
 
-def _ended(rows: Iterable[list[str]]) -> list[str]:
-    """The cells of `rows`, each row's followed by a "\0" cell; ValueError for a row
-    without seven cells, since a cell that `csv.reader` reads may itself be "\0"."""
-    rows = list(rows)
-    if set(map(len, rows)) != {len(_SCHEMA)}:  # a blank row or a wrong field count
-        raise ValueError("a row without seven cells")
-    return [cell for row in rows for cell in (*row, "\0")]
+def _read_slices(reader: Iterator[list[str]], first: int = 1) -> Iterator[tuple]:
+    """The `_csv_slices` slices of the rows `reader` reads from line `first` on; a
+    csv.Error raises ParseError once the rows read before it, whose faults come first, are given."""
+    import csv
+
+    while True:
+        lines, rows, fault = [], [], None
+        try:
+            for row in islice(reader, _SLICE_ROWS):
+                lines.append(first - 1 + reader.line_num)
+                rows.append(row)
+        except csv.Error as exc:  # e.g. a field longer than the csv module's limit
+            fault = ParseError(str(exc))
+        if rows:
+            yield lines, (list(zip(*rows)) if set(map(len, rows)) == {len(_SCHEMA)} else None), rows
+        if fault:
+            raise fault
+        if len(rows) < _SLICE_ROWS:
+            return
 
 
-def _csv_slices(text: str) -> Iterator[list[str]]:
-    """The document's cells a slice of up to `_SLICE_ROWS` rows at a time, row after
-    row: each row's seven cells, then a "\0" cell for its end. A row without seven
-    cells raises ValueError, and one that `csv.reader` refuses csv.Error.
+def _csv_slices(text: str) -> Iterator[tuple]:
+    """The rows and `line_num`s of `csv.reader(io.StringIO(text))`, up to `_SLICE_ROWS`
+    at a time, as `(lines, fields, rows)`, `fields` holding each field's cells when
+    every row has seven, else None. ParseError for a csv.Error (`_read_slices`).
 
     `csv.reader` cuts every row of a document that holds a `"`, a NUL or a CR
     outside a CRLF pair, and a line longer than `csv.field_size_limit()`, in a
-    slice of its own. It would only cut any other line at its commas, so the
-    other slices are split at "," and "\n", all of it in C. Such a slice holds
-    no NUL, so a line without seven cells leaves a "\0" out of its place.
-    """
+    slice of its own. Any other slice is split at "," and "\n", in C: it holds
+    no NUL, so a line without seven cells leaves a "\0" line end out of place."""
     import csv
 
     width = len(_SCHEMA)
     if '"' in text or "\0" in text or text.count("\r") != text.count("\r\n"):
-        reader = _csv_reader(text)
-        while rows := list(islice(reader, _SLICE_ROWS)):
-            yield _ended(rows)
+        # over the lines, each with its "\n", that io.StringIO(text) gives, without its copy of the text
+        yield from _read_slices(csv.reader(map(re.Match.group, re.finditer(r".*\n|.+", text))))
         return
     crlf = "\r" in text
     bound = min(csv.field_size_limit(), 2**31 - 1)  # a regex repeat count has a cap
+    line = 1
     # up to _SLICE_ROWS lines of at most `bound` characters, each with its "\n"; else one line, in group 1
     for match in re.finditer(r"(?:.{0,%d}\n){1,%d}|(.+)\n?" % (bound, _SLICE_ROWS), text):
-        chunk, line = match.group(0, 1)
-        if line is not None:  # a line longer than `bound`, or the last line, which has no "\n"
-            if len(line) > bound:
-                yield _ended(csv.reader([chunk]))
+        chunk, long_line = match.group(0, 1)
+        if long_line is not None:  # a line longer than `bound`, or the last line, which has no "\n"
+            if len(long_line) > bound:
+                yield from _read_slices(csv.reader([chunk]), line)
+                line += 1
                 continue
             chunk += "\n"
         if crlf:
             chunk = chunk.replace("\r\n", "\n")
-        lines = chunk.count("\n")
+        lines = range(line, line + chunk.count("\n"))
+        line = lines.stop
         cells = chunk.replace("\n", ",\0,").split(",")
         del cells[-1]  # the empty cell after the last line end
-        if len(cells) != (width + 1) * lines or cells[width :: width + 1].count("\0") != lines:
-            raise ValueError("a line without seven cells")
-        yield cells
+        if len(cells) == (width + 1) * len(lines) and cells[width :: width + 1].count("\0") == len(lines):
+            fields = [cells[position :: width + 1] for position in range(width)]
+            yield lines, fields, zip(*fields)
+        else:  # a wrong field count, or a blank line, in which `csv.reader` reads no cell
+            yield lines, None, [cut.split(",") if cut else [] for cut in chunk[:-1].split("\n")]
 
 
-def _csv_columns(text: str) -> tuple[tuple, ...] | None:
-    """Each field's column, or None when the header, a row or a cell would not
-    parse: the columns, or None, that `csv.reader` gives (`_csv_slices`)."""
-    import csv
+def _row_records(lines: Iterable[int], rows: Iterable[Sequence[str]]) -> Iterator[dict[str, object]]:
+    """Each row's record, parsed by `_SCHEMA` from its stripped cells; a row that is
+    blank after `strip()` gives none, and a fault raises ParseError at its line."""
+    for line, row in zip(lines, rows):
+        if not any(cell.strip() for cell in row):
+            continue
+        if len(row) != len(_SCHEMA):
+            raise ParseError(f"expected {len(_SCHEMA)} fields, got {len(row)}", line=line)
+        record = {}
+        for (column, parse, fault, _), cell in zip(_SCHEMA, map(str.strip, row)):
+            try:
+                record[column] = parse(cell)
+            except (ValueError, KeyError):
+                raise ParseError(f"{fault}: {cell!r}", line=line, column=column) from None
+        yield record
 
-    width = len(_SCHEMA)
-    columns: tuple[list, ...] = tuple([] for _ in _SCHEMA)
+
+def _csv_body(text: str) -> Iterator[tuple[list[Sequence[str]] | None, Iterator[dict[str, object]]]]:
+    """Each slice's fields and records (`_row_records`, parsed as they are read) past
+    the header, which must name `KERNEL_COLUMNS`; EmptyInput for a document of no rows."""
     header = None
-    try:
-        for cells in _csv_slices(text):
-            if header is None:
-                header = [cell.strip() for cell in cells[:width]]
-                if header != list(KERNEL_COLUMNS):
-                    return None
-                del cells[: width + 1]
-            for position, (column, (_, parse, _, _)) in enumerate(zip(columns, _SCHEMA)):
-                field = cells[position :: width + 1]
-                if parse is _number:  # one guard for the slice, then `float` on each cell in C
-                    if not _plain_text("".join(field)):
-                        return None
-                    parse = float
-                column.extend(map(parse, field))
-    except (csv.Error, ValueError, KeyError):
-        return None
-    if header is None:  # an empty document
-        return None
+    for lines, fields, rows in _csv_slices(text):
+        if header is None:  # the first slice: check and drop the header
+            rows = iter(rows)
+            header = [cell.strip() for cell in next(rows)]
+            if header != list(KERNEL_COLUMNS):
+                raise ParseError(f"expected header {','.join(KERNEL_COLUMNS)!r}, got {','.join(header)!r}", line=1)
+            lines, fields = lines[1:], fields and [field[1:] for field in fields]
+        yield fields, _row_records(lines, rows)
+    if header is None:
+        raise EmptyInput("input document is empty")
+
+
+def _csv_columns(text: str) -> tuple[tuple, ...]:
+    """Each field's column: a slice's fields parsed a field at a time, else, for a
+    row or cell that the column parse refuses, the slice's records (`_csv_body`)."""
+    columns: tuple[list, ...] = tuple([] for _ in _SCHEMA)
+    for fields, records in _csv_body(text):
+        if fields is not None:
+            kept = len(columns[0])
+            try:  # a number field by `float`, in C, once its cells pass one ASCII test
+                for column, (_, parse, _, _), field in zip(columns, _SCHEMA, fields):
+                    column.extend(map(float if parse is _number and _plain_text("".join(field)) else parse, field))
+                continue
+            except (ValueError, KeyError):  # such as a number padded with U+001C: drop the slice's cells
+                for column in columns:
+                    del column[kept:]
+        for column, values in zip(columns, zip(*map(dict.values, records))):
+            column.extend(values)
     return tuple(map(tuple, columns))
 
 
@@ -469,23 +471,22 @@ def load_dataset(
     One leading UTF-8 byte-order mark is dropped. Each field is read into
     one column, and each column is checked whole against the checks
     `KernelProfile` makes, so no `KernelProfile` is built until the
-    dataset's ``kernels`` are read. A CSV document is read a slice of lines
-    at a time, by one column loop over either cutter: `csv.reader` cuts a
-    document that holds a `"`, a NUL or a CR outside a CRLF pair, and a
-    line over the csv module's field limit as a slice of its own; any
-    other slice is split at newlines and commas. When a column fails its
-    check, or a row or record is malformed, the document is read again
-    record by record, building each `KernelProfile`, and every violation
-    is reported with the message, line and column that record's own checks
-    give.
+    dataset's ``kernels`` are read. A CSV document is read a slice of rows
+    at a time (`_csv_slices`): a slice of seven-cell rows is parsed a field
+    at a time, any other slice, such as one with a blank row, record by
+    record, and a fault raises at its line and column. When a column fails
+    its check, the document is read again record by record, building each
+    `KernelProfile`, to list every violation.
     """
     text = _read_text(source)
     if format == "csv":
         doc: Mapping = {}
-        records: Iterable = _csv_records(text)
+        columns = _csv_columns(text)
+        records: Iterable = chain.from_iterable(map(itemgetter(1), _csv_body(text)))  # read if a check fails
     elif format == "json":
         doc = _json_document(text)
         records = doc["kernels"]
+        columns = _json_columns(records)
     else:
         raise ValueError(f"unknown dataset format: {format!r}")
     loaded_fabric = _json_fabric(doc.get("fabric"))
@@ -493,7 +494,6 @@ def load_dataset(
     provenance = provenance if provenance is not None else (doc.get("provenance") or "")
     version = doc.get("version", DATASET_VERSION)
 
-    columns = _csv_columns(text) if format == "csv" else _json_columns(records)
     if columns is not None and _columns_valid(columns):
         ds = KernelDataset._unchecked(columns, fabric, provenance, version)  # `_columns_valid` ran the checks
         violations = []

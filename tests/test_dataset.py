@@ -370,6 +370,7 @@ def _both_formats(ds):
 
 
 ROW = "X,d,0.3,0.3,0.5,10,0\n"
+ROWS_600 = "".join(f"K{i},d,0.3,0.3,0.5,10,0\n" for i in range(600))
 DOC = '{"kernels": [{"name": "X", "domain": "d", "area_norm": 0.3, "energy_norm": 0.3, "utilization": %s, "memory_kb": %s%s}]}'
 
 
@@ -392,6 +393,9 @@ DOC = '{"kernels": [{"name": "X", "domain": "d", "area_norm": 0.3, "energy_norm"
 @example(document=(CSV_HEADER + ROW.replace("0.5", "0.3_5"), "csv"))  # `float` reads these three as numbers
 @example(document=(CSV_HEADER + ROW.replace(",10,", ",1_00,"), "csv"))
 @example(document=(CSV_HEADER + ROW.replace("0.5", "\uff10.\uff13"), "csv"))  # full-width digits
+# past line 512, so on the second slice: a blank line, then a padded number
+@example(document=(CSV_HEADER + ROWS_600.replace("\nK550,", "\n\nK550,"), "csv"))
+@example(document=(CSV_HEADER + ROWS_600.replace("\nK550,d,0.3,", "\nK550,d,\x1c0.3\x1f,"), "csv"))
 def test_column_path_matches_per_record_path(document):
     text, fmt = document
     got, expected = _outcome(text, fmt), _per_record_outcome(text, fmt)
@@ -455,7 +459,7 @@ def _column_reprs(columns):
 
 def _reader_columns(text):
     """The columns, or None, that `csv.reader` over the whole text gives, each cell
-    parsed by the schema: the reference for `fabcarbon.dataset._csv_columns`."""
+    parsed by the schema: the reference for the loader's column path."""
     width = len(KERNEL_COLUMNS)
     try:
         reader = csv.reader(io.StringIO(text))
@@ -471,6 +475,55 @@ def _reader_columns(text):
 
 def _clean_csv(rows):
     return CSV_HEADER + "".join(f"K{i},d{i % 3},0.{i % 9 + 1},0.3,0.5,{i % 200},{i % 2}\n" for i in range(rows))
+
+
+def _reader_rows(text):
+    """Each row that `csv.reader` reads, with its `line_num`, then its csv.Error text or None."""
+    reader = csv.reader(io.StringIO(text))
+    rows = []
+    try:
+        for row in reader:
+            rows.append((reader.line_num, row))
+    except csv.Error as exc:
+        return rows, str(exc)
+    return rows, None
+
+
+def _sliced_rows(text):
+    """Each row that `fabcarbon.dataset._csv_slices` gives, with its line, then the text of
+    the csv.Error it raises as a ParseError, or None; a slice's fields, when it has them,
+    are its rows' cells field by field."""
+    rows = []
+    try:
+        for lines, fields, cells in fabcarbon.dataset._csv_slices(text):
+            cells = list(map(list, cells))
+            assert len(lines) == len(cells) > 0
+            if fields is None:
+                assert {len(row) for row in cells} != {len(KERNEL_COLUMNS)}
+            else:
+                assert list(map(list, fields)) == list(map(list, zip(*cells)))
+            rows += zip(lines, cells)
+    except ParseError as exc:
+        return rows, str(exc)
+    return rows, None
+
+
+def _unparsed_records(lines, rows):
+    """A `_row_records` that fails when its first record is asked for."""
+    raise AssertionError("per-record parse")
+    yield
+
+
+def _column_path(text):
+    """The columns that `load_dataset` reads from a CSV `text` without parsing any row
+    record by record, or None when it cannot: every column check is made to pass."""
+    with mock.patch.object(fabcarbon.dataset, "_row_records", _unparsed_records), \
+            mock.patch.object(fabcarbon.dataset, "_columns_valid", return_value=True) as valid:
+        try:
+            load_dataset(io.StringIO(text), "csv")
+        except (AssertionError, DatasetError):  # a row parsed record by record; a header fault; no kernels
+            pass
+    return valid.call_args.args[0] if valid.called else None
 
 
 @settings(deadline=None)
@@ -495,23 +548,25 @@ def _clean_csv(rows):
 # 512 lines of about 300 characters: a slice longer than the field limit, but no line
 @example(text=CSV_HEADER + "".join(f"K{i:03d}{'n' * 270},d,0.3,0.3,0.5,10,0\n" for i in range(511)))
 def test_csv_columns_match_the_csv_reader_columns(text):
-    expected = _reader_columns(text)
+    expected_rows, expected = _reader_rows(text), _reader_columns(text)
     if _refused(text):
-        got = fabcarbon.dataset._csv_columns(text)
+        got_rows, got = _sliced_rows(text), _column_path(text)
     else:  # the split cutter answers alone
         with mock.patch.object(csv, "reader", side_effect=AssertionError("csv.reader")):
-            got = fabcarbon.dataset._csv_columns(text)
+            got_rows, got = _sliced_rows(text), _column_path(text)
+    assert got_rows == expected_rows
     assert _column_reprs(got) == _column_reprs(expected)
 
 
 def test_only_a_long_line_goes_to_csv_reader():
     long_line = "K700" + "n" * 70_000 + ",d1" + "d" * 70_000 + ",0.3,0.3,0.5,10,0\n"
     text = _clean_csv(1499).replace("K700,d1,0.8,0.3,0.5,100,0\n", long_line)
-    expected = _reader_columns(text)
+    expected_rows, expected = _reader_rows(text), _reader_columns(text)
     with mock.patch.object(csv, "reader", wraps=csv.reader) as reader:
-        got = fabcarbon.dataset._csv_columns(text)
-    assert expected is not None and len(expected[0]) == 1499 and got == expected
+        got_rows = _sliced_rows(text)
     assert [list(call.args[0]) for call in reader.call_args_list] == [[long_line]]
+    assert got_rows == expected_rows
+    assert expected is not None and len(expected[0]) == 1499 and _column_path(text) == expected
 
 
 @pytest.mark.parametrize("limit", [sys.maxsize, 12])
@@ -520,13 +575,56 @@ def test_csv_columns_under_another_field_limit(limit):
     text = CSV_HEADER + ROW
     saved = csv.field_size_limit(limit)
     try:
-        expected = _reader_columns(text)
+        expected_rows, expected = _reader_rows(text), _reader_columns(text)
         with mock.patch.object(csv, "reader", wraps=csv.reader) as reader:
-            got = fabcarbon.dataset._csv_columns(text)
+            got_rows = _sliced_rows(text)
+        got = _column_path(text)
     finally:
         csv.field_size_limit(saved)
-    assert expected is not None and got == expected
+    assert expected is not None and got == expected and got_rows == expected_rows
     assert reader.call_count == (0 if limit == sys.maxsize else 2)
+
+
+# A quoted document, read by `csv.reader`, with a fault on line 3 and one on line 5:
+# the first fault in the document is the one reported, whichever slice holds them.
+_QUOTED = CSV_HEADER + '"A",d,0.3,0.3,0.5,10,0\n%sC,d,0.3,0.3,0.5,10,0\n%s'
+
+
+@pytest.mark.parametrize(
+    "text, message, line",
+    [
+        (_QUOTED % ("B,d,oops,0.3,0.5,10,0\n", "D\r,d,0.3,0.3,0.5,10,0\n"),
+         "not a number: 'oops' (line 3, column 'area_norm')", 3),
+        (_QUOTED % ("B,d,0.3,0.3,1.5,10,0\n", "D\r,d,0.3,0.3,0.5,10,0\n"), None, 0),  # csv.reader's own text
+        (_QUOTED % ("\n", "D,d,oops,0.3,0.5,10,0\n"), "not a number: 'oops' (line 5, column 'area_norm')", 5),
+    ],
+    ids=["cell-then-bare-cr", "range-then-bare-cr", "blank-then-cell"],
+)
+def test_the_first_fault_in_a_slice_is_reported(text, message, line):
+    with pytest.raises(ParseError) as exc_info:
+        load_dataset(io.StringIO(text), "csv")
+    assert str(exc_info.value) == (message or _reader_rows(text)[1])
+    assert exc_info.value.line == line
+
+
+@pytest.mark.parametrize("shape", BLANK_ROW_SHAPES.values(), ids=BLANK_ROW_SHAPES.keys())
+def test_a_blank_row_costs_one_slice(shape):
+    rows = [f"K{i},d,0.3,0.4,0.5,10,{i % 2}\n" for i in range(5000)]
+    rows[4500] = shape(rows[4500])
+    counts = {"parsed": 0, "built": 0}
+    row_records, record_kernels = fabcarbon.dataset._row_records, fabcarbon.dataset._record_kernels
+
+    def counted(name, records):
+        for record in records:
+            counts[name] += 1
+            yield record
+
+    with mock.patch.object(fabcarbon.dataset, "_row_records", lambda *args: counted("parsed", row_records(*args))), \
+            mock.patch.object(fabcarbon.dataset, "_record_kernels", lambda records: record_kernels(counted("built", records))):
+        loaded = load_dataset(io.StringIO(CSV_HEADER + "".join(rows)), "csv")
+    assert len(loaded) == 5000
+    # only the slice holding the row is read record by record, and no profile is built
+    assert counts["parsed"] <= fabcarbon.dataset._SLICE_ROWS and counts["built"] <= fabcarbon.dataset._SLICE_ROWS
 
 
 @pytest.mark.parametrize(
